@@ -6,29 +6,48 @@ amplifies and forwards with power lam.  All SINR expressions below are exact
 in the drawn vectors (true norms and inner products); the large-antenna
 simplifications live in policy.py and analytics.py, never here.
 
-Sampling is counter-based: trial t of a run with master seed m reads from an
-independent Philox stream keyed (m, t), so results are bit-identical no
-matter how trials are chunked or scheduled.  Each trial consumes one flat
-block of standard normals plus one uniform, in a fixed layout.
+The protocol sees each realization only through Gram statistics, so those
+are drawn instead of antenna vectors.  Stack the K relay beams and the
+destination beam as columns of an Ns x (K+1) matrix and take its QR
+factorization: by the complex Bartlett decomposition the d x (K+1)
+upper-trapezoidal factor R (d = min(Ns, K+1)) has independent entries,
+|R_jj|^2 ~ Gamma(Ns - j, 1) on the diagonal and CN(0, 1) above it.  An
+eavesdropper vector enters only through its d components in the beam span,
+which are again i.i.d. CN(0, 1).  So with columns scaled by the mean gains,
+R^H [R | W] holds every norm and inner product, with no O(Ns) work.  Scalar
+links are exponentials.
+
+Sampling is counter-based: a run with master seed m reads one Philox stream
+keyed from m, and every trial consumes the same number of uniforms (see
+flat_draw_size), padded to whole counter blocks of four 64-bit words.  Trial
+t therefore starts at a known counter that `advance` reaches directly, and
+results are bit-identical however trials are chunked or scheduled.  Per
+trial, in stream order: the scheme uniform, the d diagonal gammas (inverse
+CDF), the entries above the diagonal, the eavesdropper components (two
+uniforms per complex normal, Box-Muller), then one uniform per exponential
+link gain (relay-destination, eavesdropper-destination, malicious pairs).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
+from scipy.special import gammaincinv
 
 from .model import EveModel, MeanGains, SystemConfig
 
 # Open-interval guard for the power split.
 LAMBDA_EPS = 1e-9
 
+# 64-bit outputs per Philox counter increment; each trial reads whole blocks.
+_BLOCK_WORDS = 4
+
 
 @dataclass(frozen=True)
 class RngStream:
-    """Addressable random stream: (master_seed, stream_id) -> Philox key."""
+    """Addressable random stream: trial stream_id of the run seeded master_seed."""
 
     master_seed: int
     stream_id: int
@@ -39,9 +58,14 @@ class RngStream:
             if not (0 <= v < 2**64):
                 raise ValueError(f"{name} must fit in an unsigned 64-bit value, got {v}")
 
-    def generator(self) -> Generator:
-        key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
-        return Generator(Philox(key=key))
+    def generator(self, blocks_per_trial: int = 1) -> Generator:
+        """Philox generator keyed from master_seed (through numpy's
+        SeedSequence, so small or adjacent seeds still get well-mixed keys),
+        advanced to the start of trial stream_id when every trial reads
+        blocks_per_trial counter blocks."""
+        bits = Philox(seed=self.master_seed)
+        bits.advance(self.stream_id * blocks_per_trial)
+        return Generator(bits)
 
 
 @dataclass(eq=False)
@@ -120,51 +144,78 @@ def _pair_list(k: int, l: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _segment_sizes(config: SystemConfig, gains: MeanGains) -> tuple[int, ...]:
+    """Uniforms per trial for each segment, in stream order: scheme uniform,
+    diagonal gammas, upper entries, eavesdropper components, link gains."""
+    k, l = gains.n_relays, gains.n_eves
+    d = min(config.n_antennas, k + 1)
+    # Entries strictly above the diagonal of the d x (K+1) Bartlett factor;
+    # columns j >= d lie wholly above it.
+    n_upper = sum(min(j, d) for j in range(k + 1))
+    return 1, d, 2 * n_upper, 2 * d * l, k + l + len(_pair_list(k, l))
+
+
 def flat_draw_size(config: SystemConfig, gains: MeanGains) -> int:
-    """Standard normals consumed per trial (the uniform comes on top)."""
-    k, l, ns = gains.n_relays, gains.n_eves, config.n_antennas
-    return 2 * ns * (k + l + 1) + 2 * k + 2 * l + 2 * len(_pair_list(k, l))
+    """Uniforms consumed per trial, padded to whole Philox counter blocks."""
+    used = sum(_segment_sizes(config, gains))
+    return -(-used // _BLOCK_WORDS) * _BLOCK_WORDS
 
 
-def _build_batch(z: np.ndarray, u: np.ndarray, gains: MeanGains, config: SystemConfig) -> BatchDraws:
+def _open_uniforms(raw: np.ndarray) -> np.ndarray:
+    """Map raw 64-bit words to (k + 1/2) * 2^-52, exactly, for the top 52 bits
+    k: uniforms in [2^-53, 1 - 2^-53], so every log and inverse CDF is finite
+    and every drawn gain is positive."""
+    u = (raw >> np.uint64(12)).astype(np.float64)
+    u *= 2.0**-52
+    u += 2.0**-53
+    return u
+
+
+def _complex_normals(u: np.ndarray) -> np.ndarray:
+    # Box-Muller on 2m uniforms: modulus^2 = -log u1 ~ Exp(1), phase 2*pi*u2.
+    m = u.shape[-1] // 2
+    return np.sqrt(-np.log(u[..., :m])) * np.exp(2j * np.pi * u[..., m:])
+
+
+def _build_batch(u: np.ndarray, gains: MeanGains, config: SystemConfig) -> BatchDraws:
     k, l, ns = gains.n_relays, gains.n_eves, config.n_antennas
     rho = config.snr_linear
-    n = z.shape[0]
-    nv = k + l + 1
-    pos = 2 * ns * nv
-    # Source-side vectors, order: relays, eves, destination.
-    scales = np.sqrt(np.concatenate([gains.mu_sr, gains.mu_se, [gains.mu_sd]]) / 2.0)
-    vec = z[:, :pos].reshape(n, nv, ns, 2)
-    hv = (vec[..., 0] + 1j * vec[..., 1]) * scales[None, :, None]
+    n = u.shape[0]
+    d = min(ns, k + 1)
+    bounds = np.cumsum(_segment_sizes(config, gains))
+    u_rand, u_diag, u_upper, u_eve, u_link, _pad = np.split(u, bounds, axis=1)
+    # Bartlett factor of the beam matrix, columns: relays, destination.
+    r = np.zeros((n, d, k + 1), dtype=complex)
+    diag = np.arange(d)
+    r[:, diag, diag] = np.sqrt(gammaincinv(float(ns) - diag, u_diag))
+    rows, cols = np.triu_indices(d, 1, k + 1)
+    r[:, rows, cols] = _complex_normals(u_upper)
+    r *= np.sqrt(np.append(gains.mu_sr, gains.mu_sd))
+    w = _complex_normals(u_eve).reshape(n, d, l) * np.sqrt(gains.mu_se)
     # Gram rows for the K relay beamformers plus the destination beamformer,
-    # columns for every source-side vector.
-    beam_rows = list(range(k)) + [nv - 1]
-    gram = np.matmul(np.conj(hv[:, beam_rows, :]), np.swapaxes(hv, 1, 2))
-    norms = np.real(gram[:, np.arange(k + 1), beam_rows])
+    # columns for the relays then the eavesdroppers.
+    gram = np.matmul(np.conj(np.swapaxes(r, 1, 2)), np.concatenate([r[:, :, :k], w], axis=2))
+    norms = np.sum(r.real**2 + r.imag**2, axis=1)
+    leak = (gram.real**2 + gram.imag**2) / norms[:, :, None]
+    # The self entry is the full beamforming gain, exactly.
+    leak[:, np.arange(k), np.arange(k)] = norms[:, :k]
     g_sr = rho * norms[:, :k]
     g_sd = rho * norms[:, k]
-    leak = np.abs(gram[:, :, : k + l]) ** 2 / norms[:, :, None]
     g_null_r = rho * leak[:, :k, :]
     g_null_d = rho * leak[:, k, :]
 
-    def cplx_gain(block: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        h = (block[..., 0] + 1j * block[..., 1]) * np.sqrt(mu / 2.0)
-        return rho * np.abs(h) ** 2
-
-    g_rd = cplx_gain(z[:, pos : pos + 2 * k].reshape(n, k, 2), gains.mu_rd)
-    pos += 2 * k
-    g_ed = cplx_gain(z[:, pos : pos + 2 * l].reshape(n, l, 2), gains.mu_ed)
-    pos += 2 * l
+    links = -np.log(u_link)
+    g_rd = rho * gains.mu_rd * links[:, :k]
+    g_ed = rho * gains.mu_ed * links[:, k : k + l]
     g_ld = np.concatenate([g_rd, g_ed], axis=1)
-    pairs = _pair_list(k, l)
     g_rl = np.zeros((n, k, k + l))
+    pairs = _pair_list(k, l)
     if pairs:
-        mu_pairs = np.array([gains.mu_rl[i, j] for i, j in pairs])
-        gp = cplx_gain(z[:, pos : pos + 2 * len(pairs)].reshape(n, len(pairs), 2), mu_pairs)
-        for m, (i, j) in enumerate(pairs):
-            g_rl[:, i, j] = gp[:, m]
-            if j < k:
-                g_rl[:, j, i] = gp[:, m]
+        pi, pj = np.array(pairs).T
+        gp = rho * gains.mu_rl[pi, pj] * links[:, k + l :]
+        g_rl[:, pi, pj] = gp
+        rr = pj < k
+        g_rl[:, pj[rr], pi[rr]] = gp[:, rr]
     return BatchDraws(
         g_sr=g_sr,
         g_rd=g_rd,
@@ -173,7 +224,7 @@ def _build_batch(z: np.ndarray, u: np.ndarray, gains: MeanGains, config: SystemC
         g_ld=g_ld,
         g_sd=g_sd,
         g_null_d=g_null_d,
-        u_rand=u,
+        u_rand=u_rand[:, 0].copy(),
     )
 
 
@@ -192,13 +243,9 @@ def draw_batch(
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     size = flat_draw_size(config, gains)
-    z = np.empty((n_trials, size))
-    u = np.empty(n_trials)
-    for t in range(n_trials):
-        g = RngStream(master_seed, first_trial + t).generator()
-        g.standard_normal(size, out=z[t])
-        u[t] = g.random()
-    return _build_batch(z, u, gains, config)
+    g = RngStream(master_seed, first_trial).generator(size // _BLOCK_WORDS)
+    raw = g.bit_generator.random_raw(n_trials * size)
+    return _build_batch(_open_uniforms(raw).reshape(n_trials, size), gains, config)
 
 
 def draw_realization(gains: MeanGains, config: SystemConfig, rng: RngStream) -> ChannelDraw:

@@ -59,7 +59,7 @@ from . import analytics, model
 from .model import ConfigError, EveModel, Modulation, SystemConfig, Topology, TopologyError
 from .montecarlo import Metric, derive_seed, estimate_from_trace, simulate
 from .policy import Scheme, c_params
-from .specfun import QuadratureError
+from .specfun import QuadratureError, subset_count_problem
 
 CSV_COLUMNS = (
     "eve_model",
@@ -164,6 +164,13 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
             f"topology has {spec.topology.n_eves} eavesdroppers, config says "
             f"{spec.config.n_eves}"
         )
+    if Scheme.DT in spec.schemes and Metric.ESR in spec.metrics and spec.emit_closed_form:
+        # esr_dt_lb sums over the subsets of all K+L leakages on its NCE
+        # path, and over the K relay leakages under collusion.
+        for em, k, l in dict.fromkeys((em, k, l) for em, k, l, _ in _grid_points(spec)):
+            problem = subset_count_problem(k + l if em is EveModel.NCE or l == 0 else k)
+            if problem:
+                problems.append(f"closed-form dt esr at {em.value} K={k} L={l}: {problem}")
     return problems
 
 
@@ -444,7 +451,7 @@ def _closed_columns(
         else:
             closed = analytics.ser_dbcj(gains, rho, c, cfg.modulation)
             asym = analytics.ser_dbcj_asymptotic(gains, rho, c, cfg.modulation)
-    elif scheme is Scheme.DT:
+    elif scheme is Scheme.DT and spec.emit_closed_form:
         if metric is Metric.ESR:
             closed = analytics.esr_dt_lb(gains, cfg, cfg.eve_model)
         elif metric is Metric.SOP:

@@ -1,6 +1,6 @@
 """Monte-Carlo estimation of the secrecy metrics, plus quadrature oracles.
 
-Draws are keyed by (seed, absolute trial index), so an estimate is
+Draws are addressed by (seed, absolute trial index), so an estimate is
 bit-identical for a fixed (seed, trials) no matter how trials are chunked or
 scheduled, and every scheme evaluated at the same seed sees the same
 channels.  Accumulation goes through exact compensated summation, which

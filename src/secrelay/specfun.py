@@ -124,15 +124,23 @@ class SubsetTerm:
     rate_sum: float
 
 
+def subset_count_problem(n: int) -> str | None:
+    """Why a sum over the subsets of n rates is refused, or None if it is not."""
+    if n > _MAX_SUBSET_NODES:
+        return (
+            f"{n} rates would enumerate 2^{n}-1 subsets; "
+            f"the supported maximum is {_MAX_SUBSET_NODES}"
+        )
+    return None
+
+
 def _check_rates(rates: Sequence[float]) -> np.ndarray:
     arr = np.asarray(rates, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("need a one-dimensional, non-empty rate list")
-    if arr.size > _MAX_SUBSET_NODES:
-        raise ValueError(
-            f"{arr.size} rates would enumerate 2^{arr.size}-1 subsets; "
-            f"the supported maximum is {_MAX_SUBSET_NODES}"
-        )
+    problem = subset_count_problem(arr.size)
+    if problem:
+        raise ValueError(problem)
     if not (np.isfinite(arr).all() and (arr > 0).all()):
         raise ValueError("rates must be positive and finite")
     return arr

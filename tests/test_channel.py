@@ -220,10 +220,17 @@ def test_batch_split_invariance():
     np.testing.assert_array_equal(whole.u_rand[6:], tail.u_rand)
 
 
-def test_flat_draw_size_counts_all_normals():
+def test_flat_draw_size_counts_all_uniforms():
     gains, cfg = default_setup(n_antennas=8, k=2, l=1)
-    # 3 source vectors of 8 complex + 2 rd + 1 ed + 3 pair links, all complex.
-    assert flat_draw_size(cfg, gains) == 2 * 8 * 4 + 2 * 2 + 2 * 1 + 2 * 3
+    # d = min(8, 3) = 3: 1 scheme uniform + 3 diagonal gammas + 3 complex
+    # upper entries + 3x1 complex eve components + (2 rd + 1 ed + 3 pair)
+    # exponentials = 22, padded to a multiple of 4.
+    assert flat_draw_size(cfg, gains) == 24
+    # Rank-deficient Ns=2 < K+1=6: d = 2, 9 upper entries (columns 2..5 full),
+    # 2x3 eve components, 5 + 3 + 10 + 15 links: 1 + 2 + 18 + 12 + 33 = 66.
+    gains = MeanGains.iid(5, 3)
+    cfg = SystemConfig(n_antennas=2, n_relays=5, n_eves=3, snr_linear=1.0)
+    assert flat_draw_size(cfg, gains) == 68
 
 
 def test_sample_means_match_link_statistics():

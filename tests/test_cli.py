@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import secrelay
 from secrelay.cli import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -340,3 +344,46 @@ def test_main_preset_fig4_closed_esr_rises_with_relay_count(tmp_path, capsys):
     assert all(b >= a for a, b in zip(col, col[1:]))
     assert col[-1] > col[0]
     assert all(math.isfinite(r.sim_value) for r in rows)
+
+
+def test_validate_rejects_dt_esr_past_the_subset_ceiling(tmp_path, capsys):
+    # Without collusion the DT ESR bound sums over subsets of all K+L = 55
+    # leakages, which the closed form refuses: validate must say so up front.
+    text = (
+        "config.n_antennas = 16\n"
+        "config.n_relays = 5\n"
+        "config.n_eves = 50\n"
+        "experiment.schemes = [\"dt\"]\n"
+        "experiment.metrics = [\"esr\"]\n"
+        "experiment.rho_grid_db = [10]\n"
+        "experiment.trials = 10\n"
+        f"experiment.out = \"{tmp_path / 'r.csv'}\"\n"
+    )
+    with pytest.raises(SpecError) as exc:
+        parse_spec_text(text)
+    problems = exc.value.problems
+    assert len(problems) == 1
+    assert "55 rates would enumerate 2^55-1 subsets; the supported maximum is 25" in problems[0]
+    spec_file = tmp_path / "dt.spec"
+    spec_file.write_text(text)
+    assert main(["validate", str(spec_file)]) == 2
+    assert "2^55-1 subsets" in capsys.readouterr().err
+    # Collusion pools the eavesdroppers and only sums over relay subsets.
+    parse_spec_text(text + "config.eve_model = \"ce\"\n")
+    # Without a closed-form column there is nothing to refuse.
+    parse_spec_text(text + "experiment.emit_closed_form = False\n")
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    spec_file = tmp_path / "exp.spec"
+    spec_file.write_text(tiny_spec_text(tmp_path / "r.csv"))
+    src = os.path.dirname(os.path.dirname(secrelay.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "secrelay.cli", "validate", str(spec_file)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ok" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
