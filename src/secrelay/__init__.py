@@ -3,12 +3,13 @@ are helpful but untrusted, with destination-based jamming against them and
 any external eavesdroppers.
 
 Layering: model (parameters, geometry, mean gains) -> specfun (exponential
-integrals, hypoexponential CDFs, subset sums) -> channel (per-trial fading
-draws and exact SINRs) -> policy (power splits and relay selection) ->
-analytics (closed-form ESR/SOP/SER and their asymptotes) -> montecarlo
-(trial engine and quadrature oracles) -> cli (experiment runner).  The
-package does not import cli, so `python -m secrelay.cli` runs it as
-__main__ only; import the runner's names from `secrelay.cli`.
+integrals, hypoexponential CDFs, subset sums) -> channel (batched fading
+draws and exact SINRs) -> policy (power splits and relay selection, one
+batch of trials at a time) -> analytics (closed-form ESR/SOP/SER and their
+asymptotes) -> montecarlo (trial engine and quadrature oracles) -> cli
+(experiment runner).  The package does not import cli, so
+`python -m secrelay.cli` runs it as __main__ only; import the runner's
+names from `secrelay.cli`.
 """
 
 from .model import (
@@ -25,14 +26,11 @@ from .model import (
 )
 from .channel import (
     BatchDraws,
-    ChannelDraw,
     RngStream,
     draw_batch,
-    draw_realization,
 )
 from .policy import (
     CParams,
-    PolicyOutcome,
     RegimeWarning,
     Scheme,
     c_params,
@@ -40,11 +38,8 @@ from .policy import (
     opa_ce,
     opa_nce,
     opa_nce_statistical,
-    opa_numeric,
-    run_scheme,
     run_scheme_batch,
     secrecy_rate,
-    select_relay_exact,
     select_relay_maxgain,
 )
 from .analytics import (
@@ -82,7 +77,6 @@ from .specfun import QuadratureError
 __all__ = [
     "BatchDraws",
     "CParams",
-    "ChannelDraw",
     "ConfigError",
     "EsrBreakdown",
     "EveModel",
@@ -90,7 +84,6 @@ __all__ = [
     "Metric",
     "MetricEstimate",
     "Modulation",
-    "PolicyOutcome",
     "QuadratureError",
     "RegimeWarning",
     "RngStream",
@@ -105,7 +98,6 @@ __all__ = [
     "dmt_reliability",
     "dmt_secrecy",
     "draw_batch",
-    "draw_realization",
     "esr_dbcj",
     "esr_dt_lb",
     "esr_quadrature_oracle",
@@ -117,16 +109,13 @@ __all__ = [
     "opa_ce",
     "opa_nce",
     "opa_nce_statistical",
-    "opa_numeric",
     "outage_threshold",
     "paper_topology",
     "ppos_dbcj",
     "ppos_dbcj_asymptotic",
     "ppos_dt",
-    "run_scheme",
     "run_scheme_batch",
     "secrecy_rate",
-    "select_relay_exact",
     "select_relay_maxgain",
     "ser_dbcj",
     "ser_dbcj_asymptotic",

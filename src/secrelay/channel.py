@@ -4,7 +4,9 @@ Transmission is two-phase: the source beamforms toward a selected relay with
 power fraction lam while the destination jams with 1 - lam; the relay then
 amplifies and forwards with power lam.  All SINR expressions below are exact
 in the drawn vectors (true norms and inner products); the large-antenna
-simplifications live in policy.py and analytics.py, never here.
+simplifications live in policy.py and analytics.py, never here.  The SINR
+and leakage functions take a BatchDraws with one served relay and one split
+per trial; a single realization is a one-row batch.
 
 The protocol sees each realization only through Gram statistics, so those
 are drawn instead of antenna vectors.  Stack the K relay beams and the
@@ -69,47 +71,26 @@ class RngStream:
 
 
 @dataclass(eq=False)
-class ChannelDraw:
-    """One network realization, reduced to the gains the protocol sees.
+class BatchDraws:
+    """Network realizations, reduced to the gains the protocol sees, with a
+    leading trial axis (row t == trial t; a single draw is a one-row batch).
 
-    g_sr[i]: rho*||h_si||^2, source->relay i beamforming gain.
-    g_rd[i]: rho*|h_id|^2, relay i <-> destination (reciprocal, so it is both
-        the forwarding and the jamming gain at relay i).
-    g_null_r[i, l]: rho*|(h_si/||h_si||)^H h_sl|^2, residual beamforming
+    g_sr[t, i]: rho*||h_si||^2, source->relay i beamforming gain.
+    g_rd[t, i]: rho*|h_id|^2, relay i <-> destination (reciprocal, so it is
+        both the forwarding and the jamming gain at relay i).
+    g_null_r[t, i, l]: rho*|(h_si/||h_si||)^H h_sl|^2, residual beamforming
         leakage toward malicious node l when relay i is served.  Malicious
         node columns are the K relays then the L eavesdroppers; the diagonal
-        l == i entry equals g_sr[i] by construction.
-    g_rl[i, l]: rho*|h_il|^2 between relay i and malicious node l (zero on
+        l == i entry equals g_sr[t, i] by construction.
+    g_rl[t, i, l]: rho*|h_il|^2 between relay i and malicious node l (zero on
         the self entry, symmetric within the relay block).
-    g_ld[l]: rho*|h_ld|^2 destination->node jamming gains; the relay part
+    g_ld[t, l]: rho*|h_ld|^2 destination->node jamming gains; the relay part
         repeats g_rd by reciprocity.
-    g_sd: rho*||h_sd||^2 and g_null_d[l]: leakage toward node l when the
-        source beamforms to the destination (direct transmission).
-    u_rand: one uniform variate reserved for scheme-level randomness
+    g_sd[t]: rho*||h_sd||^2 and g_null_d[t, l]: leakage toward node l when
+        the source beamforms to the destination (direct transmission).
+    u_rand[t]: one uniform variate reserved for scheme-level randomness
         (uniform relay pick), so policies stay deterministic per trial.
     """
-
-    g_sr: np.ndarray
-    g_rd: np.ndarray
-    g_null_r: np.ndarray
-    g_rl: np.ndarray
-    g_ld: np.ndarray
-    g_sd: float
-    g_null_d: np.ndarray
-    u_rand: float
-
-    @property
-    def n_relays(self) -> int:
-        return len(self.g_sr)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.g_ld)
-
-
-@dataclass(eq=False)
-class BatchDraws:
-    """ChannelDraw fields with a leading trial axis (row t == trial t)."""
 
     g_sr: np.ndarray
     g_rd: np.ndarray
@@ -124,17 +105,13 @@ class BatchDraws:
     def n_trials(self) -> int:
         return len(self.g_sd)
 
-    def row(self, t: int) -> ChannelDraw:
-        return ChannelDraw(
-            g_sr=self.g_sr[t],
-            g_rd=self.g_rd[t],
-            g_null_r=self.g_null_r[t],
-            g_rl=self.g_rl[t],
-            g_ld=self.g_ld[t],
-            g_sd=float(self.g_sd[t]),
-            g_null_d=self.g_null_d[t],
-            u_rand=float(self.u_rand[t]),
-        )
+    @property
+    def n_relays(self) -> int:
+        return self.g_sr.shape[1]
+
+    @property
+    def n_nodes(self) -> int:
+        return self.g_ld.shape[1]
 
 
 def _pair_list(k: int, l: int) -> list[tuple[int, int]]:
@@ -237,7 +214,7 @@ def draw_batch(
 ) -> BatchDraws:
     """Draw trials [first_trial, first_trial + n_trials) as stacked arrays.
 
-    Row t is bit-identical to draw_realization with stream_id first_trial+t,
+    Row t is bit-identical to the one-row draw_batch at first_trial + t,
     independent of how the range is split across calls.
     """
     if n_trials < 1:
@@ -248,134 +225,56 @@ def draw_batch(
     return _build_batch(_open_uniforms(raw).reshape(n_trials, size), gains, config)
 
 
-def draw_realization(gains: MeanGains, config: SystemConfig, rng: RngStream) -> ChannelDraw:
-    """Draw one network realization from the given stream."""
-    return draw_batch(gains, config, rng.master_seed, rng.stream_id, 1).row(0)
+def _served(batch: BatchDraws, relay_idx):
+    # Per-trial first-hop and second-hop gains of the served relay.
+    rows = np.arange(batch.n_trials)
+    return rows, batch.g_sr[rows, relay_idx], batch.g_rd[rows, relay_idx]
 
 
-def _check_lam(lam) -> None:
-    arr = np.asarray(lam, dtype=float)
-    if ((arr <= 0.0) | (arr >= 1.0)).any() or not np.isfinite(arr).all():
-        raise ValueError(f"power split must lie strictly inside (0, 1), got {lam}")
-
-
-def _jammed_ratio(signal, jam, lam):
-    # lam * signal / ((1 - lam) * jam + 1): first-phase SINR shape shared by
-    # the served relay and every overhearing node.
-    return lam * signal / ((1.0 - lam) * jam + 1.0)
-
-
-def sinr_relay(draw: ChannelDraw, relay: int, lam: float) -> float:
-    """First-phase SINR at the served (untrusted) relay."""
-    _check_lam(lam)
-    return float(_jammed_ratio(draw.g_sr[relay], draw.g_rd[relay], lam))
-
-
-def sinr_eve_phase1(draw: ChannelDraw, relay: int, node: int, lam: float) -> float:
-    """First-phase SINR at malicious node `node` while relay `relay` is served:
-    beamforming leakage over destination jamming."""
-    _check_lam(lam)
-    return float(_jammed_ratio(draw.g_null_r[relay, node], draw.g_ld[node], lam))
-
-
-def sinr_eve_phase2(draw: ChannelDraw, relay: int, node: int, lam: float) -> float:
-    """Second-phase SINR at `node` listening to the relay's amplified forward.
-
-    The relay's own forwarded signal rides on its first-phase observation, so
-    this is bounded by the served relay's SINR no matter how strong the
-    inter-malicious link is.
-    """
-    _check_lam(lam)
-    if node == relay:
-        raise ValueError("second-phase SINR is undefined at the served relay itself")
-    g_si, g_id = draw.g_sr[relay], draw.g_rd[relay]
-    g_il = draw.g_rl[relay, node]
-    return float(
-        lam * g_si * g_il / (lam * g_si + (1.0 + (1.0 - lam) * g_id) * (1.0 + g_il))
-    )
-
-
-def sinr_destination(draw: ChannelDraw, relay: int, lam: float) -> float:
-    """End-to-end SINR at the destination after self-interference cancellation."""
-    _check_lam(lam)
-    g_si, g_id = draw.g_sr[relay], draw.g_rd[relay]
-    return float(lam * g_si * g_id / (lam * g_si + (2.0 - lam) * g_id + 1.0))
-
-
-def _leakage_parts(g_si, g_id, null_row, rl_row, g_ld, lam):
-    """Per-node max(phase1, phase2) plus both phases, broadcast over trials.
-
-    The self column reproduces the served relay's own SINR in phase 1 (its
-    leakage entry is the full beamforming gain and its jamming gain is g_id)
-    and zero in phase 2 (self link is zero), so taking node-wise maxima over
-    all columns already includes the served relay.
-    """
-    lam_c = 1.0 - lam
-    p1 = lam[..., None] * null_row / (lam_c[..., None] * g_ld + 1.0)
-    num = lam[..., None] * g_si[..., None] * rl_row
-    den = (lam * g_si)[..., None] + (1.0 + lam_c * g_id)[..., None] * (1.0 + rl_row)
-    p2 = num / den
-    return p1, p2
-
-
-def _leakage_core(g_si, g_id, null_row, rl_row, g_ld, lam, model: EveModel, n_relays: int):
-    p1, p2 = _leakage_parts(g_si, g_id, null_row, rl_row, g_ld, lam)
-    per_node = np.maximum(p1, p2)
-    if model is EveModel.NCE:
-        return np.max(per_node, axis=-1)
-    relay_part = np.max(per_node[..., :n_relays], axis=-1)
-    eve_part = np.sum(p1[..., n_relays:] + p2[..., n_relays:], axis=-1)
-    return np.maximum(relay_part, eve_part)
-
-
-def leakage(draw: ChannelDraw, relay: int, lam: float, model: EveModel) -> float:
-    """Exact information leakage toward the malicious set.
-
-    NCE: strongest single observation over both phases and all K+L nodes
-    (the served relay's own first-phase SINR included).  CE: the worse of the
-    relay part and the L pooled eavesdroppers combining both phases.
-    """
-    _check_lam(lam)
-    return float(
-        _leakage_core(
-            np.asarray(draw.g_sr[relay]),
-            np.asarray(draw.g_rd[relay]),
-            draw.g_null_r[relay],
-            draw.g_rl[relay],
-            draw.g_ld,
-            np.asarray(float(lam)),
-            model,
-            draw.n_relays,
-        )
-    )
+def sinr_destination(batch: BatchDraws, relay_idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """End-to-end SINR at the destination after self-interference
+    cancellation, with per-trial served relay and power split."""
+    _, g_si, g_id = _served(batch, relay_idx)
+    return lam * g_si * g_id / (lam * g_si + (2.0 - lam) * g_id + 1.0)
 
 
 def leakage_batch(
     batch: BatchDraws, relay_idx: np.ndarray, lam: np.ndarray, model: EveModel
 ) -> np.ndarray:
-    """Vectorized leakage with per-trial served relay and power split."""
-    rows = np.arange(batch.n_trials)
-    return _leakage_core(
-        batch.g_sr[rows, relay_idx],
-        batch.g_rd[rows, relay_idx],
-        batch.g_null_r[rows, relay_idx],
-        batch.g_rl[rows, relay_idx],
-        batch.g_ld,
-        np.asarray(lam, dtype=float),
-        model,
-        batch.g_sr.shape[1],
-    )
+    """Exact information leakage toward the malicious set, with per-trial
+    served relay and power split.
 
-
-def dt_snrs(draw: ChannelDraw) -> tuple[float, np.ndarray]:
-    """Direct transmission: destination SNR and per-node leakage SNRs."""
-    return draw.g_sd, draw.g_null_d.copy()
+    Each node hears lam*leak/((1-lam)*jam + 1) in phase 1 and the relay's
+    amplified forward in phase 2, which its first-phase observation bounds.
+    The self column reproduces the served relay's own SINR in phase 1 (its
+    leakage entry is the full beamforming gain and its jamming gain is g_id)
+    and zero in phase 2 (self link is zero), so node-wise maxima over all
+    columns already include the served relay.  NCE: strongest single
+    observation over both phases and all K+L nodes.  CE: the worse of the
+    relay part and the L pooled eavesdroppers combining both phases.
+    """
+    rows, g_si, g_id = _served(batch, relay_idx)
+    null_row = batch.g_null_r[rows, relay_idx]
+    rl_row = batch.g_rl[rows, relay_idx]
+    lam = np.asarray(lam, dtype=float)
+    lam_c = 1.0 - lam
+    p1 = lam[..., None] * null_row / (lam_c[..., None] * batch.g_ld + 1.0)
+    num = lam[..., None] * g_si[..., None] * rl_row
+    den = (lam * g_si)[..., None] + (1.0 + lam_c * g_id)[..., None] * (1.0 + rl_row)
+    p2 = num / den
+    per_node = np.maximum(p1, p2)
+    if model is EveModel.NCE:
+        return np.max(per_node, axis=-1)
+    k = batch.n_relays
+    relay_part = np.max(per_node[..., :k], axis=-1)
+    eve_part = np.sum(p1[..., k:] + p2[..., k:], axis=-1)
+    return np.maximum(relay_part, eve_part)
 
 
 def dt_leakage(g_null_d: np.ndarray, n_relays: int, model: EveModel) -> np.ndarray | float:
     """Leakage under direct transmission: strongest node (NCE) or the worse
-    of strongest relay and pooled eavesdroppers (CE).  Works on a single
-    draw's vector or on a batch with a leading trial axis."""
+    of strongest relay and pooled eavesdroppers (CE).  Works on one vector
+    of per-node SNRs or on a batch with a leading trial axis."""
     arr = np.asarray(g_null_d, dtype=float)
     if arr.shape[-1] == 0:
         return np.zeros(arr.shape[:-1]) if arr.ndim > 1 else 0.0

@@ -117,7 +117,7 @@ def simulate(
         m = min(chunk_size, trials - done)
         batch = draw_batch(gains, config, seed, done, m)
         for s in schemes:
-            res = policy.run_scheme_batch(batch, s, gains, config)
+            res = policy.run_scheme_batch(batch, s, config)
             out[s].rates[done : done + m] = res.rate
             out[s].gamma_d[done : done + m] = res.gamma_d
         done += m

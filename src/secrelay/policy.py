@@ -3,9 +3,10 @@
 Closed-form allocation comes from the large-antenna regime where the
 first hop is far stronger than the second: splitting power so the served
 relay's own SINR falls to about sqrt(2) (NCE), or its colluding-world
-equivalent, maximizes the secrecy rate.  The numeric allocator and the
-exact selector make no such approximation and act as the in-simulation
-reference the closed forms are judged against.
+equivalent, maximizes the secrecy rate.  The numeric split search and the
+exhaustive selector (EXACT_JRP) make no such approximation and act as the
+in-simulation reference the closed forms are judged against.  Every scheme
+runs on a whole BatchDraws at once.
 """
 
 from __future__ import annotations
@@ -17,20 +18,14 @@ from enum import Enum
 
 import numpy as np
 
-from . import channel
-from .channel import (
-    LAMBDA_EPS,
-    BatchDraws,
-    ChannelDraw,
-    dt_leakage,
-    leakage,
-    leakage_batch,
-)
+from .channel import LAMBDA_EPS, BatchDraws, dt_leakage, leakage_batch, sinr_destination
 from .model import EveModel, MeanGains, SystemConfig
 from .specfun import EULER_GAMMA, digamma_int, scaled_e1
 
 _LN2 = math.log(2.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Bracket width at which the golden-section split search stops.
+_SPLIT_TOL = 1e-6
 
 
 class RegimeWarning(UserWarning):
@@ -47,10 +42,11 @@ class Scheme(Enum):
     EPRS: equal split with the best relay under exact leakage.
     DT: direct transmission, no relay at all.
 
-    Allocating schemes run the numeric split search (seeded with the
-    closed-form candidates), which is what honest finite-antenna evaluation
-    takes: the closed forms are asymptotic in the antenna count and sit in
-    analytics, where the simulated schemes validate them.
+    Allocating schemes run a golden-section search over the split, then
+    keep the equal split or a closed-form candidate wherever it rates
+    higher.  That is what honest finite-antenna evaluation takes: the closed
+    forms are asymptotic in the antenna count and sit in analytics, where
+    the simulated schemes validate them.
     """
 
     JRP = "jrp"
@@ -59,23 +55,6 @@ class Scheme(Enum):
     OPRR = "oprr"
     EPRS = "eprs"
     DT = "dt"
-
-
-@dataclass(frozen=True)
-class PolicyOutcome:
-    """Realized operating point of a scheme on one draw.
-
-    gamma_e is always the exact leakage for the chosen (relay, split), so
-    simulation stays an honest check on any closed-form shortcut used to
-    choose them.  Relay/split are None for direct transmission.
-    """
-
-    scheme: Scheme
-    selected_relay: int | None
-    lam: float | None
-    gamma_d: float
-    gamma_e: float
-    secrecy_rate: float
 
 
 @dataclass(frozen=True)
@@ -91,25 +70,53 @@ class CParams:
     c: float
 
 
-def _clamp_split(lam: float, warn: bool) -> float:
-    if LAMBDA_EPS < lam < 1.0 - LAMBDA_EPS:
-        return lam
+def _clamp_split(lam, warn: bool = False):
+    """Clamp splits into (0, 1); with warn, flag any that moved with a
+    RegimeWarning.  Scalars stay scalars."""
     if warn:
-        warnings.warn(
-            f"closed-form split {lam:.3g} outside (0, 1); clamping", RegimeWarning, stacklevel=3
-        )
-    return min(max(lam, LAMBDA_EPS), 1.0 - LAMBDA_EPS)
+        arr = np.asarray(lam)
+        outside = ~((arr > LAMBDA_EPS) & (arr < 1.0 - LAMBDA_EPS))
+        if outside.any():
+            warnings.warn(
+                f"{np.count_nonzero(outside)} closed-form split(s) outside (0, 1), "
+                f"first {arr[outside].flat[0]:.3g}; clamping",
+                RegimeWarning,
+                stacklevel=3,
+            )
+    return np.clip(lam, LAMBDA_EPS, 1.0 - LAMBDA_EPS)
 
 
-def opa_nce(gamma_si: float, gamma_id: float) -> float:
+def _nce_split(gamma_si, gamma_id):
+    # Drives the served relay's own SINR to about sqrt(2).
+    return math.sqrt(2.0) * gamma_id / gamma_si
+
+
+def _closed_split_batch(
+    batch: BatchDraws, relay_idx, model: EveModel, warn: bool = False
+) -> np.ndarray:
+    """Closed-form split per trial for the served relay (the formula of
+    opa_nce or opa_ce), clamped into (0, 1)."""
+    rows = np.arange(batch.n_trials)
+    g_si = batch.g_sr[rows, relay_idx]
+    g_id = batch.g_rd[rows, relay_idx]
+    if model is EveModel.NCE:
+        return _clamp_split(_nce_split(g_si, g_id), warn)
+    k = batch.n_relays
+    null_e = batch.g_null_r[rows, relay_idx][:, k:]
+    delta = g_si / (g_id + 1.0) + np.sum(null_e / (batch.g_ld[:, k:] + 1.0), axis=1)
+    return _clamp_split(np.sqrt(2.0 * g_id / (g_si * delta)), warn)
+
+
+def opa_nce(gamma_si, gamma_id):
     """Closed-form split against non-colluding nodes: sqrt(2)*gamma_id/gamma_si.
 
-    Valid when the first hop dominates (gamma_si > sqrt(2)*gamma_id); outside
-    that regime the value is clamped into (0, 1) with a RegimeWarning.
+    Takes scalars or per-trial arrays.  Valid when the first hop dominates
+    (gamma_si > sqrt(2)*gamma_id); outside that regime the value is clamped
+    into (0, 1) with a RegimeWarning.
     """
-    if gamma_si <= 0 or gamma_id < 0:
+    if np.any(np.less_equal(gamma_si, 0)) or np.any(np.less(gamma_id, 0)):
         raise ValueError("SNRs must be positive")
-    return _clamp_split(math.sqrt(2.0) * gamma_id / gamma_si, warn=True)
+    return _clamp_split(_nce_split(gamma_si, gamma_id), warn=True)
 
 
 def opa_nce_statistical(h_id_gain: float, n_antennas: int, mu_si: float) -> float:
@@ -120,25 +127,18 @@ def opa_nce_statistical(h_id_gain: float, n_antennas: int, mu_si: float) -> floa
     """
     if h_id_gain < 0 or n_antennas < 1 or mu_si <= 0:
         raise ValueError("need |h_id|^2 >= 0, n_antennas >= 1, mu_si > 0")
-    return _clamp_split(math.sqrt(2.0) * h_id_gain / (n_antennas * mu_si), warn=True)
+    return _clamp_split(_nce_split(n_antennas * mu_si, h_id_gain), warn=True)
 
 
-def opa_ce(draw: ChannelDraw, relay: int, lambda_hint: float | None = None) -> float:
-    """Closed-form split against colluding eavesdroppers.
+def opa_ce(batch: BatchDraws, relay_idx) -> np.ndarray:
+    """Closed-form split against colluding eavesdroppers, per trial.
 
     Uses the per-draw aggregate delta = gamma_si/(gamma_id+1)
     + sum_l gamma_null_l/(gamma_ld+1) over the L eavesdroppers and returns
-    sqrt(2*gamma_id/(gamma_si*delta)), clamped into (0, 1).  lambda_hint is
-    accepted so iterative allocators can slot in behind the same call; the
-    closed form ignores it.
+    sqrt(2*gamma_id/(gamma_si*delta)), clamped into (0, 1) with a
+    RegimeWarning.  relay_idx is one relay for every trial or one per trial.
     """
-    del lambda_hint
-    k = draw.n_relays
-    g_si, g_id = float(draw.g_sr[relay]), float(draw.g_rd[relay])
-    delta = g_si / (g_id + 1.0) + float(
-        np.sum(draw.g_null_r[relay, k:] / (draw.g_ld[k:] + 1.0))
-    )
-    return _clamp_split(math.sqrt(2.0 * g_id / (g_si * delta)), warn=True)
+    return _closed_split_batch(batch, relay_idx, EveModel.CE, warn=True)
 
 
 def c_params(gains: MeanGains, config: SystemConfig) -> CParams:
@@ -174,67 +174,13 @@ def secrecy_rate(gamma_d, gamma_e, half: bool = True):
     return float(out) if np.isscalar(gamma_d) and np.isscalar(gamma_e) else out
 
 
-def _rate_at(draw: ChannelDraw, relay: int, lam: float, model: EveModel) -> float:
-    return secrecy_rate(
-        channel.sinr_destination(draw, relay, lam), leakage(draw, relay, lam, model)
-    )
-
-
-def _closed_candidates(draw: ChannelDraw, relay: int) -> list[float]:
-    g_si, g_id = float(draw.g_sr[relay]), float(draw.g_rd[relay])
-    cands = [_clamp_split(math.sqrt(2.0) * g_id / g_si, warn=False)]
-    if draw.n_nodes > draw.n_relays:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RegimeWarning)
-            cands.append(opa_ce(draw, relay))
-    return cands
-
-
-def opa_numeric(
-    draw: ChannelDraw, relay: int, model: EveModel, tol: float = 1e-6
-) -> tuple[float, float]:
-    """Numerically maximize the exact secrecy rate over the power split.
-
-    Golden-section search on (0, 1) to width `tol`, then the best of the
-    bracket result, the equal split, and the closed-form candidates; the
-    returned rate therefore never falls below rate(0.5) or rate(lam*).
-    Returns (split, rate).
-    """
-    if not (0 < tol < 1):
-        raise ValueError(f"tol must be in (0, 1), got {tol}")
-    a, b = LAMBDA_EPS, 1.0 - LAMBDA_EPS
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = _rate_at(draw, relay, x1, model)
-    f2 = _rate_at(draw, relay, x2, model)
-    # The interval tracked analytically keeps the iteration count (and so the
-    # probe sequence) identical to the vectorized variant below.
-    width = 1.0 - 2.0 * LAMBDA_EPS
-    while width > tol:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = _rate_at(draw, relay, x1, model)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = _rate_at(draw, relay, x2, model)
-        width *= _GOLDEN
-    best_lam, best = (x1, f1) if f1 >= f2 else (x2, f2)
-    for lam in [0.5, *_closed_candidates(draw, relay)]:
-        f = _rate_at(draw, relay, lam, model)
-        if f > best:
-            best_lam, best = lam, f
-    return best_lam, best
-
-
-def select_relay_maxgain(draw: ChannelDraw) -> int:
-    """Pick the relay with the strongest second hop (ties: lowest index).
+def select_relay_maxgain(batch: BatchDraws) -> np.ndarray:
+    """Per trial, the relay with the strongest second hop (ties: lowest index).
 
     Only needs the relay->destination gains, which the destination can feed
     back, and is invariant to any common rescaling of them.
     """
-    return int(np.argmax(draw.g_rd))
+    return np.argmax(batch.g_rd, axis=1)
 
 
 def feedback_overhead_bits(n_relays: int, csi_bits: int) -> int:
@@ -246,57 +192,14 @@ def feedback_overhead_bits(n_relays: int, csi_bits: int) -> int:
     return csi_bits + math.ceil(math.log2(n_relays))
 
 
-def select_relay_exact(
-    draw: ChannelDraw, model: EveModel, tol: float = 1e-6
-) -> tuple[int, float, float]:
-    """Exhaustive selection: numeric split per relay, best exact rate wins.
-
-    Returns (relay, split, rate); ties keep the lowest relay index.
-    """
-    best = (-1, 0.5, -1.0)
-    for i in range(draw.n_relays):
-        lam, rate = opa_numeric(draw, i, model, tol)
-        if rate > best[2]:
-            best = (i, lam, rate)
-    return best
-
-
-def run_scheme(
-    draw: ChannelDraw, scheme: Scheme, gains: MeanGains, config: SystemConfig
-) -> PolicyOutcome:
-    """Apply a scheme to one draw and report its exact operating point."""
-    model = config.eve_model
-    if scheme is Scheme.DT:
-        g_d, g_null = channel.dt_snrs(draw)
-        g_e = float(dt_leakage(g_null, draw.n_relays, model))
-        return PolicyOutcome(scheme, None, None, g_d, g_e, secrecy_rate(g_d, g_e, half=False))
-    if scheme in (Scheme.EPRR, Scheme.OPRR):
-        relay = min(int(draw.u_rand * draw.n_relays), draw.n_relays - 1)
-        lam = 0.5 if scheme is Scheme.EPRR else opa_numeric(draw, relay, model)[0]
-    elif scheme is Scheme.JRP:
-        relay = select_relay_maxgain(draw)
-        lam = opa_numeric(draw, relay, model)[0]
-    elif scheme is Scheme.EPRS:
-        rates = [_rate_at(draw, i, 0.5, model) for i in range(draw.n_relays)]
-        relay, lam = int(np.argmax(rates)), 0.5
-    elif scheme is Scheme.EXACT_JRP:
-        relay, lam, _ = select_relay_exact(draw, model)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    g_d = channel.sinr_destination(draw, relay, lam)
-    g_e = leakage(draw, relay, lam, model)
-    return PolicyOutcome(scheme, relay, lam, g_d, g_e, secrecy_rate(g_d, g_e))
-
-
-# ---------------------------------------------------------------------------
-# Vectorized scheme evaluation over a BatchDraws (used by the Monte-Carlo
-# engine; row t must agree with run_scheme on draw t).
-# ---------------------------------------------------------------------------
-
-
 @dataclass(eq=False)
 class SchemeBatchResult:
-    """Per-trial operating points of one scheme over a batch."""
+    """Per-trial operating points of one scheme over a batch.
+
+    gamma_e is always the exact leakage for the chosen (relay, split), so
+    simulation stays an honest check on any closed-form shortcut used to
+    choose them.  Relay and split are None for direct transmission.
+    """
 
     scheme: Scheme
     selected_relay: np.ndarray | None
@@ -306,39 +209,23 @@ class SchemeBatchResult:
     rate: np.ndarray
 
 
-def _sinr_dest_batch(batch: BatchDraws, relay_idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    rows = np.arange(batch.n_trials)
-    g_si = batch.g_sr[rows, relay_idx]
-    g_id = batch.g_rd[rows, relay_idx]
-    return lam * g_si * g_id / (lam * g_si + (2.0 - lam) * g_id + 1.0)
-
-
 def _rate_batch(batch, relay_idx, lam, model):
-    g_d = _sinr_dest_batch(batch, relay_idx, lam)
+    g_d = sinr_destination(batch, relay_idx, lam)
     g_e = leakage_batch(batch, relay_idx, lam, model)
     return g_d, g_e, secrecy_rate(g_d, g_e)
 
 
-def _clamp_split_vec(lam: np.ndarray) -> np.ndarray:
-    return np.clip(lam, LAMBDA_EPS, 1.0 - LAMBDA_EPS)
-
-
-def _closed_split_batch(batch: BatchDraws, relay_idx: np.ndarray, model: EveModel) -> np.ndarray:
-    rows = np.arange(batch.n_trials)
-    g_si = batch.g_sr[rows, relay_idx]
-    g_id = batch.g_rd[rows, relay_idx]
-    if model is EveModel.NCE:
-        return _clamp_split_vec(math.sqrt(2.0) * g_id / g_si)
-    k = batch.g_sr.shape[1]
-    null_e = batch.g_null_r[rows, relay_idx][:, k:]
-    delta = g_si / (g_id + 1.0) + np.sum(null_e / (batch.g_ld[:, k:] + 1.0), axis=1)
-    return _clamp_split_vec(np.sqrt(2.0 * g_id / (g_si * delta)))
-
-
 def _numeric_split_batch(
-    batch: BatchDraws, relay_idx: np.ndarray, model: EveModel, tol: float = 1e-6
+    batch: BatchDraws, relay_idx: np.ndarray, model: EveModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized golden-section over the split for a fixed per-trial relay."""
+    """Maximize the exact secrecy rate over the split for a fixed per-trial
+    relay.
+
+    Golden-section search on (0, 1) to bracket width _SPLIT_TOL, then the
+    best of the bracket result, the equal split and the closed-form
+    candidates; the returned rate therefore never falls below rate(0.5) or
+    rate(lam*).  Returns (split, rate) per trial.
+    """
     n = batch.n_trials
     a = np.full(n, LAMBDA_EPS)
     b = np.full(n, 1.0 - LAMBDA_EPS)
@@ -347,7 +234,7 @@ def _numeric_split_batch(
     f1 = _rate_batch(batch, relay_idx, x1, model)[2]
     f2 = _rate_batch(batch, relay_idx, x2, model)[2]
     width = 1.0 - 2.0 * LAMBDA_EPS
-    while width > tol:
+    while width > _SPLIT_TOL:
         left = f1 >= f2
         b_new = np.where(left, x2, b)
         a_new = np.where(left, a, x1)
@@ -364,7 +251,7 @@ def _numeric_split_batch(
     rate = np.where(f1 >= f2, f1, f2)
     # Guard with the equal split and the closed-form candidates.
     cands = [np.full(n, 0.5), _closed_split_batch(batch, relay_idx, EveModel.NCE)]
-    if batch.g_ld.shape[1] > batch.g_sr.shape[1]:
+    if batch.n_nodes > batch.n_relays:
         cands.append(_closed_split_batch(batch, relay_idx, EveModel.CE))
     for lam_c in cands:
         r = _rate_batch(batch, relay_idx, lam_c, model)[2]
@@ -374,13 +261,11 @@ def _numeric_split_batch(
     return best, rate
 
 
-def run_scheme_batch(
-    batch: BatchDraws, scheme: Scheme, gains: MeanGains, config: SystemConfig
-) -> SchemeBatchResult:
-    """Vectorized run_scheme over all trials in the batch."""
+def run_scheme_batch(batch: BatchDraws, scheme: Scheme, config: SystemConfig) -> SchemeBatchResult:
+    """Apply a scheme to every trial of the batch and report its exact
+    operating points."""
     model = config.eve_model
-    n = batch.n_trials
-    k = batch.g_sr.shape[1]
+    n, k = batch.n_trials, batch.n_relays
     if scheme is Scheme.DT:
         g_e = np.asarray(dt_leakage(batch.g_null_d, k, model), dtype=float)
         rate = secrecy_rate(batch.g_sd, g_e, half=False)
@@ -389,7 +274,7 @@ def run_scheme_batch(
         relay = np.minimum((batch.u_rand * k).astype(np.int64), k - 1)
         lam = np.full(n, 0.5) if scheme is Scheme.EPRR else _numeric_split_batch(batch, relay, model)[0]
     elif scheme is Scheme.JRP:
-        relay = np.argmax(batch.g_rd, axis=1)
+        relay = select_relay_maxgain(batch)
         lam = _numeric_split_batch(batch, relay, model)[0]
     elif scheme is Scheme.EPRS:
         half = np.full(n, 0.5)

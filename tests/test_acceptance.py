@@ -18,7 +18,7 @@ from secrelay.analytics import (
     ser_dbcj_asymptotic,
     sop_dbcj,
 )
-from secrelay.channel import draw_batch, leakage, sinr_destination
+from secrelay.channel import draw_batch, leakage_batch, sinr_destination
 from secrelay.model import (
     EveModel,
     MeanGains,
@@ -193,19 +193,16 @@ def test_acceptance_08_closed_split_is_near_numeric_optimum():
     gains = MeanGains.iid(5, 0)
     cfg = SystemConfig(n_antennas=1024, n_relays=5, n_eves=0, snr_linear=100.0)
     batch = draw_batch(gains, cfg, 101, 0, 1000)
-    res = run_scheme_batch(batch, Scheme.JRP, gains, cfg)
-    hits = 0
+    res = run_scheme_batch(batch, Scheme.JRP, cfg)
+    rows, relay = np.arange(1000), res.selected_relay
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        for t in range(1000):
-            d = batch.row(t)
-            relay = int(res.selected_relay[t])
-            lam = opa_nce(float(d.g_sr[relay]), float(d.g_rd[relay]))
-            rate = secrecy_rate(
-                sinr_destination(d, relay, lam),
-                leakage(d, relay, lam, EveModel.NCE),
-            )
-            hits += rate >= 0.99 * res.rate[t]
+        lam = opa_nce(batch.g_sr[rows, relay], batch.g_rd[rows, relay])
+    rate = secrecy_rate(
+        sinr_destination(batch, relay, lam),
+        leakage_batch(batch, relay, lam, EveModel.NCE),
+    )
+    hits = int(np.count_nonzero(rate >= 0.99 * res.rate))
     _report(8, hits >= 950, f"{hits}/1000 trials within 1% of the numeric rate")
 
 
@@ -213,7 +210,7 @@ def test_acceptance_09_jrp_leakage_sits_near_its_design_point():
     gains = mean_gains_from_topology(paper_topology(5, 5))
     cfg = SystemConfig(n_antennas=256, n_relays=5, n_eves=5, snr_linear=100.0)
     batch = draw_batch(gains, cfg, 0, 0, 10**4)
-    res = run_scheme_batch(batch, Scheme.JRP, gains, cfg)
+    res = run_scheme_batch(batch, Scheme.JRP, cfg)
     mean_e = float(res.gamma_e.mean())
     _report(
         9,

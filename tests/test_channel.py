@@ -3,35 +3,31 @@ import math
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from secrelay.channel import (
     BatchDraws,
-    ChannelDraw,
     RngStream,
     draw_batch,
-    draw_realization,
     dt_leakage,
-    dt_snrs,
     flat_draw_size,
-    leakage,
     leakage_batch,
     sinr_destination,
-    sinr_eve_phase1,
-    sinr_eve_phase2,
-    sinr_relay,
 )
 from secrelay.model import EveModel, MeanGains, SystemConfig
+from secrelay.policy import Scheme, run_scheme_batch
 
 
-def small_draw() -> ChannelDraw:
-    # Two relays, one eavesdropper; relay 0 is the served one in every check.
-    return ChannelDraw(
-        g_sr=np.array([10.0, 3.0]),
-        g_rd=np.array([4.0, 9.0]),
-        g_null_r=np.array([[10.0, 1.0, 2.0], [0.5, 3.0, 0.25]]),
-        g_rl=np.array([[0.0, 0.7, 2.0], [0.7, 0.0, 0.3]]),
-        g_ld=np.array([4.0, 9.0, 9.0]),
+def small_draw() -> BatchDraws:
+    # One trial: two relays, one eavesdropper; relay 0 is the served one in
+    # every check.
+    return ref.one_row_batch(
+        g_sr=[10.0, 3.0],
+        g_rd=[4.0, 9.0],
+        g_null_r=[[10.0, 1.0, 2.0], [0.5, 3.0, 0.25]],
+        g_rl=[[0.0, 0.7, 2.0], [0.7, 0.0, 0.3]],
+        g_ld=[4.0, 9.0, 9.0],
         g_sd=5.0,
-        g_null_d=np.array([0.8, 0.1, 0.3]),
+        g_null_d=[0.8, 0.1, 0.3],
         u_rand=0.6,
     )
 
@@ -49,149 +45,142 @@ def default_setup(n_antennas=8, k=2, l=1, rho=2.0):
 
 
 def test_sinr_relay_hand_value():
-    d = small_draw()
-    assert math.isclose(sinr_relay(d, 0, 0.5), 5.0 / 3.0, rel_tol=1e-14)
+    d = ref.row(small_draw(), 0)
+    assert math.isclose(ref.sinr_relay(d, 0, 0.5), 5.0 / 3.0, rel_tol=1e-14)
 
 
 def test_sinr_destination_hand_value():
-    d = small_draw()
     # 0.5*10*4 / (0.5*10 + 1.5*4 + 1)
-    assert math.isclose(sinr_destination(d, 0, 0.5), 20.0 / 12.0, rel_tol=1e-14)
+    (got,) = sinr_destination(small_draw(), np.array([0]), np.array([0.5]))
+    assert math.isclose(got, 20.0 / 12.0, rel_tol=1e-14)
+    assert got == ref.sinr_destination(ref.row(small_draw(), 0), 0, 0.5)
 
 
 def test_sinr_eve_phase1_hand_value():
-    d = small_draw()
+    d = ref.row(small_draw(), 0)
     # leak 2 jammed by g_ld 9: 0.5*2 / (0.5*9 + 1)
-    assert math.isclose(sinr_eve_phase1(d, 0, 2, 0.5), 1.0 / 5.5, rel_tol=1e-14)
+    assert math.isclose(ref.sinr_eve_phase1(d, 0, 2, 0.5), 1.0 / 5.5, rel_tol=1e-14)
 
 
 def test_sinr_eve_phase2_hand_value():
-    d = small_draw()
+    d = ref.row(small_draw(), 0)
     # 0.5*10*2 / (0.5*10 + (1 + 0.5*4)(1 + 2))
-    assert math.isclose(sinr_eve_phase2(d, 0, 2, 0.5), 10.0 / 14.0, rel_tol=1e-14)
-
-
-def test_sinr_domain_errors():
-    d = small_draw()
-    for lam in (0.0, 1.0, -0.2, 1.3, float("nan")):
-        with pytest.raises(ValueError):
-            sinr_relay(d, 0, lam)
-        with pytest.raises(ValueError):
-            sinr_destination(d, 0, lam)
-    with pytest.raises(ValueError):
-        sinr_eve_phase2(d, 0, 0, 0.5)
+    assert math.isclose(ref.sinr_eve_phase2(d, 0, 2, 0.5), 10.0 / 14.0, rel_tol=1e-14)
 
 
 def test_phase1_and_phase2_vanish_without_a_link():
-    d = small_draw()
+    d = ref.row(small_draw(), 0)
     d.g_null_r[0, 1] = 0.0
-    assert sinr_eve_phase1(d, 0, 1, 0.3) == 0.0
+    assert ref.sinr_eve_phase1(d, 0, 1, 0.3) == 0.0
     d.g_rl[0, 1] = 0.0
-    assert sinr_eve_phase2(d, 0, 1, 0.3) == 0.0
+    assert ref.sinr_eve_phase2(d, 0, 1, 0.3) == 0.0
 
 
 def test_self_column_reproduces_relay_sinr():
-    d = small_draw()
+    d = ref.row(small_draw(), 0)
     for lam in (0.1, 0.5, 0.9):
         assert math.isclose(
-            sinr_eve_phase1(d, 0, 0, lam), sinr_relay(d, 0, lam), rel_tol=1e-14
+            ref.sinr_eve_phase1(d, 0, 0, lam), ref.sinr_relay(d, 0, lam), rel_tol=1e-14
         )
 
 
 def test_forwarded_sinr_bounded_by_relay_sinr():
     gains, cfg = default_setup()
+    batch = draw_batch(gains, cfg, 11, 0, 50)
     for t in range(50):
-        d = draw_realization(gains, cfg, RngStream(11, t))
+        d = ref.row(batch, t)
         for lam in (0.2, 0.5, 0.8):
-            gi = sinr_relay(d, 0, lam)
+            gi = ref.sinr_relay(d, 0, lam)
             for node in (1, 2):
-                assert sinr_eve_phase2(d, 0, node, lam) < gi
+                assert ref.sinr_eve_phase2(d, 0, node, lam) < gi
 
 
 def test_destination_sinr_bounds():
     gains, cfg = default_setup()
-    for t in range(50):
-        d = draw_realization(gains, cfg, RngStream(12, t))
-        for lam in (0.2, 0.5, 0.8):
-            gd = sinr_destination(d, 0, lam)
-            assert gd < lam * d.g_sr[0]
-            assert gd < d.g_rd[0]
+    batch = draw_batch(gains, cfg, 12, 0, 50)
+    served = np.zeros(50, dtype=np.int64)
+    for lam in (0.2, 0.5, 0.8):
+        gd = sinr_destination(batch, served, np.full(50, lam))
+        assert np.all(gd < lam * batch.g_sr[:, 0])
+        assert np.all(gd < batch.g_rd[:, 0])
 
 
 def test_leakage_combines_per_node_phase_maxima():
-    d = small_draw()
+    d = ref.row(small_draw(), 0)
     lam = 0.5
     per_node = []
     for node in range(3):
-        p1 = sinr_eve_phase1(d, 0, node, lam)
-        p2 = 0.0 if node == 0 else sinr_eve_phase2(d, 0, node, lam)
+        p1 = ref.sinr_eve_phase1(d, 0, node, lam)
+        p2 = 0.0 if node == 0 else ref.sinr_eve_phase2(d, 0, node, lam)
         per_node.append(max(p1, p2))
     want_nce = max(per_node)
-    assert math.isclose(leakage(d, 0, lam, EveModel.NCE), want_nce, rel_tol=1e-14)
-    eve_sum = sinr_eve_phase1(d, 0, 2, lam) + sinr_eve_phase2(d, 0, 2, lam)
+    (got,) = leakage_batch(small_draw(), np.array([0]), np.array([lam]), EveModel.NCE)
+    assert math.isclose(got, want_nce, rel_tol=1e-14)
+    eve_sum = ref.sinr_eve_phase1(d, 0, 2, lam) + ref.sinr_eve_phase2(d, 0, 2, lam)
     want_ce = max(max(per_node[:2]), eve_sum)
-    assert math.isclose(leakage(d, 0, lam, EveModel.CE), want_ce, rel_tol=1e-14)
+    (got,) = leakage_batch(small_draw(), np.array([0]), np.array([lam]), EveModel.CE)
+    assert math.isclose(got, want_ce, rel_tol=1e-14)
 
 
 def test_leakage_nce_at_least_relay_sinr():
     gains, cfg = default_setup()
-    for t in range(30):
-        d = draw_realization(gains, cfg, RngStream(13, t))
-        for relay in range(2):
-            for lam in (0.3, 0.7):
-                # Self column and norm follow different float paths: 1 ulp slack.
-                gi = sinr_relay(d, relay, lam)
-                assert leakage(d, relay, lam, EveModel.NCE) >= gi * (1.0 - 1e-12)
+    batch = draw_batch(gains, cfg, 13, 0, 30)
+    for relay in range(2):
+        for lam in (0.3, 0.7):
+            # The served relay's first-phase SINR.  Self column and norm
+            # follow different float paths: 1 ulp slack.
+            gi = lam * batch.g_sr[:, relay] / ((1.0 - lam) * batch.g_rd[:, relay] + 1.0)
+            got = leakage_batch(batch, np.full(30, relay), np.full(30, lam), EveModel.NCE)
+            assert np.all(got >= gi * (1.0 - 1e-12))
 
 
 def test_leakage_single_relay_no_eves_is_relay_sinr():
     gains = MeanGains.iid(1, 0, mu_sr=0.5, mu_rd=2.0)
     cfg = SystemConfig(n_antennas=4, n_relays=1, n_eves=0, snr_linear=3.0)
-    d = draw_realization(gains, cfg, RngStream(5, 0))
+    batch = draw_batch(gains, cfg, 5, 0, 1)
     for lam in (0.2, 0.5, 0.9):
-        assert math.isclose(leakage(d, 0, lam, EveModel.NCE), sinr_relay(d, 0, lam), rel_tol=1e-14)
-        assert math.isclose(leakage(d, 0, lam, EveModel.CE), sinr_relay(d, 0, lam), rel_tol=1e-14)
+        want = ref.sinr_relay(ref.row(batch, 0), 0, lam)
+        for model in EveModel:
+            (got,) = leakage_batch(batch, np.array([0]), np.array([lam]), model)
+            assert math.isclose(got, want, rel_tol=1e-14)
 
 
 def test_no_jamming_limit_kills_secrecy():
     # lam -> 1 is conventional AF without destination jamming: the served
     # relay hears at least as much as the destination on every draw.
     gains, cfg = default_setup()
-    lam = 1.0 - 1e-9
-    for t in range(30):
-        d = draw_realization(gains, cfg, RngStream(14, t))
-        g_d = sinr_destination(d, 0, lam)
-        g_e = leakage(d, 0, lam, EveModel.NCE)
-        assert g_e >= g_d
-        rate = 0.5 * (np.log2(1.0 + g_d) - np.log2(1.0 + g_e))
-        assert max(rate, 0.0) == 0.0
+    batch = draw_batch(gains, cfg, 14, 0, 30)
+    served, lam = np.zeros(30, dtype=np.int64), np.full(30, 1.0 - 1e-9)
+    g_d = sinr_destination(batch, served, lam)
+    g_e = leakage_batch(batch, served, lam, EveModel.NCE)
+    assert np.all(g_e >= g_d)
+    rate = 0.5 * (np.log2(1.0 + g_d) - np.log2(1.0 + g_e))
+    assert np.all(np.maximum(rate, 0.0) == 0.0)
 
 
 def test_draw_layout_and_reciprocity():
     gains, cfg = default_setup()
-    d = draw_realization(gains, cfg, RngStream(3, 9))
-    assert d.n_relays == 2 and d.n_nodes == 3
+    d = draw_batch(gains, cfg, 3, 9, 1)
+    assert d.n_trials == 1 and d.n_relays == 2 and d.n_nodes == 3
     # Self leakage column carries the full beamforming gain.
-    assert d.g_null_r[0, 0] == d.g_sr[0]
-    assert d.g_null_r[1, 1] == d.g_sr[1]
+    assert d.g_null_r[0, 0, 0] == d.g_sr[0, 0]
+    assert d.g_null_r[0, 1, 1] == d.g_sr[0, 1]
     # Jamming gains toward relays repeat the forwarding gains.
-    np.testing.assert_array_equal(d.g_ld[:2], d.g_rd)
+    np.testing.assert_array_equal(d.g_ld[:, :2], d.g_rd)
     # Inter-malicious block: zero self link, symmetric between relays.
-    assert d.g_rl[0, 0] == 0.0 and d.g_rl[1, 1] == 0.0
-    assert d.g_rl[0, 1] == d.g_rl[1, 0]
-    assert 0.0 <= d.u_rand < 1.0
-    assert d.g_sd > 0.0 and np.all(d.g_null_d >= 0.0)
+    assert d.g_rl[0, 0, 0] == 0.0 and d.g_rl[0, 1, 1] == 0.0
+    assert d.g_rl[0, 0, 1] == d.g_rl[0, 1, 0]
+    assert 0.0 <= d.u_rand[0] < 1.0
+    assert d.g_sd[0] > 0.0 and np.all(d.g_null_d >= 0.0)
 
 
 def test_draw_is_deterministic():
     gains, cfg = default_setup()
-    a = draw_realization(gains, cfg, RngStream(42, 7))
-    b = draw_realization(gains, cfg, RngStream(42, 7))
-    np.testing.assert_array_equal(a.g_sr, b.g_sr)
-    np.testing.assert_array_equal(a.g_null_r, b.g_null_r)
-    np.testing.assert_array_equal(a.g_rl, b.g_rl)
-    assert a.g_sd == b.g_sd and a.u_rand == b.u_rand
-    c = draw_realization(gains, cfg, RngStream(42, 8))
+    a = draw_batch(gains, cfg, 42, 7, 1)
+    b = draw_batch(gains, cfg, 42, 7, 1)
+    for name in BatchDraws.__dataclass_fields__:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    c = draw_batch(gains, cfg, 42, 8, 1)
     assert not np.array_equal(a.g_sr, c.g_sr)
 
 
@@ -200,16 +189,9 @@ def test_batch_rows_match_scalar_draws():
     batch = draw_batch(gains, cfg, 21, 4, 6)
     assert batch.n_trials == 6
     for t in range(6):
-        row = batch.row(t)
-        single = draw_realization(gains, cfg, RngStream(21, 4 + t))
-        np.testing.assert_array_equal(row.g_sr, single.g_sr)
-        np.testing.assert_array_equal(row.g_rd, single.g_rd)
-        np.testing.assert_array_equal(row.g_null_r, single.g_null_r)
-        np.testing.assert_array_equal(row.g_rl, single.g_rl)
-        np.testing.assert_array_equal(row.g_ld, single.g_ld)
-        np.testing.assert_array_equal(row.g_null_d, single.g_null_d)
-        assert row.g_sd == single.g_sd
-        assert row.u_rand == single.u_rand
+        single = draw_batch(gains, cfg, 21, 4 + t, 1)
+        for name in BatchDraws.__dataclass_fields__:
+            np.testing.assert_array_equal(getattr(batch, name)[t], getattr(single, name)[0])
 
 
 def test_batch_split_invariance():
@@ -260,17 +242,18 @@ def test_leakage_batch_matches_scalar():
     for model in EveModel:
         out = leakage_batch(batch, relay_idx, lam, model)
         for t in range(16):
-            want = leakage(batch.row(t), int(relay_idx[t]), float(lam[t]), model)
+            want = ref.leakage(ref.row(batch, t), int(relay_idx[t]), float(lam[t]), model)
             assert math.isclose(out[t], want, rel_tol=1e-13)
 
 
 def test_dt_snrs_and_leakage():
     d = small_draw()
-    g_sd, g_null = dt_snrs(d)
-    assert g_sd == 5.0
-    np.testing.assert_array_equal(g_null, d.g_null_d)
-    g_null[0] = -1.0  # the copy must not alias the draw
-    assert d.g_null_d[0] == 0.8
+    cfg = SystemConfig(n_antennas=4, n_relays=2, n_eves=1, snr_linear=1.0)
+    out = run_scheme_batch(d, Scheme.DT, cfg)
+    np.testing.assert_array_equal(out.gamma_d, [5.0])
+    np.testing.assert_array_equal(out.gamma_e, dt_leakage(d.g_null_d, 2, EveModel.NCE))
+    out.gamma_d[0] = -1.0  # the result must not alias the draw
+    assert d.g_sd[0] == 5.0
 
     v = np.array([3.0, 1.0, 4.0, 2.0])
     assert dt_leakage(v, 2, EveModel.NCE) == 4.0

@@ -1,10 +1,18 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from secrelay.analytics import esr_dbcj, ser_dbcj, sop_dbcj
-from secrelay.model import EveModel, MeanGains, SystemConfig
+from secrelay.model import (
+    EveModel,
+    MeanGains,
+    SystemConfig,
+    mean_gains_from_topology,
+    paper_topology,
+)
 from secrelay.montecarlo import (
     Metric,
     MetricEstimate,
@@ -100,6 +108,21 @@ def test_simulate_validation():
     wrong = MeanGains.iid(4, 1)
     with pytest.raises(ValueError):
         simulate(cfg, wrong, [Scheme.JRP], 10)
+
+
+@pytest.mark.parametrize("model", list(EveModel), ids=lambda m: m.value)
+def test_simulate_matches_pinned_values(model):
+    # Every scheme on heterogeneous gains with eavesdroppers, against values
+    # recorded from an earlier build.  A relative tolerance, not a bit hash:
+    # numpy's vectorized log/exp may differ by an ulp across CPUs.
+    pinned = json.loads((Path(__file__).parent / "data" / "simulate_pinned.json").read_text())
+    gains = mean_gains_from_topology(paper_topology(3, 2))
+    cfg = SystemConfig(n_antennas=16, n_relays=3, n_eves=2, snr_linear=10.0, eve_model=model)
+    traces = simulate(cfg, gains, list(Scheme), pinned["trials"], seed=pinned["seed"])
+    for scheme, trace in traces.items():
+        want = pinned["values"][f"{model.value}/{scheme.value}"]
+        np.testing.assert_allclose(trace.rates, want["rates"], rtol=1e-12, atol=0, err_msg=scheme.value)
+        np.testing.assert_allclose(trace.gamma_d, want["gamma_d"], rtol=1e-12, atol=0, err_msg=scheme.value)
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +278,10 @@ def test_ser_estimate_with_closed_form_split():
     g1 = MeanGains.iid(1, 0)
     cfg = SystemConfig(n_antennas=256, n_relays=1, n_eves=0, snr_linear=100.0)
     batch = draw_batch(g1, cfg, 29, 0, 1000)
-    vals = np.empty(1000)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        for t in range(1000):
-            d = batch.row(t)
-            lam = opa_nce(float(d.g_sr[0]), float(d.g_rd[0]))
-            vals[t] = 2.0 * q_function(math.sqrt(sinr_destination(d, 0, lam)))
+        lam = opa_nce(batch.g_sr[:, 0], batch.g_rd[:, 0])
+    vals = 2.0 * q_function(np.sqrt(sinr_destination(batch, np.zeros(1000, dtype=int), lam)))
     sigma = vals.std(ddof=1) / math.sqrt(1000.0)
     assert abs(vals.mean() - 0.023301624861094217) < 3.0 * sigma
 

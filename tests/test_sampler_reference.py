@@ -15,12 +15,10 @@ from scipy.stats import ks_2samp
 
 from secrelay.channel import (
     BatchDraws,
-    RngStream,
     _build_batch,
     _open_uniforms,
     _pair_list,
     draw_batch,
-    draw_realization,
     flat_draw_size,
 )
 from secrelay.model import MeanGains, SystemConfig, mean_gains_from_topology, paper_topology
@@ -92,11 +90,11 @@ def antenna_draws(gains, config, seed: int, n_trials: int, chunk: int = 100) -> 
     })
 
 
-def gain_statistics(b: BatchDraws, gains: MeanGains, config: SystemConfig) -> dict[str, np.ndarray]:
+def gain_statistics(b: BatchDraws, config: SystemConfig) -> dict[str, np.ndarray]:
     """One column per gain family the schemes read, plus joint statistics."""
     k = b.g_sr.shape[1]
     return {
-        "jrp rate": run_scheme_batch(b, Scheme.JRP, gains, config).rate,
+        "jrp rate": run_scheme_batch(b, Scheme.JRP, config).rate,
         "g_sr": b.g_sr[:, 0],
         "g_sd": b.g_sd,
         "g_null_r relay": b.g_null_r[:, 0, 1],
@@ -125,8 +123,8 @@ def setup(ns: int, k: int, l: int) -> tuple[MeanGains, SystemConfig]:
 )
 def test_gram_sampler_matches_antenna_reference(ns, k, l, trials):
     gains, cfg = setup(ns, k, l)
-    new = gain_statistics(draw_batch(gains, cfg, 8101, 0, trials), gains, cfg)
-    ref = gain_statistics(antenna_draws(gains, cfg, 8102, trials), gains, cfg)
+    new = gain_statistics(draw_batch(gains, cfg, 8101, 0, trials), cfg)
+    ref = gain_statistics(antenna_draws(gains, cfg, 8102, trials), cfg)
     pvalues = {name: ks_2samp(new[name], ref[name]).pvalue for name in new}
     low = {name: p for name, p in pvalues.items() if p < KS_ALPHA}
     assert not low, f"KS rejects the Gram sampler on {low}"
@@ -159,10 +157,10 @@ def test_chunk_invariance_far_into_the_stream():
     tail = draw_batch(gains, cfg, 17, first + 5, 4)
     for name in BatchDraws.__dataclass_fields__:
         np.testing.assert_array_equal(getattr(whole, name)[5:], getattr(tail, name))
-    one = draw_realization(gains, cfg, RngStream(17, first + 7))
-    np.testing.assert_array_equal(one.g_null_r, whole.g_null_r[7])
-    np.testing.assert_array_equal(one.g_rl, whole.g_rl[7])
-    assert one.u_rand == whole.u_rand[7]
+    one = draw_batch(gains, cfg, 17, first + 7, 1)
+    np.testing.assert_array_equal(one.g_null_r[0], whole.g_null_r[7])
+    np.testing.assert_array_equal(one.g_rl[0], whole.g_rl[7])
+    assert one.u_rand[0] == whole.u_rand[7]
 
 
 @pytest.mark.parametrize("ns, k, l", [(16, 5, 5), (256, 10, 50), (2, 5, 3), (1, 3, 2)])
