@@ -44,7 +44,6 @@ from .policy import (
 )
 from .analytics import (
     EsrBreakdown,
-    ThresholdRt,
     dmt_reliability,
     dmt_secrecy,
     esr_dbcj,
@@ -90,7 +89,6 @@ __all__ = [
     "Scheme",
     "SchemeTrace",
     "SystemConfig",
-    "ThresholdRt",
     "Topology",
     "TopologyError",
     "c_params",

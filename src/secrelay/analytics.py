@@ -4,7 +4,8 @@ For the relayed scheme with best-second-hop selection and closed-form power
 split, the destination SNR concentrates on gamma_max/(1+B) and the leakage on
 B = sqrt(2(1+C)), where C >= 0 is the average collusion penalty (zero when
 nodes do not collude).  Every metric then reduces to order statistics of the
-K relay->destination links: inclusion-exclusion sums over their rate subsets.
+K relay->destination links: inclusion-exclusion sums over their rate subsets,
+each evaluated by the one kernel specfun.signed_subset_eval.
 
 The direct-transmission forms instead harden the main link at N_s*gbar_sd and
 keep the leakage random: the max (and, under collusion, the worse of max and
@@ -36,14 +37,6 @@ _QPSK = Modulation.psk(4)
 
 
 @dataclass(frozen=True)
-class ThresholdRt:
-    """Outage threshold on the selected second hop: the secrecy rate misses
-    the target iff the best relay->destination SNR falls below r_tilde."""
-
-    r_tilde: float
-
-
-@dataclass(frozen=True)
 class EsrBreakdown:
     """Ergodic secrecy rate with its high-SNR affine description
     esr ~= high_snr_slope * (log2(rho) - power_offset)."""
@@ -62,16 +55,18 @@ def leakage_floor(c: float) -> float:
     return math.sqrt(2.0 * (1.0 + c))
 
 
-def outage_threshold(c: float, target_rate: float) -> ThresholdRt:
-    """Threshold (1+B)(2^(2*Rt)(1+B)-1); at Rt=0 it is B(1+B)."""
+def outage_threshold(c: float, target_rate: float) -> float:
+    """Outage threshold r_tilde = (1+B)(2^(2*Rt)(1+B)-1) on the selected second
+    hop: the secrecy rate misses the target iff the best relay->destination
+    SNR falls below it.  At Rt=0 it is B(1+B)."""
     if not (math.isfinite(target_rate) and target_rate >= 0.0):
         raise ValueError(f"target_rate must be >= 0, got {target_rate}")
     b = leakage_floor(c)
-    return ThresholdRt(r_tilde=(1.0 + b) * (2.0 ** (2.0 * target_rate) * (1.0 + b) - 1.0))
+    return (1.0 + b) * (2.0 ** (2.0 * target_rate) * (1.0 + b) - 1.0)
 
 
 def _outage_product(gains: MeanGains, rho: float, c: float, target_rate: float) -> float:
-    r_tilde = outage_threshold(c, target_rate).r_tilde
+    r_tilde = outage_threshold(c, target_rate)
     return float(np.prod(-np.expm1(-r_tilde / gains.gbar_rd(rho))))
 
 
@@ -85,7 +80,7 @@ def sop_dbcj_asymptotic(
     gains: MeanGains, rho: float, c: float = 0.0, target_rate: float = 1.0
 ) -> float:
     """High-SNR companion of sop_dbcj: r_tilde^K / prod(gbar_id), slope -K."""
-    r_tilde = outage_threshold(c, target_rate).r_tilde
+    r_tilde = outage_threshold(c, target_rate)
     return float(r_tilde ** gains.n_relays * np.prod(1.0 / gains.gbar_rd(rho)))
 
 
@@ -97,7 +92,7 @@ def ppos_dbcj(gains: MeanGains, rho: float, c: float = 0.0) -> float:
 
 def ppos_dbcj_asymptotic(gains: MeanGains, rho: float, c: float = 0.0) -> float:
     """High-SNR companion of ppos_dbcj: 1 - (B(1+B))^K / prod(gbar_id)."""
-    r_tilde = outage_threshold(c, 0.0).r_tilde
+    r_tilde = outage_threshold(c, 0.0)
     return 1.0 - float(r_tilde ** gains.n_relays * np.prod(1.0 / gains.gbar_rd(rho)))
 
 

@@ -130,7 +130,7 @@ class ResultRow:
 
 
 def validate_spec(spec: ExperimentSpec) -> list[str]:
-    """All problems with the spec, empty when runnable."""
+    """All problems with the spec, empty when runnable (led by the key at fault, if one)."""
     problems = []
     if not spec.schemes:
         problems.append("experiment.schemes must not be empty")
@@ -150,10 +150,18 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
                 problems.append(f"experiment.{label} entries out of range: {grid}")
     if spec.eve_models is not None and not spec.eve_models:
         problems.append("experiment.eve_models must not be empty when given")
-    try:
-        model.validate(spec.config)
-    except ConfigError as err:
-        problems.extend(str(err).split("; "))
+    # Every grid point runs on its own config.  A ConfigError message leads
+    # with the field at fault; prefix it with the spec key that set the field.
+    keys = {"snr_linear": "experiment.rho_grid_db",
+            "n_relays": "config.n_relays" if spec.k_grid is None else "experiment.k_grid",
+            "n_eves": "config.n_eves" if spec.l_grid is None else "experiment.l_grid"}
+    for cfg in [_point_config(spec, *p) for p in _grid_points(spec)] or [spec.config]:
+        try:
+            model.validate(cfg)
+        except ConfigError as err:
+            for message in str(err).split("; "):
+                field = re.match(r"\w+", message).group()
+                problems.append(f"{keys.get(field, 'config.' + field)}: {message}")
     if spec.k_grid is None and spec.topology.n_relays != spec.config.n_relays:
         problems.append(
             f"topology has {spec.topology.n_relays} relays, config says "
@@ -171,7 +179,7 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
             problem = subset_count_problem(k + l if em is EveModel.NCE or l == 0 else k)
             if problem:
                 problems.append(f"closed-form dt esr at {em.value} K={k} L={l}: {problem}")
-    return problems
+    return list(dict.fromkeys(problems))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +309,7 @@ def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
         n_antennas=coerce("config.n_antennas", int, 1),
         n_relays=n_relays,
         n_eves=n_eves,
-        snr_linear=10.0 ** (rho_grid[0] / 10.0) if rho_grid else 1.0,
+        snr_linear=1.0,  # a placeholder: each grid point sets its own
         target_rate=coerce("config.target_rate", float, 1.0),
         eve_model=coerce("config.eve_model", lambda v: EveModel(str(v).lower()),
                          EveModel.NCE),
@@ -364,7 +372,8 @@ def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
         relay_ring=relay_ring,
         eve_ring=eve_ring,
     )
-    problems.extend(validate_spec(spec))
+    for message in validate_spec(spec):
+        complain(re.match(r"[\w.]+", message).group(), message)
     if problems:
         raise SpecError(problems)
     return spec
@@ -474,6 +483,15 @@ def _grid_points(spec: ExperimentSpec):
             for rho in spec.rho_grid_db]
 
 
+def _point_config(spec: ExperimentSpec, em: EveModel, k, l, rho_db) -> SystemConfig:
+    """The config that grid point (em, K, L, rho_db) runs with."""
+    cfg = replace(spec.config, n_relays=k, n_eves=l, eve_model=em)
+    try:
+        return cfg.with_snr_db(rho_db)
+    except OverflowError:  # past the float range: inf, which model.validate refuses
+        return replace(cfg, snr_linear=float("inf"))
+
+
 def run(spec: ExperimentSpec, log=sys.stderr) -> list[ResultRow]:
     """Execute the experiment and write its CSV and JSON outputs."""
     problems = validate_spec(spec)
@@ -491,8 +509,7 @@ def run(spec: ExperimentSpec, log=sys.stderr) -> list[ResultRow]:
                 path_loss_exp=spec.topology.path_loss_exp,
             )
         gains = model.mean_gains_from_topology(topo)
-        cfg = replace(spec.config, n_relays=k, n_eves=l, eve_model=em).with_snr_db(rho_db)
-        model.validate(cfg)
+        cfg = _point_config(spec, em, k, l, rho_db)
         seed = derive_seed(spec.config.master_seed, idx)
         traces = simulate(cfg, gains, spec.schemes, spec.trials, seed=seed)
         for scheme in spec.schemes:

@@ -254,10 +254,6 @@ class MeanGains:
         """Average relay->destination SNRs at transmit SNR rho."""
         return rho * self.mu_rd
 
-    def gbar_sr(self, rho: float) -> np.ndarray:
-        """Average per-antenna source->relay SNRs at transmit SNR rho."""
-        return rho * self.mu_sr
-
     def gbar_sd(self, rho: float) -> float:
         return rho * self.mu_sd
 
@@ -265,22 +261,6 @@ class MeanGains:
         """Average beamformer-leakage SNRs toward all K+L malicious nodes
         under direct transmission (relays first, then eavesdroppers)."""
         return rho * np.concatenate([self.mu_sr, self.mu_se])
-
-    def relay_gains_iid(self, rel_tol: float = 1e-12) -> bool:
-        """True when every relay has the same (mu_sr, mu_rd) within rel_tol."""
-        return _spread_within(self.mu_sr, rel_tol) and _spread_within(self.mu_rd, rel_tol)
-
-    def eve_gains_iid(self, rel_tol: float = 1e-12) -> bool:
-        if self.n_eves == 0:
-            return True
-        return _spread_within(self.mu_se, rel_tol) and _spread_within(self.mu_ed, rel_tol)
-
-
-def _spread_within(arr: np.ndarray, rel_tol: float) -> bool:
-    if arr.size <= 1:
-        return True
-    lo, hi = float(arr.min()), float(arr.max())
-    return (hi - lo) <= rel_tol * hi
 
 
 def mean_gains_from_topology(topology: Topology) -> MeanGains:

@@ -24,7 +24,6 @@ from .model import MeanGains, Modulation, SystemConfig
 from .policy import Scheme
 from .specfun import QuadratureError, maxexp_cdf, q_function
 
-_DEFAULT_CHUNK = 2048
 _QPSK = Modulation.psk(4)
 _LN2 = math.log(2.0)
 
@@ -89,7 +88,7 @@ def simulate(
     schemes: Sequence[Scheme],
     trials: int,
     seed: int | None = None,
-    chunk_size: int = _DEFAULT_CHUNK,
+    chunk_size: int = 2048,
 ) -> dict[Scheme, SchemeTrace]:
     """Run all schemes over the same `trials` channel draws.
 
@@ -162,10 +161,9 @@ def estimate(
     gains: MeanGains,
     trials: int,
     seed: int | None = None,
-    chunk_size: int = _DEFAULT_CHUNK,
 ) -> MetricEstimate:
     """Simulate one scheme and reduce to one metric."""
-    trace = simulate(config, gains, [scheme], trials, seed, chunk_size)[scheme]
+    trace = simulate(config, gains, [scheme], trials, seed)[scheme]
     return estimate_from_trace(metric, trace, config)
 
 
@@ -177,7 +175,6 @@ def sweep(
     rho_grid_db: Sequence[float],
     trials: int,
     seed: int | None = None,
-    chunk_size: int = _DEFAULT_CHUNK,
 ):
     """Estimate a metric over a transmit-SNR grid (dB).
 
@@ -198,7 +195,7 @@ def sweep(
     out = []
     for i, rho_db in enumerate(grid):
         cfg = config.with_snr_db(rho_db)
-        traces = simulate(cfg, gains, schemes, trials, derive_seed(master, i), chunk_size)
+        traces = simulate(cfg, gains, schemes, trials, derive_seed(master, i))
         ests = {s: estimate_from_trace(metric, traces[s], cfg) for s in schemes}
         out.append((rho_db, ests[scheme]) if single else (rho_db, ests))
     return out

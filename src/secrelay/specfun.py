@@ -2,14 +2,14 @@
 
 Everything here is deterministic scalar/array math: the exponential integral
 in the overflow-safe scaled form exp(s)*E1(s), the Gaussian tail Q, integer
-digamma, signed sums over relay subsets, and the distribution functions of
-the maximum and of the sum of independent exponentials.
+digamma, the distribution functions of the maximum and of the sum of
+independent exponentials, and signed_subset_eval: the one vectorized kernel
+for every signed inclusion-exclusion sum over relay subsets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,6 +25,8 @@ _CF_MAX_ITER = 400
 _CF_TINY = 1e-300
 
 _MAX_SUBSET_NODES = 25  # 2**25 - 1 subset terms is the hard ceiling
+_IID_COLLAPSE_FROM = 16  # from here n identical rates sum as n binomial terms
+_HYPOEXP_MERGE_TOL = 1e-6  # relative gap below which hypoexp merges two means
 
 
 class QuadratureError(RuntimeError):
@@ -83,19 +85,6 @@ def scaled_e1(s):
     return float(out) if np.isscalar(s) or arr.ndim == 0 else out
 
 
-def exp_int_ei(x):
-    """Exponential integral Ei(x) for negative arguments.
-
-    Ei(x) = -E1(-x) < 0 on x < 0.  Values are reliable over
-    x in [-700, -1e-300]; nonnegative input is a domain error.
-    """
-    arr = np.asarray(x, dtype=float)
-    if arr.size and not ((arr < 0).all() and np.isfinite(arr).all()):
-        raise ValueError("exp_int_ei is only defined here for finite x < 0")
-    out = -np.exp(arr) * scaled_e1(-arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
 def q_function(x):
     """Gaussian tail probability Q(x) = 0.5 * erfc(x / sqrt(2))."""
     out = 0.5 * sp.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
@@ -107,21 +96,6 @@ def digamma_int(n: int) -> float:
     if n != int(n) or n < 1:
         raise ValueError(f"digamma_int needs an integer n >= 1, got {n}")
     return -EULER_GAMMA + math.fsum(1.0 / k for k in range(1, int(n)))
-
-
-def harmonic(n: int) -> float:
-    """H_n = sum_{k<=n} 1/k, with H_0 = 0."""
-    if n != int(n) or n < 0:
-        raise ValueError(f"harmonic needs an integer n >= 0, got {n}")
-    return math.fsum(1.0 / k for k in range(1, int(n) + 1))
-
-
-@dataclass(frozen=True)
-class SubsetTerm:
-    """One non-empty subset in an inclusion-exclusion sum."""
-
-    cardinality: int
-    rate_sum: float
 
 
 def subset_count_problem(n: int) -> str | None:
@@ -163,46 +137,20 @@ def subset_terms(rates: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     return sizes[1:], sums[1:]
 
 
-def subset_sum(rates: Sequence[float], term_fn: Callable[[SubsetTerm], float]) -> float:
-    """sum over non-empty subsets u of (-1)^|u| * term_fn(SubsetTerm(|u|, sum of rates in u)).
-
-    This is the inclusion-exclusion backbone of every order-statistics
-    closed form here; with term_fn == 1 it collapses to -1.
-    """
-    sizes, sums = subset_terms(rates)
-    vals = [term_fn(SubsetTerm(int(c), float(s))) for c, s in zip(sizes, sums)]
-    signs = np.where(sizes % 2 == 1, -1.0, 1.0)
-    return float(math.fsum(sign * v for sign, v in zip(signs, vals)))
-
-
-def subset_sum_iid(n: int, rate: float, term_fn: Callable[[SubsetTerm], float]) -> float:
-    """Binomially collapsed subset_sum for n identical rates."""
-    if n < 1 or n > _MAX_SUBSET_NODES:
-        raise ValueError(f"n must be in [1, {_MAX_SUBSET_NODES}], got {n}")
-    if not (math.isfinite(rate) and rate > 0):
-        raise ValueError(f"rate must be positive, got {rate}")
-    return float(
-        math.fsum(
-            math.comb(n, j) * (-1.0) ** j * term_fn(SubsetTerm(j, j * rate))
-            for j in range(1, n + 1)
-        )
-    )
-
-
 def signed_subset_eval(
     rates: Sequence[float],
     array_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    iid_collapse_from: int = 16,
 ) -> float:
-    """Vectorized subset_sum: array_fn maps (sizes, rate_sums) to term values.
+    """sum over non-empty subsets u of (-1)^|u| * array_fn(|u|, sum of rates in u).
 
-    When all rates coincide (to 1e-12 relative) and the list is long, the
-    2^n enumeration collapses to n binomially weighted terms.
+    array_fn maps the arrays (sizes, rate_sums) to term values; with
+    array_fn == 1 the sum is -1.  When all rates coincide (to 1e-12 relative)
+    and the list is long, the 2^n enumeration collapses to n binomial terms.
     """
     arr = _check_rates(rates)
     n = arr.size
     lo, hi = float(arr.min()), float(arr.max())
-    if n >= iid_collapse_from and (hi - lo) <= 1e-12 * hi:
+    if n >= _IID_COLLAPSE_FROM and (hi - lo) <= 1e-12 * hi:
         j = np.arange(1, n + 1, dtype=np.int64)
         weights = np.array([math.comb(n, int(m)) * (-1.0) ** m for m in j])
         vals = np.asarray(array_fn(j, j * arr[0]), dtype=float)
@@ -238,11 +186,11 @@ def maxexp_cdf(means: Sequence[float], x) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _group_rates(means: np.ndarray, rel_tol: float) -> list[tuple[float, int]]:
+def _group_rates(means: np.ndarray) -> list[tuple[float, int]]:
     order = np.argsort(means)
     groups: list[list[float]] = []
     for m in means[order]:
-        if groups and (m - groups[-1][0]) <= rel_tol * m:
+        if groups and (m - groups[-1][0]) <= _HYPOEXP_MERGE_TOL * m:
             groups[-1].append(float(m))
         else:
             groups.append([float(m)])
@@ -271,17 +219,17 @@ def _pole_coefficients(groups: list[tuple[float, int]], g: int) -> np.ndarray:
     return series
 
 
-def hypoexp_terms(means: Sequence[float], rel_tol: float = 1e-6) -> list[tuple[float, int, float]]:
+def hypoexp_terms(means: Sequence[float]) -> list[tuple[float, int, float]]:
     """Survival-function terms (coef, power, rate) for a sum of independent
     exponentials with the given means.
 
-    Means closer than rel_tol (relative) are merged into one repeated rate;
+    Means closer than 1e-6 (relative) are merged into one repeated rate;
     a fully repeated list reduces to the Erlang tail (all coefs 1.0).
     """
     arr = np.asarray(means, dtype=float)
     if arr.ndim != 1 or arr.size < 1 or not ((arr > 0).all() and np.isfinite(arr).all()):
         raise ValueError("means must be a non-empty list of positive reals")
-    groups = _group_rates(arr, rel_tol)
+    groups = _group_rates(arr)
     terms: list[tuple[float, int, float]] = []
     if len(groups) == 1:
         rate, mult = groups[0]
@@ -305,14 +253,14 @@ def _poisson_weight(power: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.where(z > 0, np.exp(logw), np.where(power == 0, 1.0, 0.0))
 
 
-def hypoexp_cdf(means: Sequence[float], x, rel_tol: float = 1e-6) -> float | np.ndarray:
+def hypoexp_cdf(means: Sequence[float], x) -> float | np.ndarray:
     """CDF of a sum of independent exponentials with the given means.
 
     Distinct means use the standard partial-fraction weights; repeated means
-    (within rel_tol) fall back to the generalized Erlang form.  A single mean
+    (within 1e-6 relative) fall back to the generalized Erlang form.  A single mean
     reduces to the exponential CDF, and the result is clamped to [0, 1].
     """
-    terms = hypoexp_terms(means, rel_tol)
+    terms = hypoexp_terms(means)
     xv = np.asarray(x, dtype=float)
     if (xv < 0).any():
         raise ValueError("hypoexp_cdf needs x >= 0")

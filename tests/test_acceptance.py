@@ -10,6 +10,7 @@ import math
 import warnings
 
 import numpy as np
+from scipy import stats
 
 from secrelay.analytics import (
     esr_dbcj,
@@ -46,11 +47,10 @@ from secrelay.policy import (
 from secrelay.specfun import (
     EULER_GAMMA,
     digamma_int,
-    exp_int_ei,
-    harmonic,
     hypoexp_cdf,
     maxexp_cdf,
-    subset_sum,
+    scaled_e1,
+    signed_subset_eval,
 )
 
 
@@ -122,8 +122,11 @@ def test_acceptance_03_sop_decays_at_relay_count_order():
     sim = estimate(Metric.SOP, Scheme.JRP, cfg, g2, 10**6, seed=0)
     sigma = math.sqrt(closed * (1.0 - closed) / 10**6)
     z = (sim.value - closed) / sigma
-    ok = ok and abs(sim.value - closed) <= 3.0 * sigma
-    parts.append(f"mc check z {z:+.2f}")
+    # ~43 expected outages are too few for a normal 3-sigma bound: use the
+    # exact two-sided binomial test at that bound's level instead.
+    p = stats.binomtest(round(sim.value * 10**6), 10**6, closed).pvalue
+    ok = ok and p >= 2.7e-3
+    parts.append(f"mc check z {z:+.2f}, p {p:.3g}")
     _report(3, ok, "; ".join(parts))
 
 
@@ -243,14 +246,15 @@ def test_acceptance_10_scheme_ordering_on_matched_draws():
 
 def test_acceptance_11_special_function_spot_values():
     checks = [
-        (exp_int_ei(-1.0), -0.2193839343955205),
+        (-math.exp(-1.0) * scaled_e1(1.0), -0.2193839343955205),
         (hypoexp_cdf([1.0, 2.0], 1.0), 1.0 + math.exp(-1.0) - 2.0 * math.exp(-0.5)),
         (maxexp_cdf([1.0, 1.0], 1.0), (1.0 - math.exp(-1.0)) ** 2),
         (maxexp_cdf([2.0], 2.0), 1.0 - math.exp(-1.0)),
-        (subset_sum([0.5, 1.5, 2.5], lambda t: 1.0), -1.0),
+        (signed_subset_eval([0.5, 1.5, 2.5], lambda sz, s: np.ones_like(s)), -1.0),
     ]
     checks += [
-        (digamma_int(k + 1) + EULER_GAMMA, harmonic(k)) for k in (1, 2, 5, 10)
+        (digamma_int(k + 1) + EULER_GAMMA, math.fsum(1.0 / j for j in range(1, k + 1)))
+        for k in (1, 2, 5, 10)
     ]
     worst = max(abs(got - want) for got, want in checks)
     _report(11, worst <= 1e-10, f"{len(checks)} spot values, worst abs err {worst:.1e}")

@@ -6,7 +6,6 @@ import pytest
 
 from secrelay.analytics import (
     EsrBreakdown,
-    ThresholdRt,
     dmt_reliability,
     dmt_secrecy,
     esr_dbcj,
@@ -70,12 +69,12 @@ def test_leakage_floor_values_and_domain():
 def test_outage_threshold_values():
     # target 0 reduces to B(1+B); at target 1 the bracket is 4(1+B)-1.
     b = SQRT2
-    assert outage_threshold(0.0, 0.0).r_tilde == pytest.approx(b * (1 + b), rel=1e-15)
-    assert outage_threshold(0.0, 1.0).r_tilde == pytest.approx(
+    assert outage_threshold(0.0, 0.0) == pytest.approx(b * (1 + b), rel=1e-15)
+    assert outage_threshold(0.0, 1.0) == pytest.approx(
         20.899494936611664, rel=1e-13
     )
     # 2^(2*0.5) = 2 exactly: (1+B)(1+2B) = 5+3*sqrt(2)
-    assert outage_threshold(0.0, 0.5).r_tilde == pytest.approx(
+    assert outage_threshold(0.0, 0.5) == pytest.approx(
         5.0 + 3.0 * SQRT2, rel=1e-14
     )
     with pytest.raises(ValueError):
@@ -85,13 +84,10 @@ def test_outage_threshold_values():
 
 
 def test_threshold_types_frozen():
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        outage_threshold(0.0, 1.0).r_tilde = 0.0
     bd = esr_dbcj(single_relay(), 10.0)
     assert isinstance(bd, EsrBreakdown)
     with pytest.raises(dataclasses.FrozenInstanceError):
         bd.esr = 0.0
-    assert isinstance(outage_threshold(0.0, 0.0), ThresholdRt)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +127,7 @@ def test_ppos_matches_order_statistics_sampling():
     g = three_relays()
     rho = 3.0
     p = ppos_dbcj(g, rho)
-    thr = outage_threshold(0.0, 0.0).r_tilde
+    thr = outage_threshold(0.0, 0.0)
     rng = np.random.default_rng(271)
     best = rng.exponential(rho * g.mu_rd, size=(10**6, 3)).max(axis=1)
     freq = float((best > thr).mean())

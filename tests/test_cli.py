@@ -387,3 +387,60 @@ def test_module_entry_point_runs_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "ok" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# grid points outside the validated box
+
+
+def _replace_line(text, line):
+    key = line.split("=")[0].strip()
+    kept = [ln for ln in text.splitlines() if not ln.startswith(key)]
+    return "\n".join(kept + [line]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "line,want",
+    [
+        ("experiment.k_grid = [1, 30]", "experiment.k_grid: n_relays=30 exceeds 25"),
+        ("experiment.rho_grid_db = [0, 4000]",
+         "experiment.rho_grid_db: snr_linear must be positive and finite, got inf"),
+        ("experiment.rho_grid_db = [4000]",
+         "experiment.rho_grid_db: snr_linear must be positive and finite, got inf"),
+        ("experiment.rho_grid_db = [0, -4000]",
+         "experiment.rho_grid_db: snr_linear must be positive and finite, got 0.0"),
+    ],
+)
+def test_validate_refuses_every_bad_grid_point(tmp_path, capsys, monkeypatch, line, want):
+    # Each spec used to pass validate and abort run partway, or crash with
+    # an overflow and exit 3.  Both commands must now stop at the spec.
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a point of a refused spec")
+
+    monkeypatch.setattr("secrelay.cli.simulate", no_simulation)
+    out = tmp_path / "r.csv"
+    text = _replace_line(tiny_spec_text(out), line)
+    spec_file = tmp_path / "exp.spec"
+    spec_file.write_text(text)
+    where = f"exp.spec:{len(text.splitlines())}: "
+    assert main(["validate", str(spec_file)]) == 2
+    assert f"error: {where}{want}" in capsys.readouterr().err
+    assert main(["run", str(spec_file)]) == 2
+    assert f"error: {where}{want}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_refuses_bad_grid_points_before_simulating(tmp_path, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a point of a refused spec")
+
+    monkeypatch.setattr("secrelay.cli.simulate", no_simulation)
+    cfg = SystemConfig(n_antennas=4, n_relays=1, n_eves=0, snr_linear=1.0)
+    spec = ExperimentSpec(
+        config=cfg, topology=paper_topology(1, 0), schemes=[Scheme.JRP],
+        metrics=[Metric.ESR], rho_grid_db=[0.0], trials=10,
+        output_path=str(tmp_path / "r.csv"), k_grid=[1, 30],
+    )
+    with pytest.raises(SpecError, match="experiment.k_grid: n_relays=30 exceeds 25"):
+        run(spec, log=None)
+    assert not (tmp_path / "r.csv").exists()

@@ -157,7 +157,6 @@ def test_mean_gains_iid_and_defaults():
     np.testing.assert_allclose(g.mu_rd, 2.0)
     assert g.mu_rl.shape == (3, 5)
     assert np.all(np.diag(g.mu_rl[:, :3]) == 0.0)
-    assert g.relay_gains_iid() and g.eve_gains_iid()
     # Default inter-malicious gains when none are given: unit off-diagonal.
     h = MeanGains(
         mu_sr=np.ones(2), mu_rd=np.ones(2), mu_se=np.ones(1), mu_ed=np.ones(1), mu_sd=1.0
@@ -165,23 +164,9 @@ def test_mean_gains_iid_and_defaults():
     np.testing.assert_allclose(h.mu_rl, [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
 
 
-def test_mean_gains_iid_flags_detect_spread():
-    g = MeanGains(
-        mu_sr=np.array([1.0, 2.0]),
-        mu_rd=np.ones(2),
-        mu_se=np.ones(1),
-        mu_ed=np.ones(1),
-        mu_sd=1.0,
-    )
-    assert not g.relay_gains_iid()
-    assert g.eve_gains_iid()
-    assert MeanGains.iid(1, 0).eve_gains_iid()
-
-
 def test_mean_gains_accessors():
     g = MeanGains.iid(2, 1, mu_sr=0.5, mu_rd=2.0, mu_se=0.25, mu_sd=3.0)
     np.testing.assert_allclose(g.gbar_rd(10.0), [20.0, 20.0])
-    np.testing.assert_allclose(g.gbar_sr(10.0), [5.0, 5.0])
     assert g.gbar_sd(10.0) == 30.0
     np.testing.assert_allclose(g.leak_means_dt(10.0), [5.0, 5.0, 2.5])
 

@@ -4,21 +4,17 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from secrelay import specfun
 from secrelay.specfun import (
     EULER_GAMMA,
-    SubsetTerm,
     digamma_int,
-    exp_int_ei,
     exp_poly_recip_integral,
-    harmonic,
     hypoexp_cdf,
     hypoexp_terms,
     maxexp_cdf,
     q_function,
     scaled_e1,
     signed_subset_eval,
-    subset_sum,
-    subset_sum_iid,
     subset_terms,
 )
 
@@ -27,6 +23,11 @@ def test_scaled_e1_matches_scipy_across_regimes():
     # Span both branches: series below 1, continued fraction above.
     s = np.logspace(-8, 2.5, 400)
     np.testing.assert_allclose(scaled_e1(s), np.exp(s) * special.exp1(s), rtol=1e-12)
+    # Ei(x) = -exp(x) * scaled_e1(-x) on x < 0, out to the underflow edge.
+    x = np.concatenate([-np.logspace(-8, 2.7, 300), [-1.0, -0.01, -700.0]])
+    np.testing.assert_allclose(-np.exp(x) * scaled_e1(-x), special.expi(x), rtol=1e-11)
+    assert math.isclose(-math.exp(-1.0) * scaled_e1(1.0), -0.2193839343955205, rel_tol=1e-12)
+    assert math.isclose(-math.exp(-0.01) * scaled_e1(0.01), -4.037929576538113, rel_tol=1e-12)
 
 
 def test_scaled_e1_scalar_type_and_bounds():
@@ -57,30 +58,6 @@ def test_scaled_e1_domain_errors():
         scaled_e1([1.0, np.inf])
 
 
-def test_exp_int_ei_frozen_values():
-    assert math.isclose(exp_int_ei(-1.0), -0.2193839343955205, rel_tol=1e-12)
-    assert math.isclose(exp_int_ei(-0.01), -4.037929576538113, rel_tol=1e-12)
-
-
-def test_exp_int_ei_matches_scipy():
-    x = -np.logspace(-8, 2.7, 300)
-    np.testing.assert_allclose(exp_int_ei(x), special.expi(x), rtol=1e-11)
-
-
-def test_exp_int_ei_tail_and_domain():
-    assert exp_int_ei(-700.0) < 0.0
-    assert abs(exp_int_ei(-700.0)) < 1e-300
-    for bad in (0.0, 1.0, np.inf):
-        with pytest.raises(ValueError):
-            exp_int_ei(bad)
-
-
-def test_ei_and_scaled_e1_are_consistent():
-    # Same quantity reached through both exported paths.
-    for s in (0.1, 1.0, 10.0, 100.0):
-        assert math.isclose(scaled_e1(s), -math.exp(s) * exp_int_ei(-s), rel_tol=1e-10)
-
-
 def test_q_function_values():
     assert q_function(0.0) == 0.5
     assert math.isclose(q_function(1.0), 0.15865525393145707, rel_tol=1e-12)
@@ -98,12 +75,10 @@ def test_digamma_matches_scipy():
 
 
 def test_harmonic_identity_with_digamma():
-    assert harmonic(0) == 0.0
-    assert harmonic(1) == 1.0
+    # psi(k+1) + eulergamma is the harmonic number H_k.
     for k in range(1, 21):
-        assert math.isclose(digamma_int(k + 1) + EULER_GAMMA, harmonic(k), rel_tol=1e-14)
-    with pytest.raises(ValueError):
-        harmonic(-1)
+        h_k = math.fsum(1.0 / j for j in range(1, k + 1))
+        assert math.isclose(digamma_int(k + 1) + EULER_GAMMA, h_k, rel_tol=1e-14)
     with pytest.raises(ValueError):
         digamma_int(0)
 
@@ -114,25 +89,35 @@ def test_subset_terms_bitmask_order():
     np.testing.assert_allclose(sums, [1.0, 10.0, 11.0, 100.0, 101.0, 110.0, 111.0])
 
 
+def _enumerated(rates, array_fn):
+    # Reference: every subset one at a time, summed exactly.
+    sizes, sums = subset_terms(rates)
+    return math.fsum(
+        (-1.0) ** int(c) * float(array_fn(np.array([c]), np.array([v]))[0])
+        for c, v in zip(sizes, sums)
+    )
+
+
 def test_subset_sum_constant_term_is_minus_one():
     for rates in ([2.0], [1.0, 3.0], [0.5, 0.5, 4.0, 9.0]):
-        assert math.isclose(subset_sum(rates, lambda t: 1.0), -1.0, rel_tol=1e-15)
+        got = signed_subset_eval(rates, lambda sz, s: np.ones_like(s))
+        assert math.isclose(got, -1.0, rel_tol=1e-15)
 
 
 def test_subset_sum_single_rate():
-    got = subset_sum([0.5], lambda t: math.exp(-t.rate_sum))
+    got = signed_subset_eval([0.5], lambda sz, s: np.exp(-s))
     assert math.isclose(got, -math.exp(-0.5), rel_tol=1e-15)
 
 
 def test_subset_sum_matches_direct_enumeration():
     rates = [0.3, 1.1, 2.7]
     s_val = 0.8
-    f = lambda t: math.exp(-s_val * t.rate_sum)
     direct = 0.0
     for mask in range(1, 8):
         members = [rates[i] for i in range(3) if mask >> i & 1]
         direct += (-1.0) ** len(members) * math.exp(-s_val * sum(members))
-    assert math.isclose(subset_sum(rates, f), direct, rel_tol=1e-12)
+    got = signed_subset_eval(rates, lambda sz, s: np.exp(-s_val * s))
+    assert math.isclose(got, direct, rel_tol=1e-12)
 
 
 def test_subset_sum_is_maxexp_complement():
@@ -140,30 +125,27 @@ def test_subset_sum_is_maxexp_complement():
     rates = [1.0, 0.25, 0.8]
     means = [1.0 / r for r in rates]
     for x in (0.1, 1.0, 5.0):
-        lhs = subset_sum(rates, lambda t: math.exp(-x * t.rate_sum))
+        lhs = signed_subset_eval(rates, lambda sz, s: np.exp(-x * s))
         assert math.isclose(lhs, maxexp_cdf(means, x) - 1.0, rel_tol=1e-12)
-
-
-def test_subset_sum_iid_matches_enumeration():
-    f = lambda t: 1.0 / (1.0 + t.rate_sum)
-    full = subset_sum([0.7] * 6, f)
-    collapsed = subset_sum_iid(6, 0.7, f)
-    assert math.isclose(full, collapsed, rel_tol=1e-12)
 
 
 def test_signed_subset_eval_matches_subset_sum():
     rates = [0.2, 0.9, 1.7, 3.0]
-    got = signed_subset_eval(rates, lambda sz, s: np.log1p(s))
-    want = subset_sum(rates, lambda t: math.log1p(t.rate_sum))
-    assert math.isclose(got, want, rel_tol=1e-13)
+    fn = lambda sz, s: np.log1p(s)
+    assert math.isclose(signed_subset_eval(rates, fn), _enumerated(rates, fn), rel_tol=1e-13)
 
 
-def test_signed_subset_eval_iid_collapse_agrees():
-    rates = [1.3] * 18
+def test_signed_subset_eval_iid_collapse_agrees(monkeypatch):
+    # 16 identical rates collapse to 16 binomial terms; 15 still enumerate.
     fn = lambda sz, s: 1.0 / np.sqrt(1.0 + s)
-    collapsed = signed_subset_eval(rates, fn)
-    full = signed_subset_eval(rates, fn, iid_collapse_from=99)
-    assert math.isclose(collapsed, full, rel_tol=1e-10)
+    enumerated = []
+    monkeypatch.setattr(
+        specfun, "subset_terms", lambda r: enumerated.append(len(r)) or subset_terms(r)
+    )
+    for n in (16, 15):
+        got = signed_subset_eval([1.3] * n, fn)
+        assert math.isclose(got, _enumerated([1.3] * n, fn), rel_tol=1e-10)
+    assert enumerated == [15]
 
 
 def test_rate_list_validation():
@@ -173,8 +155,6 @@ def test_rate_list_validation():
         subset_terms([1.0, -1.0])
     with pytest.raises(ValueError):
         subset_terms(list(np.ones(26)))
-    with pytest.raises(ValueError):
-        subset_sum_iid(0, 1.0, lambda t: 1.0)
 
 
 def test_maxexp_cdf_values():
@@ -283,9 +263,3 @@ def test_exp_poly_recip_integral_domain():
         exp_poly_recip_integral(1, 0.0, 1.0)
     with pytest.raises(ValueError):
         exp_poly_recip_integral(1, 2.0, 1.0)
-
-
-def test_subset_term_is_frozen():
-    t = SubsetTerm(2, 3.5)
-    with pytest.raises(AttributeError):
-        t.rate_sum = 1.0
