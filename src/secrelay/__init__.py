@@ -6,10 +6,13 @@ Layering: model (parameters, geometry, mean gains) -> specfun (exponential
 integrals, hypoexponential CDFs, subset sums) -> channel (batched fading
 draws and exact SINRs) -> policy (power splits and relay selection, one
 batch of trials at a time) -> analytics (closed-form ESR/SOP/SER and their
-asymptotes) -> montecarlo (trial engine and quadrature oracles) -> cli
-(experiment runner).  The package does not import cli, so
-`python -m secrelay.cli` runs it as __main__ only; import the runner's
-names from `secrelay.cli`.
+asymptotes) -> montecarlo (trial engine) -> cli (experiment runner).  The
+package does not import cli, so `python -m secrelay.cli` runs it as
+__main__ only; import the runner's names from `secrelay.cli`.
+
+The quadrature oracles that verify the closed forms live in
+tests/quadrature_reference.py: they are verification code, kept off the
+import path so that importing secrelay never loads scipy.integrate.
 """
 
 from .model import (
@@ -64,14 +67,11 @@ from .montecarlo import (
     MetricEstimate,
     SchemeTrace,
     derive_seed,
-    esr_quadrature_oracle,
     estimate,
     estimate_from_trace,
-    ser_quadrature_oracle,
     simulate,
     sweep,
 )
-from .specfun import QuadratureError
 
 __all__ = [
     "BatchDraws",
@@ -83,7 +83,6 @@ __all__ = [
     "Metric",
     "MetricEstimate",
     "Modulation",
-    "QuadratureError",
     "RegimeWarning",
     "RngStream",
     "Scheme",
@@ -98,7 +97,6 @@ __all__ = [
     "draw_batch",
     "esr_dbcj",
     "esr_dt_lb",
-    "esr_quadrature_oracle",
     "estimate",
     "estimate_from_trace",
     "feedback_overhead_bits",
@@ -117,7 +115,6 @@ __all__ = [
     "select_relay_maxgain",
     "ser_dbcj",
     "ser_dbcj_asymptotic",
-    "ser_quadrature_oracle",
     "simulate",
     "sop_dbcj",
     "sop_dbcj_asymptotic",

@@ -83,7 +83,13 @@ class SystemConfig:
     master_seed: int = 0
 
     def with_snr_db(self, snr_db: float) -> "SystemConfig":
-        return replace(self, snr_linear=10.0 ** (snr_db / 10.0))
+        """This config at transmit SNR snr_db; inf past the float range
+        (which validate refuses, like the 0 that a very negative dB gives)."""
+        try:
+            snr = 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            snr = math.inf
+        return replace(self, snr_linear=snr)
 
 
 def validate(config: SystemConfig) -> None:

@@ -1,10 +1,14 @@
-"""Monte-Carlo estimation of the secrecy metrics, plus quadrature oracles.
+"""Monte-Carlo estimation of the secrecy metrics.
 
 Draws are addressed by (seed, absolute trial index), so an estimate is
 bit-identical for a fixed (seed, trials) no matter how trials are chunked or
 scheduled, and every scheme evaluated at the same seed sees the same
 channels.  Accumulation goes through exact compensated summation, which
 keeps it order-insensitive at any trial count.
+
+The quadrature oracles that check the closed forms are verification code,
+so they live in tests/quadrature_reference.py, off the package's import path
+(importing secrelay never loads scipy.integrate).
 """
 
 from __future__ import annotations
@@ -15,17 +19,12 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
 from . import policy
-from .analytics import leakage_floor
 from .channel import draw_batch
-from .model import MeanGains, Modulation, SystemConfig
+from .model import MeanGains, SystemConfig, validate
 from .policy import Scheme
-from .specfun import QuadratureError, maxexp_cdf, q_function
-
-_QPSK = Modulation.psk(4)
-_LN2 = math.log(2.0)
+from .specfun import q_function
 
 
 class Metric(Enum):
@@ -93,8 +92,10 @@ def simulate(
     """Run all schemes over the same `trials` channel draws.
 
     Trials are drawn in chunks of chunk_size; the result does not depend on
-    the chunking.  seed defaults to config.master_seed.
+    the chunking.  seed defaults to config.master_seed.  Raises ConfigError
+    for a config that model.validate refuses.
     """
+    validate(config)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     if not schemes:
@@ -200,62 +201,3 @@ def sweep(
         out.append((rho_db, ests[scheme]) if single else (rho_db, ests))
     return out
 
-
-# ---------------------------------------------------------------------------
-# Deterministic quadrature oracles for the relayed closed forms.  They share
-# nothing with analytics beyond maxexp_cdf, so agreement is meaningful.
-# ---------------------------------------------------------------------------
-
-
-def ser_quadrature_oracle(
-    gains: MeanGains,
-    rho: float,
-    c: float = 0.0,
-    modulation: Modulation = _QPSK,
-    abs_tol: float = 1e-10,
-) -> float:
-    """Average SER by adaptive quadrature of
-    (alpha/sqrt(2*pi)) * int_0^inf F_maxhop((1+B) t^2/beta) exp(-t^2/2) dt."""
-    if abs_tol <= 0:
-        raise ValueError(f"abs_tol must be positive, got {abs_tol}")
-    b = leakage_floor(c)
-    gbar = gains.gbar_rd(rho)
-    beta = modulation.beta_m
-
-    def integrand(t: float) -> float:
-        return maxexp_cdf(gbar, (1.0 + b) * t * t / beta) * math.exp(-0.5 * t * t)
-
-    val, err = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=300)
-    pref = modulation.alpha_m / math.sqrt(2.0 * math.pi)
-    if pref * err > abs_tol:
-        raise QuadratureError(
-            f"SER quadrature error {pref * err:.3e} above requested {abs_tol:.1e} "
-            f"(K={gains.n_relays}, rho={rho:g}, C={c:g})"
-        )
-    return pref * val
-
-
-def esr_quadrature_oracle(
-    gains: MeanGains, rho: float, c: float = 0.0, abs_tol: float = 1e-10
-) -> float:
-    """Ergodic secrecy rate by adaptive quadrature of
-    (1/(2 ln2)) int_0^inf (1 - F_maxhop(g)) / (g + 1 + B) dg - 0.5*log2(1+B),
-    clamped at zero like the closed form."""
-    if abs_tol <= 0:
-        raise ValueError(f"abs_tol must be positive, got {abs_tol}")
-    b = leakage_floor(c)
-    gbar = gains.gbar_rd(rho)
-    scale = float(np.max(gbar))
-
-    def integrand(y: float) -> float:
-        g = scale * y
-        return scale * (1.0 - maxexp_cdf(gbar, g)) / (g + 1.0 + b)
-
-    val, err = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=300)
-    pref = 1.0 / (2.0 * _LN2)
-    if pref * err > abs_tol:
-        raise QuadratureError(
-            f"ESR quadrature error {pref * err:.3e} above requested {abs_tol:.1e} "
-            f"(K={gains.n_relays}, rho={rho:g}, C={c:g})"
-        )
-    return max(0.0, pref * val - 0.5 * math.log2(1.0 + b))

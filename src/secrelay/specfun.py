@@ -29,10 +29,6 @@ _IID_COLLAPSE_FROM = 16  # from here n identical rates sum as n binomial terms
 _HYPOEXP_MERGE_TOL = 1e-6  # relative gap below which hypoexp merges two means
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 def _scaled_e1_series(s: np.ndarray) -> np.ndarray:
     # exp(s) * (-gamma - ln s + sum_{k>=1} (-1)^(k+1) s^k / (k k!)), s <= 1
     acc = -EULER_GAMMA - np.log(s)

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 from scipy import stats
 
+from quadrature_reference import esr_quadrature_oracle, ser_quadrature_oracle
 from secrelay.analytics import (
     esr_dbcj,
     ppos_dbcj,
@@ -29,10 +30,8 @@ from secrelay.model import (
 )
 from secrelay.montecarlo import (
     Metric,
-    esr_quadrature_oracle,
     estimate,
     estimate_from_trace,
-    ser_quadrature_oracle,
     simulate,
     sweep,
 )

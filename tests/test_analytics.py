@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from quadrature_reference import esr_quadrature_oracle, ser_quadrature_oracle
 from secrelay.analytics import (
     EsrBreakdown,
     dmt_reliability,
@@ -22,12 +23,7 @@ from secrelay.analytics import (
     sop_dt,
 )
 from secrelay.model import EveModel, MeanGains, Modulation, SystemConfig
-from secrelay.montecarlo import (
-    Metric,
-    esr_quadrature_oracle,
-    estimate,
-    ser_quadrature_oracle,
-)
+from secrelay.montecarlo import Metric, estimate
 from secrelay.policy import Scheme
 from secrelay.specfun import EULER_GAMMA, scaled_e1
 

@@ -2,6 +2,10 @@
 longer carries."""
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +14,10 @@ from secrelay import analytics, model, montecarlo, specfun
 
 # Names that left the package; none may come back through an export.
 REMOVED = {
-    specfun: ("subset_sum", "subset_sum_iid", "SubsetTerm", "exp_int_ei", "harmonic"),
+    specfun: ("subset_sum", "subset_sum_iid", "SubsetTerm", "exp_int_ei", "harmonic",
+              "QuadratureError"),
     analytics: ("ThresholdRt",),
+    montecarlo: ("esr_quadrature_oracle", "ser_quadrature_oracle"),
     model.MeanGains: ("relay_gains_iid", "eve_gains_iid", "gbar_sr"),
 }
 
@@ -40,3 +46,18 @@ def test_removed_options_stay_removed():
                        (specfun.hypoexp_terms, "rel_tol"), (specfun.hypoexp_cdf, "rel_tol"),
                        (specfun.signed_subset_eval, "iid_collapse_from")):
         assert option not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_import_loads_no_verification_only_modules():
+    # The quadrature oracles and the statistical tests live under tests/, so a
+    # fresh interpreter importing the package and its runner pays for neither.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, secrelay, secrelay.cli\n"
+        "print(' '.join(m for m in ('scipy.integrate', 'scipy.stats', 'mpmath')"
+        " if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == []

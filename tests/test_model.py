@@ -52,6 +52,15 @@ def test_with_snr_db():
     assert cfg.with_snr_db(20.0).n_antennas == 8
 
 
+@pytest.mark.parametrize("snr_db, linear", [(4000.0, math.inf), (-4000.0, 0.0)])
+def test_with_snr_db_past_the_float_range(snr_db, linear):
+    # Saturates instead of raising OverflowError; validate refuses both ends.
+    cfg = SystemConfig(n_antennas=8, n_relays=2, n_eves=0, snr_linear=1.0).with_snr_db(snr_db)
+    assert cfg.snr_linear == linear
+    with pytest.raises(ConfigError, match="snr_linear"):
+        validate(cfg)
+
+
 def test_validate_accepts_default_shape():
     validate(SystemConfig(n_antennas=16, n_relays=5, n_eves=5, snr_linear=100.0))
 

@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quadrature_reference import QuadratureError, esr_quadrature_oracle, ser_quadrature_oracle
 from secrelay.analytics import esr_dbcj, ser_dbcj, sop_dbcj
 from secrelay.model import (
+    ConfigError,
     EveModel,
     MeanGains,
     SystemConfig,
@@ -18,15 +20,13 @@ from secrelay.montecarlo import (
     MetricEstimate,
     SchemeTrace,
     derive_seed,
-    esr_quadrature_oracle,
     estimate,
     estimate_from_trace,
-    ser_quadrature_oracle,
     simulate,
     sweep,
 )
 from secrelay.policy import Scheme
-from secrelay.specfun import QuadratureError, q_function
+from secrelay.specfun import q_function
 
 
 def small_setup(k=2, l=1, n_antennas=8, rho=10.0, **cfg_kw):
@@ -108,6 +108,21 @@ def test_simulate_validation():
     wrong = MeanGains.iid(4, 1)
     with pytest.raises(ValueError):
         simulate(cfg, wrong, [Scheme.JRP], 10)
+
+
+@pytest.mark.parametrize("snr_db", [-4000.0, 4000.0])
+def test_simulate_estimate_and_sweep_refuse_unvalidated_configs(snr_db):
+    # Linear SNR 0 (underflow) or inf (overflow): a ConfigError before any draw,
+    # not an ESR of 0 with a standard error of 0, nor a bare OverflowError.
+    gains = MeanGains.iid(2, 1)
+    cfg = SystemConfig(4, 2, 1, 1.0)
+    with pytest.raises(ConfigError, match="snr_linear"):
+        sweep(Metric.ESR, Scheme.JRP, cfg, gains, [snr_db], 50)
+    bad = cfg.with_snr_db(snr_db)
+    with pytest.raises(ConfigError, match="snr_linear"):
+        estimate(Metric.ESR, Scheme.JRP, bad, gains, 50)
+    with pytest.raises(ConfigError, match="snr_linear"):
+        simulate(bad, gains, [Scheme.JRP], 50)
 
 
 @pytest.mark.parametrize("model", list(EveModel), ids=lambda m: m.value)
