@@ -443,6 +443,9 @@ def _closed_columns(
     metric: Metric, scheme: Scheme, gains, cfg: SystemConfig, spec: ExperimentSpec
 ) -> tuple[float | None, float | None]:
     closed = asym = None
+    if not (spec.emit_closed_form or spec.emit_asymptotic):
+        # Each jrp column costs a 2^K subset sum: skip them all when unused.
+        return closed, asym
     rho = cfg.snr_linear
     if scheme is Scheme.JRP:
         c = 0.0

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -26,6 +27,10 @@ _LN2 = math.log(2.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Bracket width at which the golden-section split search stops.
 _SPLIT_TOL = 1e-6
+# Most (trial, relay) pairs one gathered search or rate call takes: simulate's
+# default chunk, so stacking several relays' pairs never needs more memory
+# than searching one relay over a default chunk.
+_PAIR_ROWS = 2048
 
 
 class RegimeWarning(UserWarning):
@@ -46,7 +51,10 @@ class Scheme(Enum):
     keep the equal split or a closed-form candidate wherever it rates
     higher.  That is what honest finite-antenna evaluation takes: the closed
     forms are asymptotic in the antenna count and sit in analytics, where
-    the simulated schemes validate them.
+    the simulated schemes validate them.  A batch's splits are searched once
+    per (trial, relay) pair and shared among JRP, OPRR and EXACT_JRP, so
+    whichever of them runs first on a batch searches the pairs it needs and
+    the others read the stored results.
     """
 
     JRP = "jrp"
@@ -224,7 +232,11 @@ def _numeric_split_batch(
     Golden-section search on (0, 1) to bracket width _SPLIT_TOL, then the
     best of the bracket result, the equal split and the closed-form
     candidates; the returned rate therefore never falls below rate(0.5) or
-    rate(lam*).  Returns (split, rate) per trial.
+    rate(lam*).  Returns (split, rate) per trial.  Every step works row by
+    row over a fixed number of iterations, so a row's result does not depend
+    on the rows searched with it.  Schemes reach it through _searched_splits,
+    which searches each (trial, relay) pair of a batch once and shares the
+    result among JRP, OPRR and EXACT_JRP.
     """
     n = batch.n_trials
     a = np.full(n, LAMBDA_EPS)
@@ -261,39 +273,80 @@ def _numeric_split_batch(
     return best, rate
 
 
+# Per batch and eavesdropper model: which (trial, relay) pairs are searched,
+# with their splits and rates.  Weak keys (BatchDraws hashes by identity) let
+# a table live exactly as long as its batch; it assumes the batch's arrays
+# do not change once a scheme has run on it.
+_SPLIT_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _gather(batch: BatchDraws, trials: np.ndarray) -> BatchDraws:
+    """The given trials of the batch as a batch of their own, in that order."""
+    return BatchDraws(**{f.name: getattr(batch, f.name)[trials] for f in fields(batch)})
+
+
+def _over_pairs(batch: BatchDraws, trials: np.ndarray, relays: np.ndarray, fn) -> tuple:
+    """fn(sub_batch, relay_idx) over the (trial, relay) pairs, stacked as the
+    rows of gathered sub-batches of at most _PAIR_ROWS rows; each returned
+    array is concatenated in pair order.  Exactly one pair per trial, in
+    trial order, runs on the batch itself."""
+    if np.array_equal(trials, np.arange(batch.n_trials)):
+        return fn(batch, relays)
+    parts = [
+        fn(_gather(batch, trials[s : s + _PAIR_ROWS]), relays[s : s + _PAIR_ROWS])
+        for s in range(0, trials.size, _PAIR_ROWS)
+    ]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _searched_splits(
+    batch: BatchDraws, trials: np.ndarray, relays: np.ndarray, model: EveModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Searched (split, rate) of each (trial, relay) pair; pairs not yet in
+    the batch's table are searched together and stored."""
+    tables = _SPLIT_TABLES.setdefault(batch, {})
+    if model not in tables:
+        shape = (batch.n_trials, batch.n_relays)
+        tables[model] = (np.zeros(shape, dtype=bool), np.empty(shape), np.empty(shape))
+    done, lam, rate = tables[model]
+    todo = ~done[trials, relays]
+    if todo.any():
+        t, r = trials[todo], relays[todo]
+        lam[t, r], rate[t, r] = _over_pairs(
+            batch, t, r, lambda sub, idx: _numeric_split_batch(sub, idx, model)
+        )
+        done[t, r] = True
+    return lam[trials, relays], rate[trials, relays]
+
+
 def run_scheme_batch(batch: BatchDraws, scheme: Scheme, config: SystemConfig) -> SchemeBatchResult:
     """Apply a scheme to every trial of the batch and report its exact
     operating points."""
     model = config.eve_model
     n, k = batch.n_trials, batch.n_relays
+    rows = np.arange(n)
     if scheme is Scheme.DT:
         g_e = np.asarray(dt_leakage(batch.g_null_d, k, model), dtype=float)
         rate = secrecy_rate(batch.g_sd, g_e, half=False)
         return SchemeBatchResult(scheme, None, None, batch.g_sd.copy(), g_e, rate)
     if scheme in (Scheme.EPRR, Scheme.OPRR):
         relay = np.minimum((batch.u_rand * k).astype(np.int64), k - 1)
-        lam = np.full(n, 0.5) if scheme is Scheme.EPRR else _numeric_split_batch(batch, relay, model)[0]
+        lam = np.full(n, 0.5) if scheme is Scheme.EPRR else _searched_splits(batch, rows, relay, model)[0]
     elif scheme is Scheme.JRP:
         relay = select_relay_maxgain(batch)
-        lam = _numeric_split_batch(batch, relay, model)[0]
+        lam = _searched_splits(batch, rows, relay, model)[0]
     elif scheme is Scheme.EPRS:
-        half = np.full(n, 0.5)
-        rates = np.stack(
-            [_rate_batch(batch, np.full(n, i), half, model)[2] for i in range(k)], axis=1
+        (rates,) = _over_pairs(
+            batch, np.repeat(rows, k), np.tile(np.arange(k), n),
+            lambda sub, idx: _rate_batch(sub, idx, np.full(idx.size, 0.5), model)[2:],
         )
-        relay = np.argmax(rates, axis=1)
-        lam = half
-    elif scheme is Scheme.EXACT_JRP:
-        best_rate = np.full(n, -1.0)
-        relay = np.zeros(n, dtype=np.int64)
+        relay = np.argmax(rates.reshape(n, k), axis=1)
         lam = np.full(n, 0.5)
-        for i in range(k):
-            idx = np.full(n, i)
-            lam_i, rate_i = _numeric_split_batch(batch, idx, model)
-            better = rate_i > best_rate
-            best_rate = np.where(better, rate_i, best_rate)
-            relay = np.where(better, i, relay)
-            lam = np.where(better, lam_i, lam)
+    elif scheme is Scheme.EXACT_JRP:
+        lams, rates = _searched_splits(batch, np.repeat(rows, k), np.tile(np.arange(k), n), model)
+        # The first maximum: ties go to the lowest relay index.
+        relay = np.argmax(rates.reshape(n, k), axis=1)
+        lam = lams.reshape(n, k)[rows, relay]
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     g_d, g_e, rate = _rate_batch(batch, relay, lam, model)

@@ -263,6 +263,19 @@ def test_run_closed_form_columns_by_scheme(tmp_path):
     assert all(r.closed_form is None for r in run(spec2, log=None))
 
 
+def test_run_without_closed_columns_calls_no_closed_form(tmp_path, monkeypatch):
+    def no_closed_form(*args, **kwargs):
+        raise AssertionError("computed a closed form that no column emits")
+
+    for name in ("esr_dbcj", "sop_dbcj", "sop_dbcj_asymptotic", "esr_dt_lb", "sop_dt"):
+        monkeypatch.setattr(f"secrelay.analytics.{name}", no_closed_form)
+    out = tmp_path / "r.csv"
+    spec = parse_spec_text(tiny_spec_text(out, "experiment.emit_closed_form = False\n"))
+    rows = run(spec, log=None)
+    assert len(rows) == 8
+    assert all(r.closed_form is None and r.asymptotic is None for r in rows)
+
+
 def test_run_eve_model_sweep_multiplies_rows(tmp_path):
     out = tmp_path / "r.csv"
     spec = parse_spec_text(

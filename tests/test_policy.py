@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
+from secrelay import policy
 from secrelay.channel import LAMBDA_EPS, BatchDraws, draw_batch, leakage_batch, sinr_destination
 from secrelay.model import EveModel, MeanGains, SystemConfig
+from secrelay.montecarlo import simulate
 from secrelay.policy import (
     RegimeWarning,
     Scheme,
@@ -369,3 +371,60 @@ def test_batch_agrees_with_scalar_for_every_scheme():
                 else:
                     assert res.selected_relay[t] == one.selected_relay
                     assert res.lam[t] == one.lam
+
+
+def model_setup(model):
+    gains, cfg = rich_setup()
+    return gains, SystemConfig(n_antennas=8, n_relays=3, n_eves=2, snr_linear=10.0, eve_model=model)
+
+
+@pytest.mark.parametrize("model", list(EveModel), ids=lambda m: m.value)
+def test_each_trial_relay_split_is_searched_once(monkeypatch, model):
+    gains, cfg = model_setup(model)
+    rows = []
+    leakage = policy.leakage_batch
+
+    def counting(batch, relay_idx, lam, model):
+        rows.append(len(relay_idx))
+        return leakage(batch, relay_idx, lam, model)
+
+    monkeypatch.setattr(policy, "leakage_batch", counting)
+
+    def rows_per_trial(schemes):
+        rows.clear()
+        simulate(cfg, gains, schemes, 100, seed=5, chunk_size=37)
+        return sum(rows) / 100
+
+    exact = rows_per_trial([Scheme.EXACT_JRP])
+    # JRP and OPRR only re-rate their (relay, split): one leakage row each.
+    assert rows_per_trial([Scheme.EXACT_JRP, Scheme.JRP, Scheme.OPRR]) == exact + 2
+    assert rows_per_trial([Scheme.OPRR, Scheme.JRP, Scheme.EXACT_JRP]) == exact + 2
+
+
+@pytest.mark.parametrize("chunk", [7, 2048])
+@pytest.mark.parametrize("model", list(EveModel), ids=lambda m: m.value)
+def test_shared_splits_do_not_depend_on_scheme_order_or_subset(model, chunk):
+    gains, cfg = model_setup(model)
+    schemes = list(Scheme)
+    runs = [simulate(cfg, gains, schemes, 60, seed=9, chunk_size=chunk),
+            simulate(cfg, gains, schemes[::-1], 60, seed=9, chunk_size=chunk)]
+    runs += [simulate(cfg, gains, [s], 60, seed=9, chunk_size=chunk) for s in schemes]
+    for s in schemes:
+        want = runs[0][s]
+        for traces in runs[1:]:
+            if s in traces:
+                assert traces[s].rates.tobytes() == want.rates.tobytes(), s
+                assert traces[s].gamma_d.tobytes() == want.gamma_d.tobytes(), s
+
+
+def test_split_tables_are_kept_per_eavesdropper_model():
+    # One batch run under both models must match a fresh copy per model.
+    gains, nce = model_setup(EveModel.NCE)
+    batch = draw_batch(gains, nce, 73, 0, 12)
+    for model in EveModel:
+        _, cfg = model_setup(model)
+        fresh = BatchDraws(**{f: getattr(batch, f).copy() for f in BatchDraws.__dataclass_fields__})
+        for scheme in (Scheme.JRP, Scheme.EXACT_JRP, Scheme.OPRR):
+            shared, alone = run_scheme_batch(batch, scheme, cfg), run_scheme_batch(fresh, scheme, cfg)
+            np.testing.assert_array_equal(shared.lam, alone.lam)
+            np.testing.assert_array_equal(shared.rate, alone.rate)
