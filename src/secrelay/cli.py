@@ -2,7 +2,11 @@
 
 Experiments are described by a flat key=value file with dotted keys and
 Python-literal values.  Lines starting with ``#`` and blank lines are
-skipped; a trailing ``# comment`` is stripped.  Recognized keys:
+skipped; a trailing ``# comment`` is stripped.  Counts (node counts,
+master_seed, trials, k_grid/l_grid entries) take integers or integral floats
+such as 1e6; flags (topology.paper, experiment.emit_*) take True or False.
+A key left out takes the default of the SystemConfig, Topology/paper_topology
+or ExperimentSpec field it sets.  Recognized keys, with example values:
 
     config.n_antennas = 16          # required
     config.n_relays = 5             # required
@@ -19,9 +23,9 @@ skipped; a trailing ``# comment`` is stripped.  Recognized keys:
     topology.relay_ring = 0.02      # cluster radii for the built layout
     topology.eve_ring = 0.03
     topology.path_loss_exp = 3.0
-    experiment.schemes = ["exact-jrp", "jrp", "eprs", "oprr", "eprr", "dt"]
-    experiment.metrics = ["esr"]    # esr | sop | ser | ppos
-    experiment.rho_grid_db = [0, 5, 10, 15, 20]
+    experiment.schemes = ["exact-jrp", "jrp", "eprs", "oprr", "eprr", "dt"]   # required
+    experiment.metrics = ["esr"]    # required: esr | sop | ser | ppos
+    experiment.rho_grid_db = [0, 5, 10, 15, 20]   # required
     experiment.trials = 10000       # required
     experiment.out = "results.csv"
     experiment.emit_closed_form = True
@@ -52,8 +56,11 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
+from operator import attrgetter
+from typing import NamedTuple
 
 from . import analytics, model
 from .model import ConfigError, EveModel, Modulation, SystemConfig, Topology, TopologyError
@@ -132,12 +139,9 @@ class ResultRow:
 def validate_spec(spec: ExperimentSpec) -> list[str]:
     """All problems with the spec, empty when runnable (led by the key at fault, if one)."""
     problems = []
-    if not spec.schemes:
-        problems.append("experiment.schemes must not be empty")
-    if not spec.metrics:
-        problems.append("experiment.metrics must not be empty")
-    if not spec.rho_grid_db:
-        problems.append("experiment.rho_grid_db must not be empty")
+    for field in ("schemes", "metrics", "rho_grid_db"):
+        if not getattr(spec, field):
+            problems.append(f"experiment.{field} must not be empty")
     if spec.trials < 1:
         problems.append(f"experiment.trials must be positive, got {spec.trials}")
     if not spec.output_path:
@@ -162,16 +166,11 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
             for message in str(err).split("; "):
                 field = re.match(r"\w+", message).group()
                 problems.append(f"{keys.get(field, 'config.' + field)}: {message}")
-    if spec.k_grid is None and spec.topology.n_relays != spec.config.n_relays:
-        problems.append(
-            f"topology has {spec.topology.n_relays} relays, config says "
-            f"{spec.config.n_relays}"
-        )
-    if spec.l_grid is None and spec.topology.n_eves != spec.config.n_eves:
-        problems.append(
-            f"topology has {spec.topology.n_eves} eavesdroppers, config says "
-            f"{spec.config.n_eves}"
-        )
+    for field, nodes, grid in (("n_relays", "relays", spec.k_grid),
+                               ("n_eves", "eavesdroppers", spec.l_grid)):
+        have, want = getattr(spec.topology, field), getattr(spec.config, field)
+        if grid is None and have != want:
+            problems.append(f"topology has {have} {nodes}, config says {want}")
     if Scheme.DT in spec.schemes and Metric.ESR in spec.metrics and spec.emit_closed_form:
         # esr_dt_lb sums over the subsets of all K+L leakages on its NCE
         # path, and over the K relay leakages under collusion.
@@ -186,37 +185,8 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
 # Spec files.
 # ---------------------------------------------------------------------------
 
-_KNOWN_KEYS = {
-    "config.n_antennas",
-    "config.n_relays",
-    "config.n_eves",
-    "config.target_rate",
-    "config.eve_model",
-    "config.modulation",
-    "config.master_seed",
-    "topology.paper",
-    "topology.source",
-    "topology.dest",
-    "topology.relays",
-    "topology.eves",
-    "topology.relay_ring",
-    "topology.eve_ring",
-    "topology.path_loss_exp",
-    "experiment.schemes",
-    "experiment.metrics",
-    "experiment.rho_grid_db",
-    "experiment.trials",
-    "experiment.out",
-    "experiment.emit_closed_form",
-    "experiment.emit_asymptotic",
-    "experiment.k_grid",
-    "experiment.l_grid",
-    "experiment.eve_models",
-}
-
-
-def _parse_modulation(text: str) -> Modulation:
-    name = text.strip().lower()
+def _parse_modulation(text) -> Modulation:
+    name = str(text).strip().lower()
     if name == "qpsk":
         return Modulation.psk(4)
     m = re.fullmatch(r"(psk|qam)(\d+)", name)
@@ -225,25 +195,87 @@ def _parse_modulation(text: str) -> Modulation:
     return getattr(Modulation, m.group(1))(int(m.group(2)))
 
 
-def _parse_enum_list(values, enum_cls, what: str) -> list:
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"expected a list of {what} names, got {values!r}")
-    out = []
-    for v in values:
+def _named(enum_cls, what: str):
+    """Parser of one enum member given by its value, e.g. "jrp"."""
+    def parse(value):
         try:
-            out.append(enum_cls(str(v).strip().lower()))
+            return enum_cls(str(value).strip().lower())
         except ValueError:
             valid = ", ".join(e.value for e in enum_cls)
-            raise ValueError(f"unknown {what} {v!r} (valid: {valid})") from None
-    return out
+            raise ValueError(f"unknown {what} {value!r} (valid: {valid})") from None
+    return parse
 
 
-def _point(value, key: str) -> tuple[float, float]:
+def _each(parse, into=list):
+    """Parser of a list or tuple whose every entry `parse` reads."""
+    def parse_all(values):
+        if not isinstance(values, (list, tuple)):
+            raise ValueError(f"expected a list, got {values!r}")
+        return into(parse(v) for v in values)
+    return parse_all
+
+
+def _count(value) -> int:
+    """An int, or a float with an integral value (so 1e6 works); never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected True or False, got {value!r}")
+    return value
+
+
+def _point(value) -> tuple[float, float]:
     try:
         x, y = value
         return (float(x), float(y))
     except (TypeError, ValueError):
-        raise ValueError(f"{key} must be an (x, y) pair, got {value!r}") from None
+        raise ValueError(f"expected an (x, y) pair, got {value!r}") from None
+
+
+class _Key(NamedTuple):
+    field: str  # the argument it sets, of the object its section names
+    parse: Callable
+    # Required keys only: stands in for a bad value so the rest is still checked.
+    placeholder: object = None
+
+
+# Every spec key; the part before the dot names where its value goes:
+# SystemConfig, ExperimentSpec, or the explicit Topology / built
+# paper_topology (whose rings ExperimentSpec keeps for K/L sweeps).  Keys
+# left out are not passed, so each default is the one declared there.
+_SPEC_KEYS = {
+    "config.n_antennas": _Key("n_antennas", _count, placeholder=1),
+    "config.n_relays": _Key("n_relays", _count, placeholder=1),
+    "config.n_eves": _Key("n_eves", _count, placeholder=0),
+    "config.target_rate": _Key("target_rate", float),
+    "config.eve_model": _Key("eve_model", _named(EveModel, "eve model")),
+    "config.modulation": _Key("modulation", _parse_modulation),
+    "config.master_seed": _Key("master_seed", _count),
+    "topology.paper": _Key("paper", _flag),
+    "topology.source": _Key("source_pos", _point),
+    "topology.dest": _Key("dest_pos", _point),
+    "topology.relays": _Key("relay_pos", _each(_point, tuple)),
+    "topology.eves": _Key("eve_pos", _each(_point, tuple)),
+    "topology.relay_ring": _Key("relay_ring", float),
+    "topology.eve_ring": _Key("eve_ring", float),
+    "topology.path_loss_exp": _Key("path_loss_exp", float),
+    "experiment.schemes": _Key("schemes", _each(_named(Scheme, "scheme")), placeholder=()),
+    "experiment.metrics": _Key("metrics", _each(_named(Metric, "metric")), placeholder=()),
+    "experiment.rho_grid_db": _Key("rho_grid_db", _each(float), placeholder=()),
+    "experiment.trials": _Key("trials", _count, placeholder=0),
+    "experiment.out": _Key("output_path", str),
+    "experiment.emit_closed_form": _Key("emit_closed_form", _flag),
+    "experiment.emit_asymptotic": _Key("emit_asymptotic", _flag),
+    "experiment.k_grid": _Key("k_grid", _each(_count)),
+    "experiment.l_grid": _Key("l_grid", _each(_count)),
+    "experiment.eve_models": _Key("eve_models", _each(_named(EveModel, "eve model"))),
+}
 
 
 def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
@@ -260,7 +292,7 @@ def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
         if not eq or not key:
             problems.append(f"{source}:{lineno}: expected key = value, got {raw.strip()!r}")
             continue
-        if key not in _KNOWN_KEYS:
+        if key not in _SPEC_KEYS:
             problems.append(f"{source}:{lineno}: unknown key {key!r}")
             continue
         try:
@@ -274,104 +306,49 @@ def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
         entries[key] = (lineno, value)
     if problems:
         raise SpecError(problems)
-
-    def take(key, default=None):
-        return entries.pop(key, (0, default))[1]
-
-    def complain(key, message):
-        lineno = held.get(key, 0)
-        prefix = f"{source}:{lineno}: " if lineno else f"{source}: "
-        problems.append(prefix + message)
-
-    held = {k: ln for k, (ln, _) in entries.items()}
-    for key in ("config.n_antennas", "config.n_relays", "config.n_eves",
-                "experiment.schemes", "experiment.metrics",
-                "experiment.rho_grid_db", "experiment.trials"):
-        if key not in entries:
+    for key, spec_key in _SPEC_KEYS.items():
+        if spec_key.placeholder is not None and key not in entries:
             problems.append(f"{source}: missing required key {key!r}")
     if problems:
         raise SpecError(problems)
 
-    def coerce(key, fn, default=None):
-        if key not in entries:
-            return default
-        try:
-            return fn(take(key))
-        except (ValueError, TypeError, ConfigError) as err:
-            complain(key, str(err))
-            return default
+    def complain(key, message):
+        lineno = entries.get(key, (0,))[0]
+        prefix = f"{source}:{lineno}: " if lineno else f"{source}: "
+        problems.append(prefix + message)
 
-    n_relays = coerce("config.n_relays", int, 1)
-    n_eves = coerce("config.n_eves", int, 0)
-    rho_grid = coerce("experiment.rho_grid_db",
-                      lambda v: [float(x) for x in v], [])
-    config = SystemConfig(
-        n_antennas=coerce("config.n_antennas", int, 1),
-        n_relays=n_relays,
-        n_eves=n_eves,
-        snr_linear=1.0,  # a placeholder: each grid point sets its own
-        target_rate=coerce("config.target_rate", float, 1.0),
-        eve_model=coerce("config.eve_model", lambda v: EveModel(str(v).lower()),
-                         EveModel.NCE),
-        modulation=coerce("config.modulation", _parse_modulation, Modulation.psk(4)),
-        master_seed=coerce("config.master_seed", int, 0),
-    )
-
-    relay_ring = coerce("topology.relay_ring", float, 0.02)
-    eve_ring = coerce("topology.eve_ring", float, 0.03)
-    path_loss = coerce("topology.path_loss_exp", float, 3.0)
-    use_paper = coerce("topology.paper", bool, True)
-    explicit = {k for k in ("topology.source", "topology.dest", "topology.relays",
-                            "topology.eves") if k in entries}
-    if explicit and use_paper and "topology.paper" in held:
-        complain("topology.paper", "topology.paper=True conflicts with explicit positions")
-    if not explicit and not use_paper:
-        complain("topology.paper", "topology.paper=False needs explicit positions")
-    topology = None
-    if explicit:
+    given = {"config": {}, "topology": {}, "experiment": {}}
+    for key, (_, value) in entries.items():
+        field, parse, placeholder = _SPEC_KEYS[key]
         try:
-            topology = Topology(
-                source_pos=_point(take("topology.source", (-1.0, 0.0)), "topology.source"),
-                dest_pos=_point(take("topology.dest", (0.0, 0.0)), "topology.dest"),
-                relay_pos=tuple(_point(p, "topology.relays")
-                                for p in take("topology.relays", ())),
-                eve_pos=tuple(_point(p, "topology.eves")
-                              for p in take("topology.eves", ())),
-                path_loss_exp=path_loss,
-            )
+            value = parse(value)
         except (ValueError, TypeError) as err:
-            problems.append(f"{source}: {err}")
-    if topology is None:
-        try:
-            topology = model.paper_topology(
-                max(n_relays, 1), max(n_eves, 0),
-                relay_ring=relay_ring, eve_ring=eve_ring, path_loss_exp=path_loss,
-            )
-        except (TopologyError, ValueError) as err:
-            problems.append(f"{source}: {err}")
+            complain(key, f"{key}: {err}")
+            if placeholder is None:
+                continue
+            value = placeholder
+        given[key.partition(".")[0]][field] = value
 
-    schemes = coerce("experiment.schemes",
-                     lambda v: _parse_enum_list(v, Scheme, "scheme"), [])
-    metrics = coerce("experiment.metrics",
-                     lambda v: _parse_enum_list(v, Metric, "metric"), [])
-    eve_models = coerce("experiment.eve_models",
-                        lambda v: _parse_enum_list(v, EveModel, "eve model"), None)
-    spec = ExperimentSpec(
-        config=config,
-        topology=topology if topology is not None else model.paper_topology(1, 0),
-        schemes=schemes,
-        metrics=metrics,
-        rho_grid_db=rho_grid,
-        trials=coerce("experiment.trials", int, 0),
-        output_path=coerce("experiment.out", str, "results.csv"),
-        emit_closed_form=coerce("experiment.emit_closed_form", bool, True),
-        emit_asymptotic=coerce("experiment.emit_asymptotic", bool, False),
-        k_grid=coerce("experiment.k_grid", lambda v: [int(x) for x in v], None),
-        l_grid=coerce("experiment.l_grid", lambda v: [int(x) for x in v], None),
-        eve_models=eve_models,
-        relay_ring=relay_ring,
-        eve_ring=eve_ring,
-    )
+    # snr_linear is a placeholder: each grid point sets its own.
+    config = SystemConfig(snr_linear=1.0, **given["config"])
+    layout = given["topology"]
+    paper = layout.pop("paper", None)
+    rings = {f: layout.pop(f) for f in ("relay_ring", "eve_ring") if f in layout}
+    loss = {f: layout.pop(f) for f in ("path_loss_exp",) if f in layout}
+    # What is left in layout are the explicit positions, if any.
+    if layout and paper:
+        complain("topology.paper", "topology.paper=True conflicts with explicit positions")
+    if not layout and paper is False:
+        complain("topology.paper", "topology.paper=False needs explicit positions")
+    if layout.keys() >= {"source_pos", "dest_pos", "relay_pos"}:
+        topology = Topology(**layout, **loss)
+    else:
+        if layout:
+            complain("topology", "explicit positions need topology.source, "
+                                 "topology.dest and topology.relays")
+        topology = model.paper_topology(
+            max(config.n_relays, 1), max(config.n_eves, 0), **rings, **loss)
+    spec = ExperimentSpec(config=config, topology=topology, **rings, **given["experiment"])
     for message in validate_spec(spec):
         complain(re.match(r"[\w.]+", message).group(), message)
     if problems:
@@ -393,20 +370,15 @@ def preset(name: str) -> ExperimentSpec:
     """Canned experiment for one reference figure (fig2 .. fig7)."""
     if name not in PRESET_NAMES:
         raise SpecError([f"unknown preset {name!r} (valid: {', '.join(PRESET_NAMES)})"])
-    snr_grid = [float(db) for db in range(0, 41, 5)]
-    all_schemes = [Scheme.EXACT_JRP, Scheme.JRP, Scheme.EPRS,
-                   Scheme.OPRR, Scheme.EPRR, Scheme.DT]
-    base = SystemConfig(
-        n_antennas=16, n_relays=5, n_eves=5,
-        snr_linear=10.0 ** (snr_grid[0] / 10.0),
-        target_rate=1.0, modulation=Modulation.psk(4), master_seed=0,
-    )
+    # snr_linear is a placeholder: each grid point sets its own.
+    base = SystemConfig(n_antennas=16, n_relays=5, n_eves=5, snr_linear=1.0)
     spec = ExperimentSpec(
         config=base,
         topology=model.paper_topology(base.n_relays, base.n_eves),
-        schemes=all_schemes,
+        schemes=[Scheme.EXACT_JRP, Scheme.JRP, Scheme.EPRS,
+                 Scheme.OPRR, Scheme.EPRR, Scheme.DT],
         metrics=[Metric.ESR],
-        rho_grid_db=snr_grid,
+        rho_grid_db=[float(db) for db in range(0, 41, 5)],
         trials=20_000,
         output_path=f"{name}.csv",
     )
@@ -442,27 +414,28 @@ def preset(name: str) -> ExperimentSpec:
 def _closed_columns(
     metric: Metric, scheme: Scheme, gains, cfg: SystemConfig, spec: ExperimentSpec
 ) -> tuple[float | None, float | None]:
+    """A row's closed-form and asymptotic cells, None where no formula
+    applies.  A formula runs only for a column the spec emits: each jrp
+    one is a 2^K subset sum."""
     closed = asym = None
-    if not (spec.emit_closed_form or spec.emit_asymptotic):
-        # Each jrp column costs a 2^K subset sum: skip them all when unused.
-        return closed, asym
     rho = cfg.snr_linear
-    if scheme is Scheme.JRP:
+    if scheme is Scheme.JRP and (spec.emit_closed_form or spec.emit_asymptotic):
         c = 0.0
         if cfg.eve_model is EveModel.CE and cfg.n_antennas >= 2:
             c = c_params(gains, cfg).c
-        if metric is Metric.ESR:
+        if metric is Metric.ESR:  # one call gives both columns
             breakdown = analytics.esr_dbcj(gains, rho, c)
             closed, asym = breakdown.esr, breakdown.asymptotic_esr
-        elif metric is Metric.SOP:
-            closed = analytics.sop_dbcj(gains, rho, c, cfg.target_rate)
-            asym = analytics.sop_dbcj_asymptotic(gains, rho, c, cfg.target_rate)
-        elif metric is Metric.PPOS:
-            closed = analytics.ppos_dbcj(gains, rho, c)
-            asym = analytics.ppos_dbcj_asymptotic(gains, rho, c)
         else:
-            closed = analytics.ser_dbcj(gains, rho, c, cfg.modulation)
-            asym = analytics.ser_dbcj_asymptotic(gains, rho, c, cfg.modulation)
+            exact, asymptotic, *extra = {
+                Metric.SOP: (analytics.sop_dbcj, analytics.sop_dbcj_asymptotic, cfg.target_rate),
+                Metric.PPOS: (analytics.ppos_dbcj, analytics.ppos_dbcj_asymptotic),
+                Metric.SER: (analytics.ser_dbcj, analytics.ser_dbcj_asymptotic, cfg.modulation),
+            }[metric]
+            if spec.emit_closed_form:
+                closed = exact(gains, rho, c, *extra)
+            if spec.emit_asymptotic:
+                asym = asymptotic(gains, rho, c, *extra)
     elif scheme is Scheme.DT and spec.emit_closed_form:
         if metric is Metric.ESR:
             closed = analytics.esr_dt_lb(gains, cfg, cfg.eve_model)
@@ -470,11 +443,8 @@ def _closed_columns(
             closed = analytics.sop_dt(gains, cfg, cfg.eve_model, cfg.target_rate)
         elif metric is Metric.PPOS:
             closed = analytics.ppos_dt(gains, cfg, cfg.eve_model)
-    if not spec.emit_closed_form:
-        closed = None
-    if not spec.emit_asymptotic:
-        asym = None
-    return closed, asym
+    return (closed if spec.emit_closed_form else None,
+            asym if spec.emit_asymptotic else None)
 
 
 def _grid_points(spec: ExperimentSpec):
@@ -544,6 +514,18 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _blank_or_float(value) -> float | None:
+    return None if value is None or value == "" else float(value)
+
+
+# A row's values in field order (= CSV_COLUMNS order), and the type of each:
+# read_table parses the cells with these types and write_csv formats each
+# value through its type, so the two are exact inverses.
+_row_values = attrgetter(*(f.name for f in fields(ResultRow)))
+_CELL_TYPES = (str, int, int, str, str, float, float, float,
+               _blank_or_float, _blank_or_float, int, int)
+
+
 def write_csv(path: str, rows: list[ResultRow]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -551,19 +533,11 @@ def write_csv(path: str, rows: list[ResultRow]) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in rows:
-            writer.writerow([
-                r.eve_model, r.n_relays, r.n_eves, r.scheme, r.metric,
-                _cell(float(r.rho_db)), _cell(float(r.sim_value)),
-                _cell(float(r.sim_stderr)), _cell(r.closed_form),
-                _cell(r.asymptotic), r.trials, r.seed,
-            ])
+            writer.writerow(_cell(cast(v)) for cast, v in zip(_CELL_TYPES, _row_values(r)))
 
 
 def write_json(path: str, rows: list[ResultRow]) -> None:
-    payload = {"columns": list(CSV_COLUMNS),
-               "rows": [[r.eve_model, r.n_relays, r.n_eves, r.scheme, r.metric,
-                         r.rho_db, r.sim_value, r.sim_stderr, r.closed_form,
-                         r.asymptotic, r.trials, r.seed] for r in rows]}
+    payload = {"columns": list(CSV_COLUMNS), "rows": [list(_row_values(r)) for r in rows]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
@@ -571,24 +545,14 @@ def write_json(path: str, rows: list[ResultRow]) -> None:
 
 def read_table(path: str) -> list[ResultRow]:
     """Parse a results CSV back into rows; exact inverse of write_csv."""
-    rows = []
     with open(path, encoding="utf-8", newline="") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
     reader = csv.reader(lines)
     header = next(reader)
     if tuple(header) != CSV_COLUMNS:
         raise ValueError(f"{path}: unexpected columns {header}")
-    for rec in reader:
-        (em, k, l, scheme, metric, rho, sim, err, closed, asym, trials, seed) = rec
-        rows.append(ResultRow(
-            eve_model=em, n_relays=int(k), n_eves=int(l), scheme=scheme,
-            metric=metric, rho_db=float(rho), sim_value=float(sim),
-            sim_stderr=float(err),
-            closed_form=float(closed) if closed else None,
-            asymptotic=float(asym) if asym else None,
-            trials=int(trials), seed=int(seed),
-        ))
-    return rows
+    return [ResultRow(*(cast(cell) for cast, cell in zip(_CELL_TYPES, rec, strict=True)))
+            for rec in reader]
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,9 @@ def simulate(
 
     Trials are drawn in chunks of chunk_size; the result does not depend on
     the chunking.  seed defaults to config.master_seed.  Raises ConfigError
-    for a config that model.validate refuses.
+    for a config that model.validate refuses, and ArithmeticError when a
+    scheme's rate or destination SINR is not finite (past about 1540 dB the
+    SINR products overflow).
     """
     validate(config)
     if trials < 1:
@@ -118,6 +120,10 @@ def simulate(
         batch = draw_batch(gains, config, seed, done, m)
         for s in schemes:
             res = policy.run_scheme_batch(batch, s, config)
+            if not (np.isfinite(res.rate).all() and np.isfinite(res.gamma_d).all()):
+                raise ArithmeticError(
+                    f"{s.value}: non-finite rate or destination SINR in trials "
+                    f"{done}-{done + m - 1} at snr_linear={config.snr_linear:g}")
             out[s].rates[done : done + m] = res.rate
             out[s].gamma_d[done : done + m] = res.gamma_d
         done += m

@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 import secrelay
+from secrelay import cli
 from secrelay.cli import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -19,7 +22,7 @@ from secrelay.cli import (
     run,
     validate_spec,
 )
-from secrelay.model import EveModel, Modulation, SystemConfig, paper_topology
+from secrelay.model import EveModel, Modulation, SystemConfig, Topology, paper_topology
 from secrelay.montecarlo import Metric, derive_seed
 from secrelay.policy import Scheme
 
@@ -457,3 +460,151 @@ def test_run_refuses_bad_grid_points_before_simulating(tmp_path, monkeypatch):
     with pytest.raises(SpecError, match="experiment.k_grid: n_relays=30 exceeds 25"):
         run(spec, log=None)
     assert not (tmp_path / "r.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# one table of spec keys, one row layout
+
+
+@pytest.mark.parametrize(
+    "line,want",
+    [
+        ("config.n_relays = 2.9", "config.n_relays: expected an integer, got 2.9"),
+        ("experiment.trials = 30.7", "experiment.trials: expected an integer, got 30.7"),
+        ("experiment.k_grid = [1.5, 2]", "experiment.k_grid: expected an integer, got 1.5"),
+        ('experiment.emit_closed_form = "no"',
+         "experiment.emit_closed_form: expected True or False, got 'no'"),
+        ("config.modulation = 4",
+         "config.modulation: unknown modulation 4 (use qpsk, psk<M>, or qam<M>)"),
+    ],
+)
+def test_counts_and_flags_are_strict(tmp_path, line, want):
+    # These used to run K=2, 30 trials, k_grid [1, 2] and emit the closed
+    # forms, or crash with an AttributeError (the modulation).
+    text = _replace_line(tiny_spec_text(tmp_path / "r.csv"), line)
+    with pytest.raises(SpecError) as exc:
+        parse_spec_text(text, source="exp.spec")
+    assert f"exp.spec:{len(text.splitlines())}: {want}" in exc.value.problems
+
+
+def test_integral_floats_count_as_integers(tmp_path):
+    text = _replace_line(tiny_spec_text(tmp_path / "r.csv"), "experiment.trials = 1e6")
+    spec = parse_spec_text(_replace_line(text, "experiment.k_grid = [1.0, 2]"))
+    assert spec.trials == 1_000_000 and type(spec.trials) is int
+    assert spec.k_grid == [1, 2] and all(type(k) is int for k in spec.k_grid)
+
+
+def test_explicit_positions_must_include_source_dest_and_relays(tmp_path):
+    text = tiny_spec_text(tmp_path / "r.csv") + "topology.relays = [(1, 0), (1, 0.1)]\n"
+    with pytest.raises(SpecError) as exc:
+        parse_spec_text(text, source="exp.spec")
+    assert exc.value.problems == [
+        "exp.spec: explicit positions need topology.source, topology.dest and topology.relays"
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_run_exits_3_instead_of_writing_nan_rows(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    spec_file = tmp_path / "exp.spec"
+    spec_file.write_text(_replace_line(tiny_spec_text(out), "experiment.rho_grid_db = [3000]"))
+    assert main(["run", str(spec_file)]) == 3
+    err = capsys.readouterr().err
+    assert "runtime error: jrp: non-finite rate or destination SINR in trials 0-29" in err
+    assert not out.exists()
+
+
+def test_run_calls_no_asymptotic_form_it_does_not_emit(tmp_path, monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("computed an asymptotic form that no column emits")
+
+    for name in ("sop_dbcj_asymptotic", "ppos_dbcj_asymptotic", "ser_dbcj_asymptotic"):
+        monkeypatch.setattr(f"secrelay.analytics.{name}", unused)
+    text = _replace_line(tiny_spec_text(tmp_path / "r.csv"),
+                         'experiment.metrics = ["sop", "ppos", "ser"]')
+    rows = run(parse_spec_text(text), log=None)
+    assert len(rows) == 12
+    assert all(r.asymptotic is None for r in rows)
+    assert all(r.closed_form is not None for r in rows if r.scheme == "jrp")
+
+
+def test_result_row_fields_follow_csv_columns():
+    names = [f.name for f in fields(ResultRow)]
+    assert names == [c.replace("rho_dB", "rho_db") for c in CSV_COLUMNS]
+    assert len(cli._CELL_TYPES) == len(CSV_COLUMNS)
+
+
+def test_module_docstring_documents_every_spec_key():
+    documented = re.findall(r"^    ([a-z_]+\.[a-z_]+) = (.*)$", cli.__doc__, re.MULTILINE)
+    assert [key for key, _ in documented] == list(cli._SPEC_KEYS)
+    required = [key for key, rest in documented if "# required" in rest]
+    assert required == [k for k, v in cli._SPEC_KEYS.items() if v.placeholder is not None]
+
+
+FULL_SPEC = """\
+config.n_antennas = 8
+config.n_relays = 2
+config.n_eves = 1
+config.target_rate = 0.5
+config.eve_model = "ce"
+config.modulation = "psk8"
+config.master_seed = 7
+topology.paper = False
+topology.source = (-2, 0)
+topology.dest = (0, 1)
+topology.relays = [(1, 0), (1, 0.1)]
+topology.eves = [(1.2, 0)]
+topology.relay_ring = 0.05
+topology.eve_ring = 0.07
+topology.path_loss_exp = 2.5
+experiment.schemes = ["jrp", "dt"]
+experiment.metrics = ["esr", "ser"]
+experiment.rho_grid_db = [0, 10]
+experiment.trials = 50
+experiment.out = "x.csv"
+experiment.emit_closed_form = False
+experiment.emit_asymptotic = True
+experiment.k_grid = [2, 3]
+experiment.l_grid = [1]
+experiment.eve_models = ["nce", "ce"]
+"""
+
+
+def test_every_spec_key_sets_its_field():
+    assert [ln.split(" = ")[0] for ln in FULL_SPEC.splitlines()] == list(cli._SPEC_KEYS)
+    assert parse_spec_text(FULL_SPEC) == ExperimentSpec(
+        config=SystemConfig(
+            n_antennas=8, n_relays=2, n_eves=1, snr_linear=1.0, target_rate=0.5,
+            eve_model=EveModel.CE, modulation=Modulation.psk(8), master_seed=7,
+        ),
+        topology=Topology(
+            source_pos=(-2.0, 0.0), dest_pos=(0.0, 1.0),
+            relay_pos=((1.0, 0.0), (1.0, 0.1)), eve_pos=((1.2, 0.0),), path_loss_exp=2.5,
+        ),
+        schemes=[Scheme.JRP, Scheme.DT],
+        metrics=[Metric.ESR, Metric.SER],
+        rho_grid_db=[0.0, 10.0],
+        trials=50,
+        output_path="x.csv",
+        emit_closed_form=False,
+        emit_asymptotic=True,
+        k_grid=[2, 3],
+        l_grid=[1],
+        eve_models=[EveModel.NCE, EveModel.CE],
+        relay_ring=0.05,
+        eve_ring=0.07,
+    )
+
+
+def test_keys_left_out_take_the_dataclass_defaults():
+    required = [k for k, v in cli._SPEC_KEYS.items() if v.placeholder is not None]
+    lines = [ln for ln in FULL_SPEC.splitlines() if ln.split(" = ")[0] in required]
+    assert parse_spec_text("\n".join(lines)) == ExperimentSpec(
+        config=SystemConfig(n_antennas=8, n_relays=2, n_eves=1, snr_linear=1.0),
+        topology=paper_topology(2, 1),
+        schemes=[Scheme.JRP, Scheme.DT],
+        metrics=[Metric.ESR, Metric.SER],
+        rho_grid_db=[0.0, 10.0],
+        trials=50,
+    )

@@ -125,6 +125,19 @@ def test_simulate_estimate_and_sweep_refuse_unvalidated_configs(snr_db):
         simulate(bad, gains, [Scheme.JRP], 50)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_simulate_refuses_non_finite_rates():
+    # Past about 1540 dB the SINR products lam*g_si*g_id overflow and every
+    # relayed rate comes out NaN; simulate must say so instead of returning them.
+    cfg = SystemConfig(8, 3, 2, 1.0).with_snr_db(1545.0)
+    gains = MeanGains.iid(3, 2)
+    simulate(cfg, gains, [Scheme.DT], 200, seed=3)  # no relay, no overflow
+    with pytest.raises(ArithmeticError,
+                       match="jrp: non-finite rate or destination SINR in trials 0-63 "):
+        simulate(cfg, gains, [Scheme.DT, Scheme.JRP], 200, seed=3, chunk_size=64)
+
+
 @pytest.mark.parametrize("model", list(EveModel), ids=lambda m: m.value)
 def test_simulate_matches_pinned_values(model):
     # Every scheme on heterogeneous gains with eavesdroppers, against values
