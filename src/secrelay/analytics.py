@@ -103,18 +103,16 @@ def esr_dbcj(gains: MeanGains, rho: float, c: float = 0.0) -> EsrBreakdown:
     (1/2)log2(1+B), clamped at zero after full evaluation; s_u sums 1/gbar_id
     over the non-empty relay subset u.  The asymptote replaces e^s E1(s) by
     -ln(s) - eulergamma and is reported unclamped as the line
-    0.5*(log2(rho) - power_offset).
+    0.5*(log2(rho) - power_offset), which is that sum exactly: s_u = m_u/rho
+    and sum_u (-1)^|u| = -1 leave only the sum over the m_u.
     """
     b = leakage_floor(c)
     rates = 1.0 / gains.gbar_rd(rho)
     e_ln = -signed_subset_eval(rates, lambda _sz, s: scaled_e1(s * (1.0 + b)))
     esr = max(0.0, e_ln / (2.0 * _LN2) - 0.5 * math.log2(1.0 + b))
-    asym = (
-        signed_subset_eval(rates, lambda _sz, s: np.log(s) + EULER_GAMMA) / (2.0 * _LN2)
-        - math.log2(1.0 + b)
-    )
     mu_part = signed_subset_eval(1.0 / gains.mu_rd, lambda _sz, s: np.log2(s))
     offset = -mu_part + EULER_GAMMA / _LN2 + 2.0 * math.log2(1.0 + b)
+    asym = 0.5 * (math.log2(rho) - offset)
     return EsrBreakdown(esr=esr, high_snr_slope=0.5, power_offset=offset, asymptotic_esr=asym)
 
 

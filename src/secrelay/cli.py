@@ -41,7 +41,9 @@ Rows carry simulation estimates always, closed-form and asymptotic columns
 where a formula exists (relayed closed forms on jrp rows, direct-transmission
 forms on dt rows; blank otherwise).  K or L sweeps rebuild the two-hop
 cluster layout at each size, so they presume the built-in layout rather
-than explicit positions.
+than explicit positions.  ``validate`` builds every grid point's layout,
+mean gains and config in the pass that ``run`` simulates from, so it
+refuses what ``run`` would refuse.
 
 Exit codes: 0 success, 2 spec/validation error, 3 runtime or numeric error.
 """
@@ -59,6 +61,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
+from itertools import product
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -138,6 +141,13 @@ class ResultRow:
 
 def validate_spec(spec: ExperimentSpec) -> list[str]:
     """All problems with the spec, empty when runnable (led by the key at fault, if one)."""
+    return _grid(spec)[1]
+
+
+def _grid(spec: ExperimentSpec) -> tuple[list[tuple], list[str]]:
+    """Every grid point in run order, as (eve model, K, L, rho_dB, config,
+    mean gains), and every problem with the spec (led by the key at fault,
+    if one).  The points are runnable only when there are no problems."""
     problems = []
     for field in ("schemes", "metrics", "rho_grid_db"):
         if not getattr(spec, field):
@@ -146,6 +156,9 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
         problems.append(f"experiment.trials must be positive, got {spec.trials}")
     if not spec.output_path:
         problems.append("experiment.out must not be empty")
+    elif _json_path(spec.output_path) == spec.output_path:
+        problems.append(f"experiment.out: {spec.output_path!r} is also the path of its "
+                        f"JSON mirror; give it another extension, such as .csv")
     for label, grid in (("k_grid", spec.k_grid), ("l_grid", spec.l_grid)):
         if grid is not None:
             if not grid:
@@ -154,31 +167,49 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
                 problems.append(f"experiment.{label} entries out of range: {grid}")
     if spec.eve_models is not None and not spec.eve_models:
         problems.append("experiment.eve_models must not be empty when given")
-    # Every grid point runs on its own config.  A ConfigError message leads
-    # with the field at fault; prefix it with the spec key that set the field.
+    for field, nodes, grid in (("n_relays", "relays", spec.k_grid),
+                               ("n_eves", "eavesdroppers", spec.l_grid)):
+        have, want = getattr(spec.topology, field), getattr(spec.config, field)
+        if grid is None and have != want:
+            problems.append(f"topology has {have} {nodes}, config says {want}")
+    points, gains = [], {}
+    for em, k, l in product(spec.eve_models or [spec.config.eve_model],
+                            spec.k_grid or [spec.config.n_relays],
+                            spec.l_grid or [spec.config.n_eves]):
+        # Gains depend on (K, L) only.  Counts that model.validate refuses
+        # get no layout, and so no second message.
+        if (k, l) not in gains and 1 <= k <= model.MAX_RELAYS and l >= 0:
+            gains[k, l] = None
+            topo = spec.topology
+            if (k, l) != (topo.n_relays, topo.n_eves):
+                topo = model.paper_topology(
+                    k, l, spec.relay_ring, spec.eve_ring, topo.path_loss_exp)
+            try:
+                gains[k, l] = model.mean_gains_from_topology(topo)
+            except ValueError as err:  # a TopologyError, or gains that are not finite
+                problems.append(f"topology at K={k} L={l}: {err}")
+        if Scheme.DT in spec.schemes and Metric.ESR in spec.metrics and spec.emit_closed_form:
+            # esr_dt_lb sums over the subsets of all K+L leakages on its NCE
+            # path, and over the K relay leakages under collusion.
+            problem = subset_count_problem(k + l if em is EveModel.NCE or l == 0 else k)
+            if problem:
+                problems.append(f"closed-form dt esr at {em.value} K={k} L={l}: {problem}")
+        cfg = replace(spec.config, n_relays=k, n_eves=l, eve_model=em)
+        points += [(em, k, l, rho_db, cfg.with_snr_db(rho_db), gains.get((k, l)))
+                   for rho_db in spec.rho_grid_db]
+    # A ConfigError message leads with the field at fault; prefix it with
+    # the spec key that set the field.
     keys = {"snr_linear": "experiment.rho_grid_db",
             "n_relays": "config.n_relays" if spec.k_grid is None else "experiment.k_grid",
             "n_eves": "config.n_eves" if spec.l_grid is None else "experiment.l_grid"}
-    for cfg in [_point_config(spec, *p) for p in _grid_points(spec)] or [spec.config]:
+    for cfg in [point[4] for point in points] or [spec.config]:
         try:
             model.validate(cfg)
         except ConfigError as err:
             for message in str(err).split("; "):
                 field = re.match(r"\w+", message).group()
                 problems.append(f"{keys.get(field, 'config.' + field)}: {message}")
-    for field, nodes, grid in (("n_relays", "relays", spec.k_grid),
-                               ("n_eves", "eavesdroppers", spec.l_grid)):
-        have, want = getattr(spec.topology, field), getattr(spec.config, field)
-        if grid is None and have != want:
-            problems.append(f"topology has {have} {nodes}, config says {want}")
-    if Scheme.DT in spec.schemes and Metric.ESR in spec.metrics and spec.emit_closed_form:
-        # esr_dt_lb sums over the subsets of all K+L leakages on its NCE
-        # path, and over the K relay leakages under collusion.
-        for em, k, l in dict.fromkeys((em, k, l) for em, k, l, _ in _grid_points(spec)):
-            problem = subset_count_problem(k + l if em is EveModel.NCE or l == 0 else k)
-            if problem:
-                problems.append(f"closed-form dt esr at {em.value} K={k} L={l}: {problem}")
-    return list(dict.fromkeys(problems))
+    return points, list(dict.fromkeys(problems))
 
 
 # ---------------------------------------------------------------------------
@@ -447,38 +478,19 @@ def _closed_columns(
             asym if spec.emit_asymptotic else None)
 
 
-def _grid_points(spec: ExperimentSpec):
-    eve_models = spec.eve_models or [spec.config.eve_model]
-    k_grid = spec.k_grid or [spec.config.n_relays]
-    l_grid = spec.l_grid or [spec.config.n_eves]
-    return [(em, k, l, rho)
-            for em in eve_models for k in k_grid for l in l_grid
-            for rho in spec.rho_grid_db]
-
-
-def _point_config(spec: ExperimentSpec, em: EveModel, k, l, rho_db) -> SystemConfig:
-    """The config that grid point (em, K, L, rho_db) runs with."""
-    return replace(spec.config, n_relays=k, n_eves=l, eve_model=em).with_snr_db(rho_db)
-
-
 def run(spec: ExperimentSpec, log=sys.stderr) -> list[ResultRow]:
     """Execute the experiment and write its CSV and JSON outputs."""
-    problems = validate_spec(spec)
+    points, problems = _grid(spec)
     if problems:
         raise SpecError(problems)
-    points = _grid_points(spec)
+    # Fail on an output that cannot be written before simulating, not after.
+    out_dir = os.path.dirname(spec.output_path) or os.curdir
+    if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
+        raise OSError(f"cannot write {spec.output_path}: "
+                      f"{out_dir} is not a writable directory")
     rows = []
-    for idx, (em, k, l, rho_db) in enumerate(points):
+    for idx, (em, k, l, rho_db, cfg, gains) in enumerate(points):
         t0 = time.monotonic()
-        if (k, l) == (spec.topology.n_relays, spec.topology.n_eves):
-            topo = spec.topology
-        else:
-            topo = model.paper_topology(
-                k, l, relay_ring=spec.relay_ring, eve_ring=spec.eve_ring,
-                path_loss_exp=spec.topology.path_loss_exp,
-            )
-        gains = model.mean_gains_from_topology(topo)
-        cfg = _point_config(spec, em, k, l, rho_db)
         seed = derive_seed(spec.config.master_seed, idx)
         traces = simulate(cfg, gains, spec.schemes, spec.trials, seed=seed)
         for scheme in spec.schemes:

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 # Closed forms enumerate all 2**K - 1 non-empty relay subsets.
-MAX_RELAYS = 25
+from .specfun import MAX_SUBSET_NODES as MAX_RELAYS
 
 
 class ConfigError(ValueError):

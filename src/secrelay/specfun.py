@@ -24,7 +24,7 @@ _SERIES_CUTOFF = 1.0
 _CF_MAX_ITER = 400
 _CF_TINY = 1e-300
 
-_MAX_SUBSET_NODES = 25  # 2**25 - 1 subset terms is the hard ceiling
+MAX_SUBSET_NODES = 25  # 2**25 - 1 subset terms is the hard ceiling
 _IID_COLLAPSE_FROM = 16  # from here n identical rates sum as n binomial terms
 _HYPOEXP_MERGE_TOL = 1e-6  # relative gap below which hypoexp merges two means
 
@@ -96,10 +96,10 @@ def digamma_int(n: int) -> float:
 
 def subset_count_problem(n: int) -> str | None:
     """Why a sum over the subsets of n rates is refused, or None if it is not."""
-    if n > _MAX_SUBSET_NODES:
+    if n > MAX_SUBSET_NODES:
         return (
             f"{n} rates would enumerate 2^{n}-1 subsets; "
-            f"the supported maximum is {_MAX_SUBSET_NODES}"
+            f"the supported maximum is {MAX_SUBSET_NODES}"
         )
     return None
 
@@ -125,7 +125,7 @@ def subset_terms(rates: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     arr = _check_rates(rates)
     n = arr.size
     total = 1 << n
-    idx = np.arange(total, dtype=np.uint32 if n <= 25 else np.uint64)
+    idx = np.arange(total, dtype=np.uint32)
     sums = np.zeros(total)
     for i in range(n):
         sums[(idx >> np.uint32(i)) & 1 == 1] += arr[i]

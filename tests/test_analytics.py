@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -226,6 +227,19 @@ def test_esr_asymptote_hand_value_single_relay():
         1.0 + SQRT2
     )
     assert bd.asymptotic_esr == pytest.approx(expected, rel=1e-12)
+
+
+def test_esr_asymptote_matches_the_subset_sum_of_log_means():
+    # The asymptote is (E[ln gamma_max] - ln(1+B)^2)/(2 ln2), where
+    # E[ln gamma_max] = sum over non-empty subsets u of (-1)^|u| (ln s_u +
+    # eulergamma): summed here subset by subset, with distinct means.
+    g = three_relays()
+    for rho, c in ((25.0, 0.4), (1e4, 0.0)):
+        rates = 1.0 / g.gbar_rd(rho)
+        e_ln = math.fsum((-1.0) ** len(u) * (math.log(rates[list(u)].sum()) + EULER_GAMMA)
+                         for n in (1, 2, 3) for u in itertools.combinations(range(3), n))
+        want = e_ln / (2.0 * math.log(2.0)) - math.log2(1.0 + leakage_floor(c))
+        assert esr_dbcj(g, rho, c).asymptotic_esr == pytest.approx(want, rel=1e-12)
 
 
 def test_esr_asymptote_converges():

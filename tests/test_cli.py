@@ -608,3 +608,83 @@ def test_keys_left_out_take_the_dataclass_defaults():
         rho_grid_db=[0.0, 10.0],
         trials=50,
     )
+
+
+# ---------------------------------------------------------------------------
+# one pass over the grid, shared by validate and run
+
+
+@pytest.mark.parametrize(
+    "lines,want",
+    [
+        (["topology.source = (-1, 0)", "topology.dest = (0, 0)",
+          "topology.relays = [(-1, 0), (1, 0)]", "topology.eves = [(1.03, 0)]"],
+         "exp.spec: topology at K=2 L=1: zero distance on modeled link: source-relay0"),
+        (['topology.relay_ring = "nan"'],
+         "exp.spec: topology at K=2 L=1: mu_sr entries must be positive and finite"),
+        (["topology.relay_ring = 0.0"],
+         "exp.spec: topology at K=2 L=1: zero distance on modeled link: relay0-node1"),
+        (["topology.path_loss_exp = -1.0"],
+         "exp.spec: topology at K=2 L=1: path_loss_exp must be positive, got -1.0"),
+        (['experiment.out = "r.json"'],
+         "exp.spec:8: experiment.out: 'r.json' is also the path of its JSON mirror"),
+    ],
+    ids=["relay-on-source", "nan-ring", "zero-ring", "negative-path-loss", "json-clash"],
+)
+def test_validate_and_run_refuse_the_same_specs(tmp_path, monkeypatch, capsys, lines, want):
+    # Each used to pass validate; run then exited 2 or 3 on the layout, or
+    # overwrote its CSV with the JSON mirror and exited 0.
+    calls = []
+    monkeypatch.setattr("secrelay.cli.simulate", lambda *a, **k: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    text = tiny_spec_text("r.csv")
+    for line in lines:
+        text = _replace_line(text, line)
+    (tmp_path / "exp.spec").write_text(text)
+    assert main(["validate", "exp.spec"]) == 2
+    assert f"error: {want}" in capsys.readouterr().err
+    assert main(["run", "exp.spec"]) == 2
+    assert f"error: {want}" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "r.csv").exists() and not (tmp_path / "r.json").exists()
+
+
+def test_preset_refuses_an_output_that_is_its_own_json_mirror(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr("secrelay.cli.simulate", lambda *a, **k: calls.append(a))
+    out = tmp_path / "x.json"
+    assert main(["preset", "fig5", "--out", str(out)]) == 2
+    assert f"experiment.out: {str(out)!r} is also the path of its JSON mirror" in (
+        capsys.readouterr().err)
+    assert calls == [] and not out.exists()
+
+
+def test_unwritable_output_fails_before_any_simulation(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr("secrelay.cli.simulate", lambda *a, **k: calls.append(a))
+    spec_file = tmp_path / "doomed.spec"
+    spec_file.write_text(tiny_spec_text(tmp_path / "no_such_dir" / "r.csv"))
+    assert main(["run", str(spec_file)]) == 3
+    assert "runtime error: cannot write" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_gains_are_built_once_per_relay_and_eve_count(tmp_path, monkeypatch):
+    text = (tiny_spec_text(tmp_path / "r.csv")
+            + 'experiment.eve_models = ["nce", "ce"]\nexperiment.k_grid = [2, 3]\n')
+    spec = parse_spec_text(text)
+    built = []
+    build = secrelay.model.mean_gains_from_topology
+
+    def counted(topology):
+        built.append((topology.n_relays, topology.n_eves))
+        return build(topology)
+
+    monkeypatch.setattr("secrelay.model.mean_gains_from_topology", counted)
+    assert validate_spec(spec) == []
+    assert built == [(2, 1), (3, 1)]
+    built.clear()
+    rows = run(spec, log=None)
+    assert built == [(2, 1), (3, 1)]
+    # 2 eve models x 2 K x 2 SNRs, 2 schemes x 2 metrics each
+    assert len(rows) == 32
