@@ -198,13 +198,11 @@ def esr_dt_lb(gains: MeanGains, config: SystemConfig, model: EveModel) -> float:
         sizes, sums = subset_terms(1.0 / leak[:k])
         signs = np.where(sizes % 2 == 1, -1.0, 1.0)
         terms = hypoexp_terms(leak[k:])
+        # fsum rounds the whole list once, so the order of its parts is free.
         parts = [coef * exp_poly_recip_integral(p, r, r) for coef, p, r in terms]
-        parts.extend(-sg * scaled_e1(a) for sg, a in zip(signs, sums))
-        parts.extend(
-            sg * coef * exp_poly_recip_integral(p, r, a + r)
-            for sg, a in zip(signs, sums)
-            for coef, p, r in terms
-        )
+        parts += (-signs * scaled_e1(sums)).tolist()
+        for coef, p, r in terms:
+            parts += (signs * coef * exp_poly_recip_integral(p, r, sums + r)).tolist()
         e_ln = math.fsum(parts)
     return max(0.0, cap - e_ln / _LN2)
 

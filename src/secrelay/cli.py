@@ -54,6 +54,7 @@ import argparse
 import ast
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -159,6 +160,10 @@ def _grid(spec: ExperimentSpec) -> tuple[list[tuple], list[str]]:
     elif _json_path(spec.output_path) == spec.output_path:
         problems.append(f"experiment.out: {spec.output_path!r} is also the path of its "
                         f"JSON mirror; give it another extension, such as .csv")
+    else:
+        for path in (spec.output_path, _json_path(spec.output_path)):
+            if os.path.isdir(path):
+                problems.append(f"experiment.out: {path!r} is a directory")
     for label, grid in (("k_grid", spec.k_grid), ("l_grid", spec.l_grid)):
         if grid is not None:
             if not grid:
@@ -181,10 +186,10 @@ def _grid(spec: ExperimentSpec) -> tuple[list[tuple], list[str]]:
         if (k, l) not in gains and 1 <= k <= model.MAX_RELAYS and l >= 0:
             gains[k, l] = None
             topo = spec.topology
-            if (k, l) != (topo.n_relays, topo.n_eves):
-                topo = model.paper_topology(
-                    k, l, spec.relay_ring, spec.eve_ring, topo.path_loss_exp)
             try:
+                if (k, l) != (topo.n_relays, topo.n_eves):
+                    topo = model.paper_topology(
+                        k, l, spec.relay_ring, spec.eve_ring, topo.path_loss_exp)
                 gains[k, l] = model.mean_gains_from_topology(topo)
             except ValueError as err:  # a TopologyError, or gains that are not finite
                 problems.append(f"topology at K={k} L={l}: {err}")
@@ -255,6 +260,13 @@ def _count(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
 def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"expected True or False, got {value!r}")
@@ -293,8 +305,8 @@ _SPEC_KEYS = {
     "topology.dest": _Key("dest_pos", _point),
     "topology.relays": _Key("relay_pos", _each(_point, tuple)),
     "topology.eves": _Key("eve_pos", _each(_point, tuple)),
-    "topology.relay_ring": _Key("relay_ring", float),
-    "topology.eve_ring": _Key("eve_ring", float),
+    "topology.relay_ring": _Key("relay_ring", _finite),
+    "topology.eve_ring": _Key("eve_ring", _finite),
     "topology.path_loss_exp": _Key("path_loss_exp", float),
     "experiment.schemes": _Key("schemes", _each(_named(Scheme, "scheme")), placeholder=()),
     "experiment.metrics": _Key("metrics", _each(_named(Metric, "metric")), placeholder=()),

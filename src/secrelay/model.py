@@ -157,6 +157,9 @@ def paper_topology(
     """
     if n_relays < 1:
         raise TopologyError(f"need at least one relay, got {n_relays}")
+    for name, ring in (("relay_ring", relay_ring), ("eve_ring", eve_ring)):
+        if not math.isfinite(ring):
+            raise TopologyError(f"{name} must be finite, got {ring}")
     center = np.array([1.0, 0.0])
     if n_relays == 1:
         relays = [center.copy()]

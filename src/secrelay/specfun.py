@@ -33,15 +33,29 @@ def _scaled_e1_series(s: np.ndarray) -> np.ndarray:
     # exp(s) * (-gamma - ln s + sum_{k>=1} (-1)^(k+1) s^k / (k k!)), s <= 1
     acc = -EULER_GAMMA - np.log(s)
     term = np.ones_like(s)
+    step = np.empty_like(s)
     for k in range(1, 30):
-        term = term * s / k
-        acc = acc + (term / k if k % 2 == 1 else -term / k)
+        term *= s
+        term /= k
+        np.divide(term, k, out=step)
+        # Steps shrink at least fourfold from here on (s <= 1), so once every
+        # one is below a quarter ulp of every |acc| none can change acc.
+        if step.max() < np.spacing(np.abs(acc).min()) / 4:
+            break
+        if k % 2 == 1:
+            acc += step
+        else:
+            acc -= step
     return np.exp(s) * acc
 
 
 def _scaled_e1_cf(s: np.ndarray) -> np.ndarray:
     # Modified Lentz on the continued fraction
     # exp(s) E1(s) = 1/(s+1- 1/(s+3- 4/(s+5- 9/(...)))).
+    # Each element leaves the iteration at its own first converged step, so
+    # an array call gives exactly what one call per element gives.
+    out = np.empty_like(s)
+    left = np.arange(s.size)
     b = s + 1.0
     c = np.full_like(s, 1.0 / _CF_TINY)
     d = 1.0 / b
@@ -57,9 +71,13 @@ def _scaled_e1_cf(s: np.ndarray) -> np.ndarray:
         delta = c * d
         h = h * delta
         # A converged element's delta can keep oscillating by one ulp, so the
-        # stop threshold must sit a few ulp above 1.0 or batches never finish.
-        if np.all(np.abs(delta - 1.0) < 4e-16):
-            return h
+        # stop threshold must sit a few ulp above 1.0.
+        done = np.abs(delta - 1.0) < 4e-16
+        if done.any():
+            out[left[done]] = h[done]
+            left, b, c, d, h = (x[~done] for x in (left, b, c, d, h))
+        if not left.size:
+            return out
     raise ArithmeticError("continued fraction for exp(s)E1(s) did not converge")
 
 
@@ -123,13 +141,14 @@ def subset_terms(rates: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     which makes downstream sums reproducible.  Returns (sizes, sums).
     """
     arr = _check_rates(rates)
-    n = arr.size
-    total = 1 << n
-    idx = np.arange(total, dtype=np.uint32)
-    sums = np.zeros(total)
-    for i in range(n):
-        sums[(idx >> np.uint32(i)) & 1 == 1] += arr[i]
-    sizes = np.bitwise_count(idx).astype(np.int64)
+    sizes = np.zeros(1 << arr.size, dtype=np.int64)
+    sums = np.zeros(1 << arr.size)
+    # Subsets with highest bit i are those below bit i plus element i, so
+    # each sum adds its elements in increasing bit order.
+    for i, rate in enumerate(arr):
+        lo, hi = slice(0, 1 << i), slice(1 << i, 2 << i)
+        np.add(sizes[lo], 1, out=sizes[hi])
+        np.add(sums[lo], rate, out=sums[hi])
     return sizes[1:], sums[1:]
 
 
@@ -150,11 +169,11 @@ def signed_subset_eval(
         j = np.arange(1, n + 1, dtype=np.int64)
         weights = np.array([math.comb(n, int(m)) * (-1.0) ** m for m in j])
         vals = np.asarray(array_fn(j, j * arr[0]), dtype=float)
-        return float(math.fsum(weights * vals))
+        return math.fsum((weights * vals).tolist())
     sizes, sums = subset_terms(arr)
-    signs = np.where(sizes % 2 == 1, -1.0, 1.0)
+    signs = np.where(sizes & 1, -1.0, 1.0)
     vals = np.asarray(array_fn(sizes, sums), dtype=float)
-    return float(math.fsum(signs * vals))
+    return math.fsum((signs * vals).tolist())
 
 
 def maxexp_cdf(means: Sequence[float], x) -> float | np.ndarray:
@@ -268,20 +287,25 @@ def hypoexp_cdf(means: Sequence[float], x) -> float | np.ndarray:
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
-def exp_poly_recip_integral(power: int, scale_rate: float, decay_rate: float) -> float:
+def exp_poly_recip_integral(power: int, scale_rate: float, decay_rate):
     """integral_0^inf (scale_rate*x)^power/power! * exp(-decay_rate*x)/(1+x) dx.
 
     Evaluated by the stable forward recurrence
         T_0 = exp(d) E1(d),   T_p = (w/d)^p / p - (w/p) T_{p-1},
     which needs scale_rate <= decay_rate (always true here: the decay carries
-    the scale rate plus a nonnegative shift).
+    the scale rate plus a nonnegative shift).  decay_rate may be an array;
+    a scalar gives a float.
     """
     if power < 0 or power != int(power):
         raise ValueError(f"power must be a nonnegative integer, got {power}")
-    if not (0.0 < scale_rate <= decay_rate) or not math.isfinite(decay_rate):
+    d = np.asarray(decay_rate, dtype=float)
+    if not (0.0 < scale_rate and (scale_rate <= d).all() and np.isfinite(d).all()):
         raise ValueError("need 0 < scale_rate <= decay_rate, both finite")
-    t = scaled_e1(decay_rate)
-    ratio = scale_rate / decay_rate
+    t = scaled_e1(d)
+    ratio = scale_rate / d
     for p in range(1, int(power) + 1):
-        t = ratio**p / p - (scale_rate / p) * t
-    return float(t)
+        # libm's pow on each element, as a scalar call takes it: numpy's
+        # vectorized power can round differently in the last bit.
+        rp = np.array([r**p for r in np.ravel(ratio).tolist()]).reshape(d.shape)
+        t = rp / p - (scale_rate / p) * t
+    return float(t) if d.ndim == 0 else t

@@ -5,8 +5,9 @@ a whole `BatchDraws` at once.  This module keeps the direct per-draw
 construction that the batch path replaced: one draw, one served relay, one
 split at a time, with a scalar golden-section loop and a Python loop over
 relays.  Tests compare the batch results against it, exactly where the
-arithmetic is the same.  It is a plain module that test files import, not a
-test file itself.
+arithmetic is the same.  It also keeps the collusion branch of
+`analytics.esr_dt_lb` as one scalar call per (subset, survival term).  It is
+a plain module that test files import, not a test file itself.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from secrelay.channel import LAMBDA_EPS, BatchDraws, dt_leakage
-from secrelay.model import EveModel, SystemConfig
+from secrelay.model import EveModel, MeanGains, SystemConfig
 from secrelay.policy import Scheme, secrecy_rate
+from secrelay.specfun import exp_poly_recip_integral, hypoexp_terms, scaled_e1, subset_terms
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Bracket width of the split search, as in the package.
@@ -206,3 +208,23 @@ def run_scheme(draw: ChannelDraw, scheme: Scheme, config: SystemConfig) -> Polic
     g_d = sinr_destination(draw, relay, lam)
     g_e = leakage(draw, relay, lam, model)
     return PolicyOutcome(scheme, relay, lam, g_d, g_e, secrecy_rate(g_d, g_e))
+
+
+def esr_dt_lb_collusion(gains: MeanGains, config: SystemConfig) -> float:
+    """analytics.esr_dt_lb under collusion (with eavesdroppers present),
+    evaluated one subset and one survival term at a time."""
+    rho = config.snr_linear
+    leak = gains.leak_means_dt(rho)
+    cap = math.log2(1.0 + config.n_antennas * gains.gbar_sd(rho))
+    k = gains.n_relays
+    sizes, sums = subset_terms(1.0 / leak[:k])
+    signs = np.where(sizes % 2 == 1, -1.0, 1.0)
+    terms = hypoexp_terms(leak[k:])
+    parts = [coef * exp_poly_recip_integral(p, r, r) for coef, p, r in terms]
+    parts.extend(-sg * scaled_e1(a) for sg, a in zip(signs, sums))
+    parts.extend(
+        sg * coef * exp_poly_recip_integral(p, r, a + r)
+        for sg, a in zip(signs, sums)
+        for coef, p, r in terms
+    )
+    return max(0.0, cap - math.fsum(parts) / math.log(2.0))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from quadrature_reference import esr_quadrature_oracle, ser_quadrature_oracle
 from secrelay.analytics import (
     EsrBreakdown,
@@ -23,7 +24,14 @@ from secrelay.analytics import (
     sop_dbcj_asymptotic,
     sop_dt,
 )
-from secrelay.model import EveModel, MeanGains, Modulation, SystemConfig
+from secrelay.model import (
+    EveModel,
+    MeanGains,
+    Modulation,
+    SystemConfig,
+    mean_gains_from_topology,
+    paper_topology,
+)
 from secrelay.montecarlo import Metric, estimate
 from secrelay.policy import Scheme
 from secrelay.specfun import EULER_GAMMA, scaled_e1
@@ -206,6 +214,16 @@ def test_esr_matches_quadrature_oracle():
         assert esr_dbcj(g, 50.0, c).esr == pytest.approx(oracle, rel=1e-10)
 
 
+@pytest.mark.parametrize("k,c", [(14, 0.0), (16, 0.0), (16, 2.0), (18, 0.0), (18, 2.0)])
+def test_esr_matches_quadrature_on_large_relay_sets(k, c):
+    # These 2^K sums hold many continued-fraction arguments, on which a whole
+    # batch once had to converge at the same step and raised ArithmeticError.
+    # Tolerance: the alternating sum cancels to ~1e-12 relative at K=16-18.
+    g = mean_gains_from_topology(paper_topology(k, 0))
+    oracle = esr_quadrature_oracle(g, 10.0, c)
+    assert esr_dbcj(g, 10.0, c).esr == pytest.approx(oracle, rel=1e-11)
+
+
 def test_esr_slope_is_half_and_affine_identity():
     for k, c, rho in ((1, 0.0, 10.0), (3, 0.0, 100.0), (2, 1.5, 40.0)):
         bd = esr_dbcj(MeanGains.iid(k, 0), rho, c)
@@ -323,6 +341,29 @@ def test_esr_dt_lb_collusion_and_degenerate_cases():
     g_eq = MeanGains.iid(2, 3, mu_se=1.0)
     val = esr_dt_lb(g_eq, dt_config(16, 2, 3, 50.0, EveModel.CE), EveModel.CE)
     assert math.isfinite(val) and val >= 0.0
+
+
+@pytest.mark.parametrize(
+    "mu_se",
+    [[0.6, 1.1, 1.7, 2.9], [1.3] * 4, [0.8, 0.8, 0.8, 2.0, 2.0]],
+    ids=["distinct", "all-merged", "two-merged-groups"],
+)
+def test_esr_dt_lb_collusion_equals_the_scalar_loop(mu_se):
+    # The vectorized collusion branch against one scalar call per subset and
+    # survival term; merged means bring in the terms with power > 0.
+    l = len(mu_se)
+    g = MeanGains(
+        mu_sr=np.array([0.4, 0.7, 1.0, 1.3, 1.9, 2.2, 3.1, 4.0]),
+        mu_rd=np.ones(8),
+        mu_se=np.array(mu_se),
+        mu_ed=np.ones(l),
+        mu_sd=1.0,
+    )
+    for rho in (0.3, 10.0, 300.0):
+        cfg = dt_config(16, 8, l, rho, EveModel.CE)
+        got = esr_dt_lb(g, cfg, EveModel.CE)
+        assert got > 0.0
+        assert got == ref.esr_dt_lb_collusion(g, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -621,15 +621,19 @@ def test_keys_left_out_take_the_dataclass_defaults():
           "topology.relays = [(-1, 0), (1, 0)]", "topology.eves = [(1.03, 0)]"],
          "exp.spec: topology at K=2 L=1: zero distance on modeled link: source-relay0"),
         (['topology.relay_ring = "nan"'],
-         "exp.spec: topology at K=2 L=1: mu_sr entries must be positive and finite"),
+         "exp.spec:9: topology.relay_ring: expected a finite number, got 'nan'"),
+        (["topology.eve_ring = 1e999"],
+         "exp.spec:9: topology.eve_ring: expected a finite number, got inf"),
         (["topology.relay_ring = 0.0"],
          "exp.spec: topology at K=2 L=1: zero distance on modeled link: relay0-node1"),
         (["topology.path_loss_exp = -1.0"],
          "exp.spec: topology at K=2 L=1: path_loss_exp must be positive, got -1.0"),
         (['experiment.out = "r.json"'],
          "exp.spec:8: experiment.out: 'r.json' is also the path of its JSON mirror"),
+        (['experiment.out = "."'], "exp.spec:8: experiment.out: '.' is a directory"),
     ],
-    ids=["relay-on-source", "nan-ring", "zero-ring", "negative-path-loss", "json-clash"],
+    ids=["relay-on-source", "nan-ring", "inf-ring", "zero-ring", "negative-path-loss",
+         "json-clash", "out-is-a-directory"],
 )
 def test_validate_and_run_refuse_the_same_specs(tmp_path, monkeypatch, capsys, lines, want):
     # Each used to pass validate; run then exited 2 or 3 on the layout, or
@@ -647,6 +651,46 @@ def test_validate_and_run_refuse_the_same_specs(tmp_path, monkeypatch, capsys, l
     assert f"error: {want}" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "r.csv").exists() and not (tmp_path / "r.json").exists()
+
+
+def test_an_output_whose_json_mirror_is_a_directory_is_refused(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr("secrelay.cli.simulate", lambda *a, **k: calls.append(a))
+    (tmp_path / "r.json").mkdir()
+    spec_file = tmp_path / "exp.spec"
+    spec_file.write_text(tiny_spec_text(tmp_path / "r.csv"))
+    want = f"exp.spec:8: experiment.out: {str(tmp_path / 'r.json')!r} is a directory"
+    for command in ("validate", "run"):
+        assert main([command, str(spec_file)]) == 2
+        assert f"error: {want}" in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "r.csv").exists()
+
+
+def test_a_non_finite_ring_set_in_code_is_a_topology_problem():
+    spec = parse_spec_text(tiny_spec_text("r.csv") + "experiment.k_grid = [2, 3]\n")
+    spec.relay_ring = math.nan
+    # K=2 uses the spec's own layout; K=3 rebuilds the rings.
+    assert validate_spec(spec) == ["topology at K=3 L=1: relay_ring must be finite, got nan"]
+
+
+def test_a_large_relay_set_runs_where_its_closed_form_once_failed(tmp_path, monkeypatch):
+    # esr_dbcj at K=14, 10 dB used to raise ArithmeticError in the continued
+    # fraction, so a spec that validated then exited 3.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k14.spec").write_text(
+        "config.n_antennas = 8\n"
+        "config.n_relays = 14\n"
+        "config.n_eves = 0\n"
+        'experiment.schemes = ["jrp"]\n'
+        'experiment.metrics = ["esr"]\n'
+        "experiment.rho_grid_db = [10]\n"
+        "experiment.trials = 20\n"
+        'experiment.out = "k14.csv"\n'
+    )
+    assert main(["validate", "k14.spec"]) == 0
+    assert main(["run", "k14.spec"]) == 0
+    (row,) = read_table("k14.csv")
+    assert row.n_relays == 14 and 0.0 < row.closed_form < 3.0
 
 
 def test_preset_refuses_an_output_that_is_its_own_json_mirror(tmp_path, monkeypatch, capsys):

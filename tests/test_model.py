@@ -108,6 +108,16 @@ def test_paper_topology_rings():
         paper_topology(0, 2)
 
 
+@pytest.mark.parametrize(
+    "rings,name",
+    [({"relay_ring": math.nan}, "relay_ring"), ({"relay_ring": math.inf}, "relay_ring"),
+     ({"eve_ring": -math.inf}, "eve_ring")],
+)
+def test_paper_topology_refuses_a_non_finite_ring(rings, name):
+    with pytest.raises(TopologyError, match=f"^{name} must be finite"):
+        paper_topology(3, 2, **rings)
+
+
 def test_mean_gains_from_topology_matches_hand_distances():
     topo = Topology(
         source_pos=(0.0, 0.0),

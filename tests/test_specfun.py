@@ -25,6 +25,25 @@ def test_scaled_e1_matches_scipy_across_regimes():
     np.testing.assert_allclose(scaled_e1(s), np.exp(s) * special.exp1(s), rtol=1e-12)
 
 
+def test_scaled_e1_array_call_equals_scalar_calls():
+    # Each element stops at its own first converged continued-fraction step.
+    # A batch used to iterate until every element converged at once, which a
+    # large batch above 1 could miss until it raised ArithmeticError.
+    rng = np.random.default_rng(10)
+    s = np.concatenate([
+        rng.uniform(1.0, 6.0, 50_000),
+        np.exp(rng.uniform(math.log(1e-8), math.log(500.0), 50_000)),
+    ])
+    rng.shuffle(s)
+    got = scaled_e1(s)
+    # Scalar calls cost ~0.3 ms each, so every 25th element is checked one by
+    # one (both branches are spread evenly through the shuffled array).
+    picked = s[::25]
+    want = np.array([scaled_e1(float(x)) for x in picked])
+    assert got[::25].tobytes() == want.tobytes()
+    np.testing.assert_allclose(got, np.exp(s) * special.exp1(s), rtol=1e-12)
+
+
 def _ei(x):
     # Ei(x) = -exp(x) * scaled_e1(-x) on x < 0: the form the closed forms use.
     return -np.exp(x) * scaled_e1(-np.asarray(x, dtype=float))
@@ -107,6 +126,21 @@ def test_subset_terms_bitmask_order():
     sizes, sums = subset_terms([1.0, 10.0, 100.0])
     assert sizes.tolist() == [1, 1, 2, 1, 2, 2, 3]
     np.testing.assert_allclose(sums, [1.0, 10.0, 11.0, 100.0, 101.0, 110.0, 111.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20])
+def test_subset_terms_equals_the_bitmask_construction(n):
+    # The construction subset_terms replaced: one masked pass per element.
+    rates = np.random.default_rng(n).uniform(0.01, 100.0, n)
+    idx = np.arange(1 << n, dtype=np.uint32)
+    sums = np.zeros(1 << n)
+    for i in range(n):
+        sums[(idx >> np.uint32(i)) & 1 == 1] += rates[i]
+    sizes = np.bitwise_count(idx).astype(np.int64)
+    got_sizes, got_sums = subset_terms(rates)
+    assert got_sizes.dtype == np.int64 and got_sums.dtype == np.float64
+    assert got_sizes.tobytes() == sizes[1:].tobytes()
+    assert got_sums.tobytes() == sums[1:].tobytes()
 
 
 def _enumerated(rates, array_fn):
@@ -276,6 +310,15 @@ def test_exp_poly_recip_integral_fresh_quadrature():
     assert math.isclose(exp_poly_recip_integral(p, w, d), ref, rel_tol=1e-7)
 
 
+def test_exp_poly_recip_integral_array_equals_scalar_calls():
+    decay = np.linspace(0.7, 40.0, 301)
+    for power in range(5):
+        got = exp_poly_recip_integral(power, 0.7, decay)
+        want = [exp_poly_recip_integral(power, 0.7, float(d)) for d in decay]
+        assert got.tobytes() == np.array(want).tobytes()
+    assert isinstance(exp_poly_recip_integral(2, 0.7, np.float64(1.0)), float)
+
+
 def test_exp_poly_recip_integral_domain():
     with pytest.raises(ValueError):
         exp_poly_recip_integral(-1, 1.0, 1.0)
@@ -283,3 +326,7 @@ def test_exp_poly_recip_integral_domain():
         exp_poly_recip_integral(1, 0.0, 1.0)
     with pytest.raises(ValueError):
         exp_poly_recip_integral(1, 2.0, 1.0)
+    with pytest.raises(ValueError):
+        exp_poly_recip_integral(1, 1.0, np.array([2.0, 0.5]))
+    with pytest.raises(ValueError):
+        exp_poly_recip_integral(1, 1.0, np.array([2.0, np.inf]))
