@@ -10,9 +10,15 @@ asymptotes) -> montecarlo (trial engine) -> cli (experiment runner).  The
 package does not import cli, so `python -m secrelay.cli` runs it as
 __main__ only; import the runner's names from `secrelay.cli`.
 
-The quadrature oracles that verify the closed forms live in
+Importing secrelay (or secrelay.cli) loads no scipy module.  The three
+functions that call `scipy.special` import it on first use: the first
+simulated draw (gammaincinv in channel), the first SER reduction of a
+simulation (erfc in specfun.q_function) and the first specfun.hypoexp_cdf
+call (gammaln), which of the closed forms only sop_dt and ppos_dt make,
+under collusion.  Validating a spec and the other closed forms run on
+numpy alone.  The quadrature oracles that verify the closed forms live in
 tests/quadrature_reference.py: they are verification code, kept off the
-import path so that importing secrelay never loads scipy.integrate.
+import path with scipy.integrate.
 """
 
 from .model import (

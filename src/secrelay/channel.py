@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import gammaincinv
 
 from .model import EveModel, MeanGains, SystemConfig
 
@@ -155,6 +154,8 @@ def _complex_normals(u: np.ndarray) -> np.ndarray:
 
 
 def _build_batch(u: np.ndarray, gains: MeanGains, config: SystemConfig) -> BatchDraws:
+    from scipy.special import gammaincinv  # imported on first use: see the package docstring
+
     k, l, ns = gains.n_relays, gains.n_eves, config.n_antennas
     rho = config.snr_linear
     n = u.shape[0]

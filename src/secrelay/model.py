@@ -17,6 +17,15 @@ import numpy as np
 # Closed forms enumerate all 2**K - 1 non-empty relay subsets.
 from .specfun import MAX_SUBSET_NODES as MAX_RELAYS
 
+# Largest transmit SNR that validate accepts: 200 dB, far past any figure
+# (60 dB).  The relayed SINRs multiply two gains that each scale with rho, so
+# their products reach the float ceiling near rho**2 ~ 1e300 (about 1500 dB;
+# sooner for strong mean gains, and sooner still in the split search's
+# leakage products).  The NaN that results steers the search to a wrong rate
+# without raising, so the box stops far short of it: rho**2 <= 1e40.
+MAX_SNR_DB = 200.0
+MAX_SNR_LINEAR = 10.0 ** (MAX_SNR_DB / 10.0)
+
 
 class ConfigError(ValueError):
     """Invalid system configuration."""
@@ -70,7 +79,8 @@ class SystemConfig:
 
     snr_linear is the transmit SNR rho = P/sigma^2 in linear scale; anything
     user-facing (CLI, sweeps) speaks dB and converts at the boundary.
-    Construction is permissive; call validate() before using a config.
+    Construction is permissive; call validate() before using a config.  It
+    accepts snr_linear in (0, MAX_SNR_LINEAR], that is up to 200 dB.
     """
 
     n_antennas: int
@@ -108,6 +118,9 @@ def validate(config: SystemConfig) -> None:
         problems.append(f"n_eves must be >= 0, got {config.n_eves}")
     if not (math.isfinite(config.snr_linear) and config.snr_linear > 0):
         problems.append(f"snr_linear must be positive and finite, got {config.snr_linear}")
+    elif config.snr_linear > MAX_SNR_LINEAR:
+        problems.append(f"snr_linear must be <= {MAX_SNR_LINEAR:g} ({MAX_SNR_DB:g} dB), "
+                        f"got {config.snr_linear:g}")
     if not (math.isfinite(config.target_rate) and config.target_rate >= 0):
         problems.append(f"target_rate must be >= 0, got {config.target_rate}")
     if not isinstance(config.eve_model, EveModel):

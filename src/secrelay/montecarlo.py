@@ -6,9 +6,11 @@ scheduled, and every scheme evaluated at the same seed sees the same
 channels.  Accumulation goes through exact compensated summation, which
 keeps it order-insensitive at any trial count.
 
-The quadrature oracles that check the closed forms are verification code,
-so they live in tests/quadrature_reference.py, off the package's import path
-(importing secrelay never loads scipy.integrate).
+Importing this module loads no scipy: `scipy.special` loads at the first
+simulated draw (channel's inverse gamma CDF) or the first SER reduction
+(specfun.q_function).  The quadrature oracles that check the closed forms
+are verification code, so they live in tests/quadrature_reference.py, off
+the package's import path.
 """
 
 from __future__ import annotations
@@ -93,9 +95,10 @@ def simulate(
 
     Trials are drawn in chunks of chunk_size; the result does not depend on
     the chunking.  seed defaults to config.master_seed.  Raises ConfigError
-    for a config that model.validate refuses, and ArithmeticError when a
-    scheme's rate or destination SINR is not finite (past about 1540 dB the
-    SINR products overflow).
+    for a config that model.validate refuses, which includes every SNR past
+    model.MAX_SNR_DB (200 dB), well before the SINR products overflow; and
+    ArithmeticError, as a last guard, when a scheme's rate, destination SINR
+    or leakage SINR is not finite.
     """
     validate(config)
     if trials < 1:
@@ -120,10 +123,12 @@ def simulate(
         batch = draw_batch(gains, config, seed, done, m)
         for s in schemes:
             res = policy.run_scheme_batch(batch, s, config)
-            if not (np.isfinite(res.rate).all() and np.isfinite(res.gamma_d).all()):
-                raise ArithmeticError(
-                    f"{s.value}: non-finite rate or destination SINR in trials "
-                    f"{done}-{done + m - 1} at snr_linear={config.snr_linear:g}")
+            for what, values in (("rate or destination SINR", (res.rate, res.gamma_d)),
+                                 ("leakage SINR", (res.gamma_e,))):
+                if not all(np.isfinite(v).all() for v in values):
+                    raise ArithmeticError(
+                        f"{s.value}: non-finite {what} in trials "
+                        f"{done}-{done + m - 1} at snr_linear={config.snr_linear:g}")
             out[s].rates[done : done + m] = res.rate
             out[s].gamma_d[done : done + m] = res.gamma_d
         done += m

@@ -13,7 +13,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special as sp
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -101,7 +100,9 @@ def scaled_e1(s):
 
 def q_function(x):
     """Gaussian tail probability Q(x) = 0.5 * erfc(x / sqrt(2))."""
-    out = 0.5 * sp.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    from scipy.special import erfc  # imported on first use: see the package docstring
+
+    out = 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
@@ -263,8 +264,10 @@ def hypoexp_terms(means: Sequence[float]) -> list[tuple[float, int, float]]:
 
 def _poisson_weight(power: np.ndarray, z: np.ndarray) -> np.ndarray:
     # z**p / p! * exp(-z), safe for large p via the log-gamma form.
+    from scipy.special import gammaln  # imported on first use: see the package docstring
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        logw = power * np.log(z) - z - sp.gammaln(power + 1.0)
+        logw = power * np.log(z) - z - gammaln(power + 1.0)
     return np.where(z > 0, np.exp(logw), np.where(power == 0, 1.0, 0.0))
 
 

@@ -48,16 +48,59 @@ def test_removed_options_stay_removed():
         assert option not in inspect.signature(fn).parameters, fn.__name__
 
 
+def _fresh_interpreter(code, cwd=None):
+    """Run code in a new interpreter that imports the package from src/;
+    return its standard output."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def test_import_loads_no_verification_only_modules():
     # The quadrature oracles and the statistical tests live under tests/, so a
     # fresh interpreter importing the package and its runner pays for neither.
-    src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys, secrelay, secrelay.cli\n"
         "print(' '.join(m for m in ('scipy.integrate', 'scipy.stats', 'mpmath')"
         " if m in sys.modules))"
     )
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.split() == []
+    assert _fresh_interpreter(code).split() == []
+
+
+def test_only_simulation_loads_scipy(tmp_path):
+    # Importing the package and its runner, validating a spec and the closed
+    # forms run on numpy alone; scipy.special (0.3 s to import) loads with
+    # the first simulated draw.
+    (tmp_path / "exp.spec").write_text(
+        "config.n_antennas = 4\nconfig.n_relays = 2\nconfig.n_eves = 1\n"
+        'experiment.schemes = ["jrp", "dt"]\nexperiment.metrics = ["esr", "ser"]\n'
+        'experiment.rho_grid_db = [0, 10]\nexperiment.trials = 30\nexperiment.out = "r.csv"\n'
+    )
+    code = """
+import sys
+import secrelay, secrelay.cli
+from secrelay import (EveModel, SystemConfig, c_params, esr_dbcj, esr_dt_lb,
+                      mean_gains_from_topology, paper_topology, ppos_dbcj, ser_dbcj,
+                      simulate, sop_dbcj, Scheme)
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+assert secrelay.cli.main(["validate", "exp.spec"]) == 0
+gains = mean_gains_from_topology(paper_topology(3, 2))
+cfg = SystemConfig(8, 3, 2, 100.0, eve_model=EveModel.CE)
+c = c_params(gains, cfg).c
+assert c > 0
+esr_dbcj(gains, 100.0, c)
+ser_dbcj(gains, 10.0, c)
+sop_dbcj(gains, 100.0, c)
+ppos_dbcj(gains, 100.0, c)
+for model in EveModel:
+    esr_dt_lb(gains, cfg, model)
+print("closed forms:", *scipy_modules())
+simulate(cfg, gains, [Scheme.JRP], 10)
+print("simulate:", "scipy.special" in scipy_modules())
+"""
+    out = _fresh_interpreter(code, cwd=tmp_path)
+    assert out.splitlines()[-2:] == ["closed forms:", "simulate: True"]

@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -425,6 +425,8 @@ def _replace_line(text, line):
          "experiment.rho_grid_db: snr_linear must be positive and finite, got inf"),
         ("experiment.rho_grid_db = [0, -4000]",
          "experiment.rho_grid_db: snr_linear must be positive and finite, got 0.0"),
+        ("experiment.rho_grid_db = [0, 1520]",
+         "experiment.rho_grid_db: snr_linear must be <= 1e+20 (200 dB), got 1e+152"),
     ],
 )
 def test_validate_refuses_every_bad_grid_point(tmp_path, capsys, monkeypatch, line, want):
@@ -503,12 +505,18 @@ def test_explicit_positions_must_include_source_dest_and_relays(tmp_path):
     ]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
-def test_run_exits_3_instead_of_writing_nan_rows(tmp_path, capsys):
+def test_run_exits_3_instead_of_writing_nan_rows(tmp_path, capsys, monkeypatch):
+    # No validated spec overflows, so the scheme is made to return NaN rates.
+    real = secrelay.policy.run_scheme_batch
+
+    def nan_rates(batch, scheme, config):
+        res = real(batch, scheme, config)
+        return replace(res, rate=res.rate * math.nan)
+
+    monkeypatch.setattr(secrelay.policy, "run_scheme_batch", nan_rates)
     out = tmp_path / "r.csv"
     spec_file = tmp_path / "exp.spec"
-    spec_file.write_text(_replace_line(tiny_spec_text(out), "experiment.rho_grid_db = [3000]"))
+    spec_file.write_text(tiny_spec_text(out))
     assert main(["run", str(spec_file)]) == 3
     err = capsys.readouterr().err
     assert "runtime error: jrp: non-finite rate or destination SINR in trials 0-29" in err

@@ -5,6 +5,8 @@ import pytest
 
 from secrelay.model import (
     MAX_RELAYS,
+    MAX_SNR_DB,
+    MAX_SNR_LINEAR,
     ConfigError,
     EveModel,
     MeanGains,
@@ -59,6 +61,17 @@ def test_with_snr_db_past_the_float_range(snr_db, linear):
     assert cfg.snr_linear == linear
     with pytest.raises(ConfigError, match="snr_linear"):
         validate(cfg)
+
+
+def test_validate_caps_the_snr_at_200_db():
+    # Past the cap the relayed SINR products can overflow to NaN, which the
+    # split search takes for a real leakage; validate refuses those SNRs.
+    cfg = SystemConfig(n_antennas=8, n_relays=3, n_eves=2, snr_linear=1.0)
+    validate(cfg.with_snr_db(MAX_SNR_DB))
+    assert cfg.with_snr_db(MAX_SNR_DB).snr_linear == MAX_SNR_LINEAR == 1e20
+    for snr_db in (200.001, 1520.0):
+        with pytest.raises(ConfigError, match=r"snr_linear must be <= 1e\+20 \(200 dB\)"):
+            validate(cfg.with_snr_db(snr_db))
 
 
 def test_validate_accepts_default_shape():

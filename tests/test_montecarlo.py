@@ -1,13 +1,16 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quadrature_reference import QuadratureError, esr_quadrature_oracle, ser_quadrature_oracle
+from secrelay import policy
 from secrelay.analytics import esr_dbcj, ser_dbcj, sop_dbcj
 from secrelay.model import (
+    MAX_SNR_DB,
     ConfigError,
     EveModel,
     MeanGains,
@@ -125,17 +128,42 @@ def test_simulate_estimate_and_sweep_refuse_unvalidated_configs(snr_db):
         simulate(bad, gains, [Scheme.JRP], 50)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
-def test_simulate_refuses_non_finite_rates():
-    # Past about 1540 dB the SINR products lam*g_si*g_id overflow and every
-    # relayed rate comes out NaN; simulate must say so instead of returning them.
-    cfg = SystemConfig(8, 3, 2, 1.0).with_snr_db(1545.0)
-    gains = MeanGains.iid(3, 2)
-    simulate(cfg, gains, [Scheme.DT], 200, seed=3)  # no relay, no overflow
-    with pytest.raises(ArithmeticError,
-                       match="jrp: non-finite rate or destination SINR in trials 0-63 "):
-        simulate(cfg, gains, [Scheme.DT, Scheme.JRP], 200, seed=3, chunk_size=64)
+def test_simulate_refuses_snrs_past_the_cap():
+    # At 1520 dB the split search's leakage products overflow to NaN on these
+    # gains and steered JRP to a mean rate of 71.4 (247.4 at 1500 dB, 0.0 at
+    # 1530 dB) without an error.  validate now stops every SNR past 200 dB.
+    gains = mean_gains_from_topology(paper_topology(3, 2))
+    cfg = SystemConfig(8, 3, 2, 1.0)
+    with pytest.raises(ConfigError, match=r"snr_linear must be <= 1e\+20 \(200 dB\), got 1e\+152"):
+        simulate(cfg.with_snr_db(1520.0), gains, [Scheme.JRP], 200, seed=3)
+    trace = simulate(cfg.with_snr_db(MAX_SNR_DB), gains, [Scheme.JRP], 200, seed=3)[Scheme.JRP]
+    assert np.isfinite(trace.rates).all() and trace.rates.mean() > 0.0
+
+
+def test_simulate_refuses_non_finite_rates(monkeypatch):
+    # No validated config overflows, so a scheme is made to return one value
+    # that is not finite; simulate must say so instead of returning it.
+    gains, cfg = small_setup(k=3, l=2)
+    real = policy.run_scheme_batch
+
+    def poisoned(field):
+        def run(batch, scheme, config):
+            res = real(batch, scheme, config)
+            if scheme is Scheme.JRP:
+                values = getattr(res, field).copy()
+                values[-1] = math.nan
+                res = replace(res, **{field: values})
+            return res
+        return run
+
+    for field, what in (("rate", "rate or destination SINR"),
+                        ("gamma_d", "rate or destination SINR"),
+                        ("gamma_e", "leakage SINR")):
+        monkeypatch.setattr(policy, "run_scheme_batch", poisoned(field))
+        simulate(cfg, gains, [Scheme.DT], 200, seed=3)  # only JRP is poisoned
+        with pytest.raises(ArithmeticError,
+                           match=f"jrp: non-finite {what} in trials 0-63 "):
+            simulate(cfg, gains, [Scheme.DT, Scheme.JRP], 200, seed=3, chunk_size=64)
 
 
 @pytest.mark.parametrize("model", list(EveModel), ids=lambda m: m.value)
