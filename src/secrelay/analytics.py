@@ -4,13 +4,25 @@ For the relayed scheme with best-second-hop selection and closed-form power
 split, the destination SNR concentrates on gamma_max/(1+B) and the leakage on
 B = sqrt(2(1+C)), where C >= 0 is the average collusion penalty (zero when
 nodes do not collude).  Every metric then reduces to order statistics of the
-K relay->destination links: inclusion-exclusion sums over their rate subsets,
-each evaluated by the one kernel specfun.signed_subset_eval.
+K relay->destination links, the maximum X of K independent exponentials:
+
+- the ESR's ergodic term E[ln(1 + X/(1+B))] is specfun.maxexp_log_expect, a
+  quadrature over the positive survival function of X (O(K), ~1e-16);
+- the outage metrics are the positive product CDF of X itself;
+- the ESR's power offset and the SER are still signed inclusion-exclusion
+  sums over all 2^K - 1 relay subsets, through specfun.signed_subset_eval
+  (O(2^K); the SER's terms cancel to ~1e-15 absolute at high SNR).  They
+  stay there until the benchmark changes with them: bench/tracing.py
+  requires a signed_subset_eval call in every simulation round, and
+  bench/test_bench.py counts the SER's two cancellation faults as known.
 
 The direct-transmission forms instead harden the main link at N_s*gbar_sd and
 keep the leakage random: the max (and, under collusion, the worse of max and
-sum) of independent exponentials.  Relayed forms take the transmit SNR rho
-directly; direct-transmission forms need n_antennas too and take the config.
+sum) of independent exponentials.  Without collusion the DT ESR bound is the
+same quadrature over all K+L leakages, so it has no subset ceiling; with it,
+the bound is a subset sum over the K relay leakages.  Relayed forms take the
+transmit SNR rho directly; direct-transmission forms need n_antennas too and
+take the config.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from .specfun import (
     hypoexp_cdf,
     hypoexp_terms,
     maxexp_cdf,
+    maxexp_log_expect,
     scaled_e1,
     signed_subset_eval,
     subset_terms,
@@ -99,16 +112,19 @@ def ppos_dbcj_asymptotic(gains: MeanGains, rho: float, c: float = 0.0) -> float:
 def esr_dbcj(gains: MeanGains, rho: float, c: float = 0.0) -> EsrBreakdown:
     """Ergodic secrecy rate of the relayed scheme, with its high-SNR line.
 
-    esr = (1/(2 ln2)) sum_u (-1)^(|u|+1) e^s E1(s) at s = s_u(1+B), minus
-    (1/2)log2(1+B), clamped at zero after full evaluation; s_u sums 1/gbar_id
-    over the non-empty relay subset u.  The asymptote replaces e^s E1(s) by
-    -ln(s) - eulergamma and is reported unclamped as the line
-    0.5*(log2(rho) - power_offset), which is that sum exactly: s_u = m_u/rho
-    and sum_u (-1)^|u| = -1 leave only the sum over the m_u.
+    esr = E[ln(1 + X/(1+B))]/(2 ln2) - (1/2)log2(1+B), clamped at zero after
+    full evaluation, where X is the best second hop (the max of exponentials
+    with means gbar_id).  The expectation is the integral
+    int_0^inf (1 - F_X(x))/(1+B+x) dx, evaluated by maxexp_log_expect.
+    The asymptote replaces that expectation by E[ln X] - ln(1+B), where
+    E[ln X] = sum_u (-1)^|u| (ln s_u + eulergamma) is a signed sum over the
+    non-empty relay subsets u, s_u summing 1/gbar_id over u.  It is reported
+    unclamped as the line 0.5*(log2(rho) - power_offset), which is that sum
+    exactly: s_u = m_u/rho and sum_u (-1)^|u| = -1 leave only the sum over
+    the m_u, which signed_subset_eval evaluates.
     """
     b = leakage_floor(c)
-    rates = 1.0 / gains.gbar_rd(rho)
-    e_ln = -signed_subset_eval(rates, lambda _sz, s: scaled_e1(s * (1.0 + b)))
+    e_ln = maxexp_log_expect(gains.gbar_rd(rho), 1.0 + b)
     esr = max(0.0, e_ln / (2.0 * _LN2) - 0.5 * math.log2(1.0 + b))
     mu_part = signed_subset_eval(1.0 / gains.mu_rd, lambda _sz, s: np.log2(s))
     offset = -mu_part + EULER_GAMMA / _LN2 + 2.0 * math.log2(1.0 + b)
@@ -184,15 +200,18 @@ def esr_dt_lb(gains: MeanGains, config: SystemConfig, model: EveModel) -> float:
     """Lower bound on the direct-transmission ergodic secrecy rate.
 
     log2 of the hardened main link minus the exact E[log2(1 + leakage)].
-    Without collusion the leakage is a max of K+L exponentials; with it, the
-    worse of the relay maximum and the eavesdroppers' sum, integrated through
-    the survival-function terms of the sum.  Clamped at zero at the end.
+    Without collusion the leakage is a max of K+L exponentials and the
+    expectation is maxexp_log_expect over all K+L leakage means, with no
+    ceiling on K+L.  With it, the leakage is the worse of the relay maximum
+    and the eavesdroppers' sum: a signed sum over the relay subsets,
+    integrated through the survival-function terms of the sum.  Clamped at
+    zero at the end.
     """
     rho = config.snr_linear
     leak = gains.leak_means_dt(rho)
     cap = math.log2(1.0 + config.n_antennas * gains.gbar_sd(rho))
     if model is EveModel.NCE or gains.n_eves == 0:
-        e_ln = -signed_subset_eval(1.0 / leak, lambda _sz, s: scaled_e1(s))
+        e_ln = maxexp_log_expect(leak, 1.0)
     else:
         k = gains.n_relays
         sizes, sums = subset_terms(1.0 / leak[:k])

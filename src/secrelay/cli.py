@@ -70,7 +70,6 @@ from . import analytics, model
 from .model import ConfigError, EveModel, Modulation, SystemConfig, Topology, TopologyError
 from .montecarlo import Metric, derive_seed, estimate_from_trace, simulate
 from .policy import Scheme, c_params
-from .specfun import subset_count_problem
 
 CSV_COLUMNS = (
     "eve_model",
@@ -193,12 +192,6 @@ def _grid(spec: ExperimentSpec) -> tuple[list[tuple], list[str]]:
                 gains[k, l] = model.mean_gains_from_topology(topo)
             except ValueError as err:  # a TopologyError, or gains that are not finite
                 problems.append(f"topology at K={k} L={l}: {err}")
-        if Scheme.DT in spec.schemes and Metric.ESR in spec.metrics and spec.emit_closed_form:
-            # esr_dt_lb sums over the subsets of all K+L leakages on its NCE
-            # path, and over the K relay leakages under collusion.
-            problem = subset_count_problem(k + l if em is EveModel.NCE or l == 0 else k)
-            if problem:
-                problems.append(f"closed-form dt esr at {em.value} K={k} L={l}: {problem}")
         cfg = replace(spec.config, n_relays=k, n_eves=l, eve_model=em)
         points += [(em, k, l, rho_db, cfg.with_snr_db(rho_db), gains.get((k, l)))
                    for rho_db in spec.rho_grid_db]
@@ -458,8 +451,8 @@ def _closed_columns(
     metric: Metric, scheme: Scheme, gains, cfg: SystemConfig, spec: ExperimentSpec
 ) -> tuple[float | None, float | None]:
     """A row's closed-form and asymptotic cells, None where no formula
-    applies.  A formula runs only for a column the spec emits: each jrp
-    one is a 2^K subset sum."""
+    applies.  A formula runs only for a column the spec emits: the jrp
+    ESR's power offset and the jrp SER are 2^K subset sums."""
     closed = asym = None
     rho = cfg.snr_linear
     if scheme is Scheme.JRP and (spec.emit_closed_form or spec.emit_asymptotic):

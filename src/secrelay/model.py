@@ -14,7 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-# Closed forms enumerate all 2**K - 1 non-empty relay subsets.
+# The ESR's power offset, the SER and the collusion DT bound enumerate all
+# 2**K - 1 non-empty relay subsets.
 from .specfun import MAX_SUBSET_NODES as MAX_RELAYS
 
 # Largest transmit SNR that validate accepts: 200 dB, far past any figure

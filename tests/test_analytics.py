@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
-from quadrature_reference import esr_quadrature_oracle, ser_quadrature_oracle
+from quadrature_reference import esr_quadrature_oracle, log_expect_mp, ser_quadrature_oracle
 from secrelay.analytics import (
     EsrBreakdown,
     dmt_reliability,
@@ -216,12 +216,26 @@ def test_esr_matches_quadrature_oracle():
 
 @pytest.mark.parametrize("k,c", [(14, 0.0), (16, 0.0), (16, 2.0), (18, 0.0), (18, 2.0)])
 def test_esr_matches_quadrature_on_large_relay_sets(k, c):
-    # These 2^K sums hold many continued-fraction arguments, on which a whole
-    # batch once had to converge at the same step and raised ArithmeticError.
-    # Tolerance: the alternating sum cancels to ~1e-12 relative at K=16-18.
+    # Tolerance: the scipy oracle's own (epsrel 1e-11).  The ergodic term is
+    # good to ~1e-16; test_esr_matches_mpmath_up_to_k20 holds it to 1e-13.
     g = mean_gains_from_topology(paper_topology(k, 0))
     oracle = esr_quadrature_oracle(g, 10.0, c)
     assert esr_dbcj(g, 10.0, c).esr == pytest.approx(oracle, rel=1e-11)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 12, 18, 20])
+def test_esr_matches_mpmath_up_to_k20(k):
+    # The 2^K power offset, not the ergodic term, makes K=25 cost ~17 s.
+    # Below 10 dB the clamp at zero hides the ergodic term at small K.
+    cases = [(ring, db, 0.0) for ring in (0.02, 0.1) for db in (10, 20, 40, 60)]
+    for ring, db, c in cases + [(0.1, 20, 2.0)]:
+        g = mean_gains_from_topology(paper_topology(k, 0, relay_ring=ring))
+        rho = 10.0 ** (db / 10.0)
+        b = leakage_floor(c)
+        want = log_expect_mp(g.gbar_rd(rho), 1.0 + b) / (2.0 * math.log(2.0))
+        want -= 0.5 * math.log2(1.0 + b)
+        assert want > 0.0
+        assert esr_dbcj(g, rho, c).esr == pytest.approx(want, rel=1e-13), (ring, db, c)
 
 
 def test_esr_slope_is_half_and_affine_identity():
@@ -291,6 +305,19 @@ def test_esr_dt_lb_single_node_penalty():
     cfg = dt_config(8, 1, 0, 10.0)
     expected = math.log2(1.0 + 8 * 10.0) - scaled_e1(1.0 / 5.0) / math.log(2.0)
     assert esr_dt_lb(g, cfg, EveModel.NCE) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("db", [0, 10, 30])
+def test_esr_dt_lb_matches_mpmath_at_55_leakages(db):
+    # Without collusion the bound is the max over all K+L = 55 leakages,
+    # past the 25-rate ceiling of a subset sum.
+    g = mean_gains_from_topology(paper_topology(5, 50))
+    cfg = dt_config(16, 5, 50, 10.0 ** (db / 10.0))
+    rho = cfg.snr_linear
+    want = math.log2(1.0 + 16 * rho * g.mu_sd)
+    want -= log_expect_mp(g.leak_means_dt(rho), 1.0) / math.log(2.0)
+    assert want > 0.0
+    assert esr_dt_lb(g, cfg, EveModel.NCE) == pytest.approx(want, rel=1e-13)
 
 
 def test_esr_dt_lb_matches_leakage_sampling():

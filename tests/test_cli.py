@@ -9,6 +9,7 @@ from dataclasses import fields, replace
 import pytest
 
 import secrelay
+from quadrature_reference import log_expect_mp
 from secrelay import cli
 from secrelay.cli import (
     CSV_COLUMNS,
@@ -22,7 +23,14 @@ from secrelay.cli import (
     run,
     validate_spec,
 )
-from secrelay.model import EveModel, Modulation, SystemConfig, Topology, paper_topology
+from secrelay.model import (
+    EveModel,
+    Modulation,
+    SystemConfig,
+    Topology,
+    mean_gains_from_topology,
+    paper_topology,
+)
 from secrelay.montecarlo import Metric, derive_seed
 from secrelay.policy import Scheme
 
@@ -362,9 +370,10 @@ def test_main_preset_fig4_closed_esr_rises_with_relay_count(tmp_path, capsys):
     assert all(math.isfinite(r.sim_value) for r in rows)
 
 
-def test_validate_rejects_dt_esr_past_the_subset_ceiling(tmp_path, capsys):
-    # Without collusion the DT ESR bound sums over subsets of all K+L = 55
-    # leakages, which the closed form refuses: validate must say so up front.
+def test_dt_esr_past_the_old_subset_ceiling_validates_and_runs(tmp_path, capsys):
+    # Without collusion the DT ESR bound is a quadrature over all K+L = 55
+    # leakages, not a sum over their 2^55 - 1 subsets, so the spec runs.
+    out = tmp_path / "r.csv"
     text = (
         "config.n_antennas = 16\n"
         "config.n_relays = 5\n"
@@ -373,21 +382,21 @@ def test_validate_rejects_dt_esr_past_the_subset_ceiling(tmp_path, capsys):
         "experiment.metrics = [\"esr\"]\n"
         "experiment.rho_grid_db = [10]\n"
         "experiment.trials = 10\n"
-        f"experiment.out = \"{tmp_path / 'r.csv'}\"\n"
+        f"experiment.out = \"{out}\"\n"
     )
-    with pytest.raises(SpecError) as exc:
-        parse_spec_text(text)
-    problems = exc.value.problems
-    assert len(problems) == 1
-    assert "55 rates would enumerate 2^55-1 subsets; the supported maximum is 25" in problems[0]
+    parse_spec_text(text)
     spec_file = tmp_path / "dt.spec"
     spec_file.write_text(text)
-    assert main(["validate", str(spec_file)]) == 2
-    assert "2^55-1 subsets" in capsys.readouterr().err
-    # Collusion pools the eavesdroppers and only sums over relay subsets.
-    parse_spec_text(text + "config.eve_model = \"ce\"\n")
-    # Without a closed-form column there is nothing to refuse.
-    parse_spec_text(text + "experiment.emit_closed_form = False\n")
+    assert main(["validate", str(spec_file)]) == 0
+    assert main(["run", str(spec_file)]) == 0
+    capsys.readouterr()
+    [row] = read_table(str(out))
+    gains = mean_gains_from_topology(paper_topology(5, 50))
+    want = math.log2(1.0 + 16 * 10.0 * gains.mu_sd)
+    want -= log_expect_mp(gains.leak_means_dt(10.0), 1.0) / math.log(2.0)
+    assert (row.scheme, row.metric, row.eve_model) == ("dt", "esr", "nce")
+    assert math.isfinite(row.closed_form)
+    assert row.closed_form == pytest.approx(want, rel=1e-12)
 
 
 def test_module_entry_point_runs_without_warnings(tmp_path):

@@ -1,10 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from quadrature_reference import log_expect_mp
 from secrelay import specfun
+from secrelay.model import mean_gains_from_topology, paper_topology
 from secrelay.specfun import (
     EULER_GAMMA,
     digamma_int,
@@ -12,6 +15,7 @@ from secrelay.specfun import (
     hypoexp_cdf,
     hypoexp_terms,
     maxexp_cdf,
+    maxexp_log_expect,
     q_function,
     scaled_e1,
     signed_subset_eval,
@@ -233,6 +237,57 @@ def test_maxexp_cdf_against_sampling():
     for x in (0.5, 1.5, 4.0):
         emp = np.mean(draws <= x)
         assert abs(emp - maxexp_cdf(means, x)) < 5e-3
+
+
+C_NO_COLLUSION = 1.0 + math.sqrt(2.0)  # the ESR's c = 1+B at C = 0
+
+
+def _mean_layouts(k):
+    """Per-unit-SNR means: the paper's relay ring, iid, and spread over 14
+    decades (K=1 takes the smallest)."""
+    return {
+        "paper": mean_gains_from_topology(paper_topology(k, 0)).mu_rd,
+        "iid": np.ones(k),
+        "spread": np.logspace(-8, 6, k),
+    }
+
+
+@pytest.mark.parametrize("db", [-10, 0, 20, 40, 60])
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 12, 18, 20, 25])
+def test_maxexp_log_expect_matches_mpmath(k, db):
+    for name, mu in _mean_layouts(k).items():
+        means = 10.0 ** (db / 10.0) * mu
+        want = log_expect_mp(means, C_NO_COLLUSION)
+        assert maxexp_log_expect(means, C_NO_COLLUSION) == pytest.approx(want, rel=1e-13), name
+
+
+def test_log_expect_oracle_matches_the_mpmath_subset_sum():
+    # The oracle itself, against the inclusion-exclusion form at 40 digits:
+    # sum over non-empty subsets u of (-1)^(|u|+1) e^s E1(s), s = c sum_u 1/m.
+    means = [0.03, 0.7, 2.0, 5e3]
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        for mask in range(1, 1 << len(means)):
+            u = [m for i, m in enumerate(means) if mask >> i & 1]
+            s = mpmath.mpf(C_NO_COLLUSION) * mpmath.fsum(1 / mpmath.mpf(m) for m in u)
+            total += (-1) ** (len(u) + 1) * mpmath.exp(s) * mpmath.e1(s)
+    assert log_expect_mp(means, C_NO_COLLUSION) == pytest.approx(float(total), rel=1e-25)
+
+
+def test_maxexp_log_expect_of_one_mean_is_scaled_e1():
+    # One exponential with mean m: E[ln(1 + X/c)] = e^s E1(s) at s = c/m.
+    for s in np.logspace(-6, 6, 49):
+        got = maxexp_log_expect(np.array([C_NO_COLLUSION / s]), C_NO_COLLUSION)
+        assert got == pytest.approx(scaled_e1(float(s)), rel=1e-14)
+
+
+def test_maxexp_log_expect_domain_errors():
+    for means in ([], [1.0, 0.0], [1.0, np.inf], [[1.0]]):
+        with pytest.raises(ValueError, match="means"):
+            maxexp_log_expect(means, 1.0)
+    for c in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="c must be positive"):
+            maxexp_log_expect([1.0], c)
 
 
 def test_hypoexp_cdf_two_distinct_means():
