@@ -11,15 +11,13 @@ splits and relay selection, one batch of trials at a time) -> analytics
 `python -m secrelay.cli` runs it as __main__ only; import the runner's names
 from `secrelay.cli`.
 
-Importing secrelay (or secrelay.cli) loads no scipy module.  The three
+Importing secrelay (or secrelay.cli) loads no scipy module.  The two
 functions that call `scipy.special` import it on first use: the first
-simulated draw (gammaincinv in channel), the first SER reduction of a
-simulation (erfc in specfun.q_function) and the first specfun.hypoexp_cdf
-call (gammaln), which of the closed forms only sop_dt and ppos_dt make,
-under collusion.  Validating a spec and the other closed forms run on
-numpy alone.  The quadrature oracles that verify the closed forms live in
-tests/quadrature_reference.py: they are verification code, kept off the
-import path with scipy.integrate.
+simulated draw (gammaincinv in channel) and the first SER reduction of a
+simulation (erfc in specfun.q_function).  Validating a spec and every
+closed form run on numpy alone.  The quadrature oracles that verify the
+closed forms live in tests/quadrature_reference.py: they are verification
+code, kept off the import path with scipy.integrate.
 """
 
 from .model import (

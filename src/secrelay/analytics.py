@@ -10,11 +10,13 @@ K relay->destination links, the maximum X of K independent exponentials:
   quadrature over the positive survival function of X (O(K), ~1e-16);
 - the outage metrics are the positive product CDF of X itself;
 - the ESR's power offset and the SER are still signed inclusion-exclusion
-  sums over all 2^K - 1 relay subsets, through specfun.signed_subset_eval
-  (O(2^K); the SER's terms cancel to ~1e-15 absolute at high SNR).  They
-  stay there until the benchmark changes with them: bench/tracing.py
-  requires a signed_subset_eval call in every simulation round, and
-  bench/test_bench.py counts the SER's two cancellation faults as known.
+  sums over all 2^K - 1 relay subsets, through specfun.signed_subset_eval.
+  It adds the terms exactly, by a vectorized correctly rounded accumulator,
+  but it costs O(2^K), and the SER's terms cancel to ~1e-15 absolute at
+  high SNR.  They stay there until the benchmark changes with them:
+  bench/tracing.py requires a signed_subset_eval call in every simulation
+  round, and bench/test_bench.py counts the SER's two cancellation faults
+  as known.
 
 The direct-transmission forms instead harden the main link at N_s*gbar_sd and
 keep the leakage random: the max (and, under collusion, the worse of max and
@@ -35,6 +37,7 @@ import numpy as np
 from .model import EveModel, MeanGains, Modulation, SystemConfig
 from .specfun import (
     EULER_GAMMA,
+    _exact_signed_sum,
     exp_poly_recip_integral,
     hypoexp_cdf,
     hypoexp_terms,
@@ -215,14 +218,16 @@ def esr_dt_lb(gains: MeanGains, config: SystemConfig, model: EveModel) -> float:
     else:
         k = gains.n_relays
         sizes, sums = subset_terms(1.0 / leak[:k])
-        signs = np.where(sizes % 2 == 1, -1.0, 1.0)
         terms = hypoexp_terms(leak[k:])
-        # fsum rounds the whole list once, so the order of its parts is free.
-        parts = [coef * exp_poly_recip_integral(p, r, r) for coef, p, r in terms]
-        parts += (-signs * scaled_e1(sums)).tolist()
-        for coef, p, r in terms:
-            parts += (signs * coef * exp_poly_recip_integral(p, r, sums + r)).tolist()
-        e_ln = math.fsum(parts)
+        # The parts are added exactly and rounded once, so their order is free.
+        parts = np.concatenate([
+            [coef * exp_poly_recip_integral(p, r, r) for coef, p, r in terms],
+            scaled_e1(sums),
+            *(coef * exp_poly_recip_integral(p, r, sums + r) for coef, p, r in terms),
+        ])
+        odd = np.concatenate([np.zeros(len(terms), dtype=np.int64), sizes + 1,
+                              *[sizes] * len(terms)])
+        e_ln = _exact_signed_sum(parts, odd)
     return max(0.0, cap - e_ln / _LN2)
 
 

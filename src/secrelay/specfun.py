@@ -10,9 +10,11 @@ X of independent exponentials:
   positive survival function.  Every term is positive, so it costs O(K) and
   holds ~1e-16 relative at any K.  The ergodic secrecy rates use it.
 - signed_subset_eval: a signed inclusion-exclusion sum over all 2^K - 1
-  subsets of the rates.  Its terms cancel, so it costs O(2^K) and loses
-  accuracy as K grows.  The power offset, the SER and the collusion DT bound
-  still use it.
+  subsets of the rates.  It adds its terms exactly, with a vectorized
+  correctly rounded accumulator (_exact_signed_sum, the value math.fsum
+  would give), but it still costs O(2^K) and its terms still cancel, so the
+  result loses accuracy as K grows.  The power offset, the SER and the
+  collusion DT bound still use it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,12 @@ MAX_SUBSET_NODES = 25  # 2**25 - 1 subset terms is the hard ceiling
 # 2.5e-11 at K=25.
 _LOG_GRID_STEP = 1.0 / 8.0
 _IID_COLLAPSE_FROM = 16  # from here n identical rates sum as n binomial terms
+# _exact_signed_sum: frexp exponents of finite doubles start at -1073;
+# adding and subtracting 3 * 2^25 (ulp 2^-26) rounds a frexp fraction to a
+# multiple of 2^-26.
+_FREXP_EXP_MIN = -1073
+_SPLIT = 3.0 * 2.0**25
+_EXACT_CHUNK = 1 << MAX_SUBSET_NODES
 _HYPOEXP_MERGE_TOL = 1e-6  # relative gap below which hypoexp merges two means
 
 
@@ -165,6 +173,47 @@ def subset_terms(rates: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     return sizes[1:], sums[1:]
 
 
+def _exact_signed_sum(vals: np.ndarray, odd: np.ndarray) -> float:
+    """Correctly rounded sum of (-1)^odd[i] * vals[i] over a 1-D array: the
+    value math.fsum returns for that list.
+
+    Each term is f * 2^e with 1/2 <= |f| < 1 and f a 53-bit fraction, split
+    exactly into f = hi + lo, hi a multiple of 2^-26 and lo of 2^-53, with
+    |hi| * 2^26 and |lo| * 2^53 at most 2^26.  np.bincount adds the halves
+    into bins keyed by (e, parity of odd[i]).  A chunk holds at most
+    2^MAX_SUBSET_NODES = 2^25 terms, so every partial sum of a bin is an
+    integer multiple of its unit below 2^25 * 2^26 = 2^51 units, which
+    float64 holds exactly whatever the order of the adds.  The few non-empty
+    bins are then combined as Python ints and rounded once.  A non-finite
+    term raises ArithmeticError.
+    """
+    total = 0
+    for start in range(0, vals.size, _EXACT_CHUNK):
+        lo, exp = np.frexp(vals[start:start + _EXACT_CHUNK])
+        hi = lo + _SPLIT
+        hi -= _SPLIT
+        with np.errstate(invalid="ignore"):  # inf - inf: caught on the bins below
+            lo -= hi
+        e_lo, e_hi = int(exp.min()), int(exp.max())
+        exp -= e_lo
+        exp <<= 1
+        idx = odd[start:start + _EXACT_CHUNK] & 1
+        idx += exp
+        # Even bin minus odd bin stays below 2^52 units, so still exact.
+        hi_net, lo_net = (
+            (b[0::2] - b[1::2]).tolist()
+            for b in (np.bincount(idx, weights=w, minlength=2 * (e_hi - e_lo + 1))
+                      for w in (hi, lo))
+        )
+        for e, (h, l) in enumerate(zip(hi_net, lo_net), start=e_lo - _FREXP_EXP_MIN):
+            if not math.isfinite(h + l):
+                raise ArithmeticError("non-finite term in an exact sum")
+            if h or l:
+                total += ((int(h * 2.0**26) << 27) + int(l * 2.0**53)) << e
+    # total counts units of 2^(_FREXP_EXP_MIN - 53), the lowest a term can have.
+    return total / (1 << (53 - _FREXP_EXP_MIN))
+
+
 def signed_subset_eval(
     rates: Sequence[float],
     array_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -174,19 +223,19 @@ def signed_subset_eval(
     array_fn maps the arrays (sizes, rate_sums) to term values; with
     array_fn == 1 the sum is -1.  When all rates coincide (to 1e-12 relative)
     and the list is long, the 2^n enumeration collapses to n binomial terms.
+    The terms are added exactly and rounded once (_exact_signed_sum), but the
+    sum still costs O(2^n), and when its terms cancel the result is no better
+    than the terms themselves.
     """
     arr = _check_rates(rates)
     n = arr.size
     lo, hi = float(arr.min()), float(arr.max())
     if n >= _IID_COLLAPSE_FROM and (hi - lo) <= 1e-12 * hi:
         j = np.arange(1, n + 1, dtype=np.int64)
-        weights = np.array([math.comb(n, int(m)) * (-1.0) ** m for m in j])
-        vals = np.asarray(array_fn(j, j * arr[0]), dtype=float)
-        return math.fsum((weights * vals).tolist())
+        binom = np.array([float(math.comb(n, m)) for m in range(1, n + 1)])
+        return _exact_signed_sum(binom * np.asarray(array_fn(j, j * arr[0]), dtype=float), j)
     sizes, sums = subset_terms(arr)
-    signs = np.where(sizes & 1, -1.0, 1.0)
-    vals = np.asarray(array_fn(sizes, sums), dtype=float)
-    return math.fsum((signs * vals).tolist())
+    return _exact_signed_sum(np.asarray(array_fn(sizes, sums), dtype=float), sizes)
 
 
 def maxexp_cdf(means: Sequence[float], x) -> float | np.ndarray:
@@ -297,11 +346,11 @@ def hypoexp_terms(means: Sequence[float]) -> list[tuple[float, int, float]]:
 
 
 def _poisson_weight(power: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # z**p / p! * exp(-z), safe for large p via the log-gamma form.
-    from scipy.special import gammaln  # imported on first use: see the package docstring
-
+    # z**p / p! * exp(-z), safe for large p via the log-gamma form; power is
+    # one small integer per survival term.
+    log_fact = np.array([math.lgamma(p + 1.0) for p in power.tolist()])
     with np.errstate(divide="ignore", invalid="ignore"):
-        logw = power * np.log(z) - z - gammaln(power + 1.0)
+        logw = power * np.log(z) - z - log_fact
     return np.where(z > 0, np.exp(logw), np.where(power == 0, 1.0, 0.0))
 
 

@@ -6,8 +6,10 @@ construction that the batch path replaced: one draw, one served relay, one
 split at a time, with a scalar golden-section loop and a Python loop over
 relays.  Tests compare the batch results against it, exactly where the
 arithmetic is the same.  It also keeps the collusion branch of
-`analytics.esr_dt_lb` as one scalar call per (subset, survival term).  It is
-a plain module that test files import, not a test file itself.
+`analytics.esr_dt_lb` as one scalar call per (subset, survival term), and
+`math.fsum` copies of the three closed forms that are signed subset sums
+(the ESR power offset, the SER and the collusion DT bound).  It is a plain
+module that test files import, not a test file itself.
 """
 
 from __future__ import annotations
@@ -17,10 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from secrelay.analytics import leakage_floor
 from secrelay.channel import LAMBDA_EPS, BatchDraws, dt_leakage
-from secrelay.model import EveModel, MeanGains, SystemConfig
+from secrelay.model import EveModel, MeanGains, Modulation, SystemConfig
 from secrelay.policy import Scheme, secrecy_rate
-from secrelay.specfun import exp_poly_recip_integral, hypoexp_terms, scaled_e1, subset_terms
+from secrelay.specfun import (
+    EULER_GAMMA,
+    exp_poly_recip_integral,
+    hypoexp_terms,
+    scaled_e1,
+    subset_terms,
+)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Bracket width of the split search, as in the package.
@@ -227,4 +236,47 @@ def esr_dt_lb_collusion(gains: MeanGains, config: SystemConfig) -> float:
         for sg, a in zip(signs, sums)
         for coef, p, r in terms
     )
+    return max(0.0, cap - math.fsum(parts) / math.log(2.0))
+
+
+# ---------------------------------------------------------------------------
+# math.fsum copies of the signed subset sums.  Each builds its term arrays as
+# the package does and adds the signed list with math.fsum, which rounds the
+# exact sum once, so the package's exact accumulator must match them with ==.
+
+
+def signed_fsum(vals: np.ndarray, odd: np.ndarray) -> float:
+    """math.fsum of (-1)^odd[i] * vals[i]."""
+    return math.fsum(np.where(odd & 1, -vals, vals).tolist())
+
+
+def power_offset_fsum(gains: MeanGains, c: float) -> float:
+    """analytics.esr_dbcj(...).power_offset (SNR-free)."""
+    sizes, sums = subset_terms(1.0 / gains.mu_rd)
+    mu_part = signed_fsum(np.log2(sums), sizes)
+    return -mu_part + EULER_GAMMA / math.log(2.0) + 2.0 * math.log2(1.0 + leakage_floor(c))
+
+
+def ser_dbcj_fsum(gains: MeanGains, rho: float, c: float, modulation: Modulation) -> float:
+    """analytics.ser_dbcj."""
+    b = leakage_floor(c)
+    sizes, sums = subset_terms(1.0 / gains.gbar_rd(rho))
+    inner = signed_fsum(1.0 / np.sqrt(1.0 + 2.0 * sums * (1.0 + b) / modulation.beta_m), sizes)
+    return 0.5 * modulation.alpha_m * (1.0 + inner)
+
+
+def esr_dt_lb_collusion_fsum(gains: MeanGains, config: SystemConfig) -> float:
+    """esr_dt_lb_collusion with each survival term evaluated on all subsets
+    at once, fast enough for K = 18."""
+    rho = config.snr_linear
+    leak = gains.leak_means_dt(rho)
+    cap = math.log2(1.0 + config.n_antennas * gains.gbar_sd(rho))
+    k = gains.n_relays
+    sizes, sums = subset_terms(1.0 / leak[:k])
+    terms = hypoexp_terms(leak[k:])
+    signs = np.where(sizes & 1, -1.0, 1.0)
+    parts = [coef * exp_poly_recip_integral(p, r, r) for coef, p, r in terms]
+    parts += (-signs * scaled_e1(sums)).tolist()
+    for coef, p, r in terms:
+        parts += (signs * coef * exp_poly_recip_integral(p, r, sums + r)).tolist()
     return max(0.0, cap - math.fsum(parts) / math.log(2.0))

@@ -33,7 +33,7 @@ from secrelay.model import (
     paper_topology,
 )
 from secrelay.montecarlo import Metric, estimate
-from secrelay.policy import Scheme
+from secrelay.policy import Scheme, c_params
 from secrelay.specfun import EULER_GAMMA, scaled_e1
 
 SQRT2 = math.sqrt(2.0)
@@ -391,6 +391,24 @@ def test_esr_dt_lb_collusion_equals_the_scalar_loop(mu_se):
         got = esr_dt_lb(g, cfg, EveModel.CE)
         assert got > 0.0
         assert got == ref.esr_dt_lb_collusion(g, cfg)
+
+
+@pytest.mark.parametrize("db", [0.0, 30.0])
+@pytest.mark.parametrize("k", [1, 5, 12, 18])
+def test_signed_subset_forms_equal_their_fsum_copies(k, db):
+    # Pinned bit-identity: the power offset, the SER and the collusion DT
+    # bound add their subset terms exactly and round once, as math.fsum does,
+    # with and without the collusion penalty.
+    g = mean_gains_from_topology(paper_topology(k, 4))
+    rho = 10.0 ** (db / 10.0)
+    cfg = dt_config(64, k, 4, rho, EveModel.CE)
+    for c in (0.0, c_params(g, cfg).c):
+        assert esr_dbcj(g, rho, c).power_offset == ref.power_offset_fsum(g, c)
+        for mod in (Modulation.psk(4), Modulation.qam(16)):
+            assert ser_dbcj(g, rho, c, mod) == ref.ser_dbcj_fsum(g, rho, c, mod)
+    got = esr_dt_lb(g, cfg, EveModel.CE)
+    assert got > 0.0
+    assert got == ref.esr_dt_lb_collusion_fsum(g, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -81,8 +81,8 @@ def test_only_simulation_loads_scipy(tmp_path):
 import sys
 import secrelay, secrelay.cli
 from secrelay import (EveModel, SystemConfig, c_params, esr_dbcj, esr_dt_lb,
-                      mean_gains_from_topology, paper_topology, ppos_dbcj, ser_dbcj,
-                      simulate, sop_dbcj, Scheme)
+                      mean_gains_from_topology, paper_topology, ppos_dbcj, ppos_dt,
+                      ser_dbcj, simulate, sop_dbcj, sop_dt, Scheme)
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.startswith("scipy"))
@@ -98,6 +98,8 @@ sop_dbcj(gains, 100.0, c)
 ppos_dbcj(gains, 100.0, c)
 for model in EveModel:
     esr_dt_lb(gains, cfg, model)
+    sop_dt(gains, cfg, model)
+    ppos_dt(gains, cfg, model)
 print("closed forms:", *scipy_modules())
 simulate(cfg, gains, [Scheme.JRP], 10)
 print("simulate:", "scipy.special" in scipy_modules())

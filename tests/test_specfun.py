@@ -187,10 +187,65 @@ def test_subset_sum_is_maxexp_complement():
         assert math.isclose(lhs, maxexp_cdf(means, x) - 1.0, rel_tol=1e-12)
 
 
+# The two array_fns analytics passes: the power offset's and the SER's.
+ANALYTICS_ARRAY_FNS = {
+    "offset": lambda _sz, s: np.log2(s),
+    "ser": lambda _sz, s: 1.0 / np.sqrt(1.0 + 2.0 * s * 2.5 / 2.0),
+}
+
+
 def test_signed_subset_eval_matches_subset_sum():
-    rates = [0.2, 0.9, 1.7, 3.0]
-    fn = lambda sz, s: np.log1p(s)
-    assert math.isclose(signed_subset_eval(rates, fn), _enumerated(rates, fn), rel_tol=1e-13)
+    # The exact accumulator rounds once, as fsum does: equal, not close.
+    for k in (1, 4, 9, 14, 18):
+        rates = 1.0 / mean_gains_from_topology(paper_topology(k, 0)).gbar_rd(10.0)
+        for name, array_fn in ANALYTICS_ARRAY_FNS.items():
+            assert signed_subset_eval(rates, array_fn) == _enumerated(rates, array_fn), (k, name)
+
+
+def _signed_fsum(vals, odd):
+    return math.fsum(np.where(np.asarray(odd) & 1, -vals, vals).tolist())
+
+
+def _exact_sum_cases():
+    rng = np.random.default_rng(13)
+    n = 5000
+    spread = rng.standard_normal(n) * np.exp2(rng.integers(-700, 701, n).astype(float))
+    x = rng.standard_normal(1000) * np.exp2(rng.integers(-30, 31, 1000).astype(float))
+    return {
+        "exponents-700-to-700": (spread, rng.integers(0, 26, n)),
+        "signed-zeros": (np.array([0.0, -0.0, 3.5, -0.0, -3.5, 0.0]), np.arange(6)),
+        "subnormal-total": (np.array([5e-324, 5e-324, -1e-310]), np.zeros(3, dtype=np.int64)),
+        "cancellation-plus-residue": (np.concatenate([x, x, [2.0**-1000]]),
+                                      np.concatenate([np.zeros(1000, np.int64),
+                                                      np.ones(1000, np.int64), [0]])),
+        "2^20-max-significands": (np.full(1 << 20, np.nextafter(2.0, 0.0)),
+                                  np.zeros(1 << 20, dtype=np.int64)),
+        "tie-to-even": (np.array([1.0 + 2.0**-52, 2.0**-53]), np.zeros(2, dtype=np.int64)),
+        "just-past-a-tie": (np.array([1.0, 2.0**-53, 2.0**-300]), np.zeros(3, dtype=np.int64)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_exact_sum_cases()))
+def test_exact_signed_sum_equals_fsum(case):
+    vals, odd = _exact_sum_cases()[case]
+    got = specfun._exact_signed_sum(vals, odd)
+    want = _signed_fsum(vals, odd)
+    assert got == want
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_exact_signed_sum_carries_across_chunks(monkeypatch):
+    # Past 2^25 terms (the collusion DT bound at large K and L) the sum runs
+    # in chunks whose bins meet as Python ints; small chunks show the seam.
+    vals, odd = _exact_sum_cases()["exponents-700-to-700"]
+    monkeypatch.setattr(specfun, "_EXACT_CHUNK", 7)
+    assert specfun._exact_signed_sum(vals, odd) == _signed_fsum(vals, odd)
+
+
+def test_exact_signed_sum_refuses_non_finite_terms():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ArithmeticError):
+            specfun._exact_signed_sum(np.array([1.0, bad, 2.0]), np.arange(3))
 
 
 def test_signed_subset_eval_iid_collapse_agrees(monkeypatch):
@@ -204,6 +259,10 @@ def test_signed_subset_eval_iid_collapse_agrees(monkeypatch):
         got = signed_subset_eval([1.3] * n, fn)
         assert math.isclose(got, _enumerated([1.3] * n, fn), rel_tol=1e-10)
     assert enumerated == [15]
+    # The collapsed sum is the 16 binomial terms added exactly.
+    j = np.arange(1, 17)
+    terms = np.array([float(math.comb(16, m)) for m in j]) * fn(j, 1.3 * j)
+    assert signed_subset_eval([1.3] * 16, fn) == _signed_fsum(terms, j)
 
 
 def test_rate_list_validation():
