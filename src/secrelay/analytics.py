@@ -142,9 +142,17 @@ def ser_dbcj(
     (alpha/2)(1 + sum_u (-1)^|u| / sqrt(1 + 2 s_u (1+B)/beta))."""
     b = leakage_floor(c)
     rates = 1.0 / gains.gbar_rd(rho)
-    inner = signed_subset_eval(
-        rates, lambda _sz, s: 1.0 / np.sqrt(1.0 + 2.0 * s * (1.0 + b) / modulation.beta_m)
-    )
+
+    def term(_sizes, s):
+        # 1/sqrt(1 + 2*s*(1+B)/beta), op by op in one scratch array.
+        t = 2.0 * s
+        t *= 1.0 + b
+        t /= modulation.beta_m
+        t += 1.0
+        np.sqrt(t, out=t)
+        return np.divide(1.0, t, out=t)
+
+    inner = signed_subset_eval(rates, term)
     return 0.5 * modulation.alpha_m * (1.0 + inner)
 
 

@@ -14,12 +14,20 @@ from __future__ import annotations
 import math
 import warnings
 import weakref
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .channel import LAMBDA_EPS, BatchDraws, dt_leakage, leakage_batch, sinr_destination
+from .channel import (
+    LAMBDA_EPS,
+    BatchDraws,
+    ServedView,
+    dt_leakage,
+    leakage_batch,
+    served,
+    sinr_destination,
+)
 from .model import EveModel, MeanGains, SystemConfig
 from .specfun import EULER_GAMMA, digamma_int, scaled_e1
 
@@ -27,9 +35,9 @@ _LN2 = math.log(2.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Bracket width at which the golden-section split search stops.
 _SPLIT_TOL = 1e-6
-# Most (trial, relay) pairs one gathered search or rate call takes: simulate's
-# default chunk, so stacking several relays' pairs never needs more memory
-# than searching one relay over a default chunk.
+# Most (trial, relay) pairs one served view takes: simulate's default chunk,
+# so stacking several relays' pairs never needs more memory than searching
+# one relay over a default chunk.
 _PAIR_ROWS = 2048
 
 
@@ -54,7 +62,10 @@ class Scheme(Enum):
     the simulated schemes validate them.  A batch's splits are searched once
     per (trial, relay) pair and shared among JRP, OPRR and EXACT_JRP, so
     whichever of them runs first on a batch searches the pairs it needs and
-    the others read the stored results.
+    the others read the stored results.  A search gathers its pairs' served
+    gains once into a node-major channel.ServedView and rates every
+    golden-section probe and guard candidate on it; only each scheme's
+    final operating point is rated through leakage_batch.
     """
 
     JRP = "jrp"
@@ -99,19 +110,13 @@ def _nce_split(gamma_si, gamma_id):
     return math.sqrt(2.0) * gamma_id / gamma_si
 
 
-def _closed_split_batch(
-    batch: BatchDraws, relay_idx, model: EveModel, warn: bool = False
-) -> np.ndarray:
-    """Closed-form split per trial for the served relay (the formula of
-    opa_nce or opa_ce), clamped into (0, 1)."""
-    rows = np.arange(batch.n_trials)
-    g_si = batch.g_sr[rows, relay_idx]
-    g_id = batch.g_rd[rows, relay_idx]
+def _closed_split(view: ServedView, model: EveModel, warn: bool = False) -> np.ndarray:
+    """Closed-form split per row of the served view (the formula of opa_nce
+    or opa_ce), clamped into (0, 1)."""
+    g_si, g_id = view.g_si, view.g_id
     if model is EveModel.NCE:
         return _clamp_split(_nce_split(g_si, g_id), warn)
-    k = batch.n_relays
-    null_e = batch.g_null_r[rows, relay_idx][:, k:]
-    delta = g_si / (g_id + 1.0) + np.sum(null_e / (batch.g_ld[:, k:] + 1.0), axis=1)
+    delta = g_si / (g_id + 1.0) + view.eve_sum(view.g_null / (view.g_ld + 1.0))
     return _clamp_split(np.sqrt(2.0 * g_id / (g_si * delta)), warn)
 
 
@@ -146,7 +151,7 @@ def opa_ce(batch: BatchDraws, relay_idx) -> np.ndarray:
     sqrt(2*gamma_id/(gamma_si*delta)), clamped into (0, 1) with a
     RegimeWarning.  relay_idx is one relay for every trial or one per trial.
     """
-    return _closed_split_batch(batch, relay_idx, EveModel.CE, warn=True)
+    return _closed_split(served(batch, relay_idx), EveModel.CE, warn=True)
 
 
 def c_params(gains: MeanGains, config: SystemConfig) -> CParams:
@@ -217,34 +222,35 @@ class SchemeBatchResult:
     rate: np.ndarray
 
 
-def _rate_batch(batch, relay_idx, lam, model):
-    g_d = sinr_destination(batch, relay_idx, lam)
-    g_e = leakage_batch(batch, relay_idx, lam, model)
-    return g_d, g_e, secrecy_rate(g_d, g_e)
+def _view_rate(view: ServedView, lam, model: EveModel) -> np.ndarray:
+    return secrecy_rate(view.sinr_destination(lam), view.leakage(lam, model))
 
 
 def _numeric_split_batch(
-    batch: BatchDraws, relay_idx: np.ndarray, model: EveModel
+    batch: BatchDraws, relay_idx: np.ndarray, model: EveModel, trials: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize the exact secrecy rate over the split for a fixed per-trial
-    relay.
+    """Maximize the exact secrecy rate over the split for a fixed relay per
+    row: relay relay_idx[i] of trial trials[i] (every trial in order when
+    trials is None).
 
     Golden-section search on (0, 1) to bracket width _SPLIT_TOL, then the
     best of the bracket result, the equal split and the closed-form
     candidates; the returned rate therefore never falls below rate(0.5) or
-    rate(lam*).  Returns (split, rate) per trial.  Every step works row by
-    row over a fixed number of iterations, so a row's result does not depend
-    on the rows searched with it.  Schemes reach it through _searched_splits,
-    which searches each (trial, relay) pair of a batch once and shares the
-    result among JRP, OPRR and EXACT_JRP.
+    rate(lam*).  Returns (split, rate) per row.  The rows' served gains are
+    gathered once into a ServedView that rates every probe.  Every step
+    works row by row over a fixed number of iterations, so a row's result
+    does not depend on the rows searched with it.  Schemes reach it through
+    _searched_splits, which searches each (trial, relay) pair of a batch
+    once and shares the result among JRP, OPRR and EXACT_JRP.
     """
-    n = batch.n_trials
+    view = served(batch, relay_idx, trials)
+    n = view.g_si.size
     a = np.full(n, LAMBDA_EPS)
     b = np.full(n, 1.0 - LAMBDA_EPS)
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1 = _rate_batch(batch, relay_idx, x1, model)[2]
-    f2 = _rate_batch(batch, relay_idx, x2, model)[2]
+    f1 = _view_rate(view, x1, model)
+    f2 = _view_rate(view, x2, model)
     width = 1.0 - 2.0 * LAMBDA_EPS
     while width > _SPLIT_TOL:
         left = f1 >= f2
@@ -254,7 +260,7 @@ def _numeric_split_batch(
         x2_new = np.where(left, x1, a_new + _GOLDEN * (b_new - a_new))
         f_keep = np.where(left, f1, f2)
         probe = np.where(left, x1_new, x2_new)
-        f_probe = _rate_batch(batch, relay_idx, probe, model)[2]
+        f_probe = _view_rate(view, probe, model)
         f1 = np.where(left, f_probe, f_keep)
         f2 = np.where(left, f_keep, f_probe)
         a, b, x1, x2 = a_new, b_new, x1_new, x2_new
@@ -262,11 +268,11 @@ def _numeric_split_batch(
     best = np.where(f1 >= f2, x1, x2)
     rate = np.where(f1 >= f2, f1, f2)
     # Guard with the equal split and the closed-form candidates.
-    cands = [np.full(n, 0.5), _closed_split_batch(batch, relay_idx, EveModel.NCE)]
+    cands = [np.full(n, 0.5), _closed_split(view, EveModel.NCE)]
     if batch.n_nodes > batch.n_relays:
-        cands.append(_closed_split_batch(batch, relay_idx, EveModel.CE))
+        cands.append(_closed_split(view, EveModel.CE))
     for lam_c in cands:
-        r = _rate_batch(batch, relay_idx, lam_c, model)[2]
+        r = _view_rate(view, lam_c, model)
         better = r > rate
         best = np.where(better, lam_c, best)
         rate = np.where(better, r, rate)
@@ -280,20 +286,11 @@ def _numeric_split_batch(
 _SPLIT_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _gather(batch: BatchDraws, trials: np.ndarray) -> BatchDraws:
-    """The given trials of the batch as a batch of their own, in that order."""
-    return BatchDraws(**{f.name: getattr(batch, f.name)[trials] for f in fields(batch)})
-
-
-def _over_pairs(batch: BatchDraws, trials: np.ndarray, relays: np.ndarray, fn) -> tuple:
-    """fn(sub_batch, relay_idx) over the (trial, relay) pairs, stacked as the
-    rows of gathered sub-batches of at most _PAIR_ROWS rows; each returned
-    array is concatenated in pair order.  Exactly one pair per trial, in
-    trial order, runs on the batch itself."""
-    if np.array_equal(trials, np.arange(batch.n_trials)):
-        return fn(batch, relays)
+def _over_pairs(trials: np.ndarray, relays: np.ndarray, fn) -> tuple:
+    """fn(trials, relays) over slices of at most _PAIR_ROWS (trial, relay)
+    pairs; each returned array is concatenated in pair order."""
     parts = [
-        fn(_gather(batch, trials[s : s + _PAIR_ROWS]), relays[s : s + _PAIR_ROWS])
+        fn(trials[s : s + _PAIR_ROWS], relays[s : s + _PAIR_ROWS])
         for s in range(0, trials.size, _PAIR_ROWS)
     ]
     return tuple(np.concatenate(p) for p in zip(*parts))
@@ -313,7 +310,7 @@ def _searched_splits(
     if todo.any():
         t, r = trials[todo], relays[todo]
         lam[t, r], rate[t, r] = _over_pairs(
-            batch, t, r, lambda sub, idx: _numeric_split_batch(sub, idx, model)
+            t, r, lambda tt, rr: _numeric_split_batch(batch, rr, model, tt)
         )
         done[t, r] = True
     return lam[trials, relays], rate[trials, relays]
@@ -337,8 +334,8 @@ def run_scheme_batch(batch: BatchDraws, scheme: Scheme, config: SystemConfig) ->
         lam = _searched_splits(batch, rows, relay, model)[0]
     elif scheme is Scheme.EPRS:
         (rates,) = _over_pairs(
-            batch, np.repeat(rows, k), np.tile(np.arange(k), n),
-            lambda sub, idx: _rate_batch(sub, idx, np.full(idx.size, 0.5), model)[2:],
+            np.repeat(rows, k), np.tile(np.arange(k), n),
+            lambda t, r: (_view_rate(served(batch, r, t), 0.5, model),),
         )
         relay = np.argmax(rates.reshape(n, k), axis=1)
         lam = np.full(n, 0.5)
@@ -349,5 +346,6 @@ def run_scheme_batch(batch: BatchDraws, scheme: Scheme, config: SystemConfig) ->
         lam = lams.reshape(n, k)[rows, relay]
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    g_d, g_e, rate = _rate_batch(batch, relay, lam, model)
-    return SchemeBatchResult(scheme, relay, lam, g_d, g_e, rate)
+    g_d = sinr_destination(batch, relay, lam)
+    g_e = leakage_batch(batch, relay, lam, model)
+    return SchemeBatchResult(scheme, relay, lam, g_d, g_e, secrecy_rate(g_d, g_e))

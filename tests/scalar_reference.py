@@ -8,8 +8,10 @@ relays.  Tests compare the batch results against it, exactly where the
 arithmetic is the same.  It also keeps the collusion branch of
 `analytics.esr_dt_lb` as one scalar call per (subset, survival term), and
 `math.fsum` copies of the three closed forms that are signed subset sums
-(the ESR power offset, the SER and the collusion DT bound).  It is a plain
-module that test files import, not a test file itself.
+(the ESR power offset, the SER and the collusion DT bound), and the
+trial-major batch leakage and collusion split that the node-major served
+view replaced.  It is a plain module that test files import, not a test
+file itself.
 """
 
 from __future__ import annotations
@@ -217,6 +219,46 @@ def run_scheme(draw: ChannelDraw, scheme: Scheme, config: SystemConfig) -> Polic
     g_d = sinr_destination(draw, relay, lam)
     g_e = leakage(draw, relay, lam, model)
     return PolicyOutcome(scheme, relay, lam, g_d, g_e, secrecy_rate(g_d, g_e))
+
+
+# ---------------------------------------------------------------------------
+# Trial-major batch evaluation, as the package did it before the served view:
+# (n, K+L) arrays with the nodes on the trailing axis.  The view must match
+# these with tobytes() equality; numpy adds eight or more terms pairwise, so
+# only a pooled sum along each trial's contiguous row reproduces them.
+
+
+def leakage_batch(batch: BatchDraws, relay_idx, lam, model: EveModel) -> np.ndarray:
+    """channel.leakage_batch, trial-major."""
+    rows = np.arange(batch.n_trials)
+    g_si = batch.g_sr[rows, relay_idx]
+    g_id = batch.g_rd[rows, relay_idx]
+    null_row = batch.g_null_r[rows, relay_idx]
+    rl_row = batch.g_rl[rows, relay_idx]
+    lam = np.asarray(lam, dtype=float)
+    lam_c = 1.0 - lam
+    p1 = lam[..., None] * null_row / (lam_c[..., None] * batch.g_ld + 1.0)
+    num = lam[..., None] * g_si[..., None] * rl_row
+    den = (lam * g_si)[..., None] + (1.0 + lam_c * g_id)[..., None] * (1.0 + rl_row)
+    p2 = num / den
+    per_node = np.maximum(p1, p2)
+    if model is EveModel.NCE:
+        return np.max(per_node, axis=-1)
+    k = batch.n_relays
+    relay_part = np.max(per_node[..., :k], axis=-1)
+    eve_part = np.sum(p1[..., k:] + p2[..., k:], axis=-1)
+    return np.maximum(relay_part, eve_part)
+
+
+def closed_split_ce_batch(batch: BatchDraws, relay_idx) -> np.ndarray:
+    """policy.opa_ce, trial-major and unclamped."""
+    rows = np.arange(batch.n_trials)
+    g_si = batch.g_sr[rows, relay_idx]
+    g_id = batch.g_rd[rows, relay_idx]
+    k = batch.n_relays
+    null_e = batch.g_null_r[rows, relay_idx][:, k:]
+    delta = g_si / (g_id + 1.0) + np.sum(null_e / (batch.g_ld[:, k:] + 1.0), axis=1)
+    return np.sqrt(2.0 * g_id / (g_si * delta))
 
 
 def esr_dt_lb_collusion(gains: MeanGains, config: SystemConfig) -> float:

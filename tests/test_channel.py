@@ -1,20 +1,23 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import scalar_reference as ref
 from secrelay.channel import (
+    LAMBDA_EPS,
     BatchDraws,
     RngStream,
     draw_batch,
     dt_leakage,
     flat_draw_size,
     leakage_batch,
+    served,
     sinr_destination,
 )
 from secrelay.model import EveModel, MeanGains, SystemConfig
-from secrelay.policy import Scheme, run_scheme_batch
+from secrelay.policy import RegimeWarning, Scheme, opa_ce, run_scheme_batch
 
 
 def small_draw() -> BatchDraws:
@@ -244,6 +247,35 @@ def test_leakage_batch_matches_scalar():
         for t in range(16):
             want = ref.leakage(ref.row(batch, t), int(relay_idx[t]), float(lam[t]), model)
             assert math.isclose(out[t], want, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("k, l", [(10, 50), (5, 5)])
+@pytest.mark.parametrize("model", list(EveModel), ids=lambda m: m.value)
+def test_served_view_is_bit_identical_to_trial_major(k, l, model):
+    # Pooled eavesdropper sums of eight or more terms are added pairwise, so
+    # summing the node-major rows in another order would move their last
+    # bits; rtol checks cannot see that.
+    gains = MeanGains.iid(k, l, mu_sr=0.5, mu_rd=1.0, mu_se=0.5, mu_ed=1.0)
+    cfg = SystemConfig(n_antennas=16, n_relays=k, n_eves=l, snr_linear=100.0, eve_model=model)
+    batch = draw_batch(gains, cfg, 17, 0, 300)
+    rng = np.random.default_rng(4)
+    relay_idx = rng.integers(0, k, 300)
+    lam = rng.uniform(0.01, 0.99, 300)
+    want = ref.leakage_batch(batch, relay_idx, lam, model)
+    assert served(batch, relay_idx).leakage(lam, model).tobytes() == want.tobytes()
+    assert leakage_batch(batch, relay_idx, lam, model).tobytes() == want.tobytes()
+    # A view of chosen (trial, relay) pairs equals those trials gathered
+    # into a batch of their own.
+    trials = rng.integers(0, 300, 200)
+    sub = BatchDraws(**{f: getattr(batch, f)[trials] for f in vars(batch)})
+    want = ref.leakage_batch(sub, relay_idx[:200], lam[:200], model)
+    got = served(batch, relay_idx[:200], trials).leakage(lam[:200], model)
+    assert got.tobytes() == want.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        split = opa_ce(batch, relay_idx)
+    want = np.clip(ref.closed_split_ce_batch(batch, relay_idx), LAMBDA_EPS, 1.0 - LAMBDA_EPS)
+    assert split.tobytes() == want.tobytes()
 
 
 def test_dt_snrs_and_leakage():

@@ -380,25 +380,38 @@ def model_setup(model):
 
 @pytest.mark.parametrize("model", list(EveModel), ids=lambda m: m.value)
 def test_each_trial_relay_split_is_searched_once(monkeypatch, model):
+    # The searches build their served views through policy.served; each
+    # scheme's final rating goes through leakage_batch, whose view channel
+    # builds.  Count the (trial, relay) rows entering each.
     gains, cfg = model_setup(model)
-    rows = []
-    leakage = policy.leakage_batch
+    searched, rated = [], []
+    build, leakage = policy.served, policy.leakage_batch
 
-    def counting(batch, relay_idx, lam, model):
-        rows.append(len(relay_idx))
+    def counting_view(batch, relay_idx, trials=None):
+        searched.append(len(relay_idx))
+        return build(batch, relay_idx, trials)
+
+    def counting_leakage(batch, relay_idx, lam, model):
+        rated.append(len(relay_idx))
         return leakage(batch, relay_idx, lam, model)
 
-    monkeypatch.setattr(policy, "leakage_batch", counting)
+    monkeypatch.setattr(policy, "served", counting_view)
+    monkeypatch.setattr(policy, "leakage_batch", counting_leakage)
 
     def rows_per_trial(schemes):
-        rows.clear()
+        searched.clear()
+        rated.clear()
         simulate(cfg, gains, schemes, 100, seed=5, chunk_size=37)
-        return sum(rows) / 100
+        return sum(searched) / 100, sum(rated) / 100
 
-    exact = rows_per_trial([Scheme.EXACT_JRP])
-    # JRP and OPRR only re-rate their (relay, split): one leakage row each.
-    assert rows_per_trial([Scheme.EXACT_JRP, Scheme.JRP, Scheme.OPRR]) == exact + 2
-    assert rows_per_trial([Scheme.OPRR, Scheme.JRP, Scheme.EXACT_JRP]) == exact + 2
+    k = cfg.n_relays
+    assert rows_per_trial([Scheme.JRP]) == (1, 1)
+    # EXACT_JRP searches every relay of a trial; JRP and OPRR read their
+    # splits from it, and searched first they leave it the other relays.
+    # Each scheme rates its own (relay, split): one leakage row each.
+    assert rows_per_trial([Scheme.EXACT_JRP]) == (k, 1)
+    assert rows_per_trial([Scheme.EXACT_JRP, Scheme.JRP, Scheme.OPRR]) == (k, 3)
+    assert rows_per_trial([Scheme.OPRR, Scheme.JRP, Scheme.EXACT_JRP]) == (k, 3)
 
 
 @pytest.mark.parametrize("chunk", [7, 2048])
