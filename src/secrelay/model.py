@@ -305,22 +305,30 @@ def mean_gains_from_topology(topology: Topology) -> MeanGains:
     if k < 1:
         raise TopologyError("topology needs at least one relay")
 
-    def gain(a, b, what):
-        d = float(np.hypot(*(a - b)))
-        if d <= 0.0:
-            raise TopologyError(f"zero distance on modeled link: {what}")
-        return d ** (-alpha)
-
-    mu_sr = np.array([gain(src, r, f"source-relay{i}") for i, r in enumerate(relays)])
-    mu_rd = np.array([gain(dst, r, f"relay{i}-dest") for i, r in enumerate(relays)])
-    mu_se = np.array([gain(src, e, f"source-eve{j}") for j, e in enumerate(eves)])
-    mu_ed = np.array([gain(dst, e, f"eve{j}-dest") for j, e in enumerate(eves)])
-    mu_sd = gain(src, dst, "source-dest")
+    # Both ends of every modeled link, in the order the gains are listed:
+    # source-relay, dest-relay, source-eve, dest-eve, source-dest, then
+    # relay i to node j != i row by row.  One hypot call over all of them.
     malicious = np.concatenate([relays, eves]) if l else relays
+    ri, nj = np.nonzero(~np.eye(k, k + l, dtype=bool))
+    one = np.concatenate([
+        np.broadcast_to(src, (k, 2)), np.broadcast_to(dst, (k, 2)),
+        np.broadcast_to(src, (l, 2)), np.broadcast_to(dst, (l, 2)), src[None], relays[ri],
+    ])
+    other = np.concatenate([relays, relays, eves, eves, dst[None], malicious[nj]])
+    diff = one - other
+    dist = np.hypot(diff[:, 0], diff[:, 1])
+    bad = np.flatnonzero(dist <= 0.0)
+    if bad.size:
+        names = [
+            *(f"source-relay{i}" for i in range(k)), *(f"relay{i}-dest" for i in range(k)),
+            *(f"source-eve{j}" for j in range(l)), *(f"eve{j}-dest" for j in range(l)),
+            "source-dest", *(f"relay{i}-node{j}" for i, j in zip(ri, nj)),
+        ]
+        raise TopologyError(f"zero distance on modeled link: {names[bad[0]]}")
+    # Python's float power, per element: np.power can differ in the last bit.
+    mu = np.array([x ** (-alpha) for x in dist.tolist()])
+    mu_sr, mu_rd, mu_se, mu_ed, mu_sd, rl = np.split(mu, np.cumsum([k, k, l, l, 1]))
+    mu_sd = float(mu_sd[0])
     mu_rl = np.zeros((k, k + l))
-    for i in range(k):
-        for j in range(k + l):
-            if j == i:
-                continue
-            mu_rl[i, j] = gain(relays[i], malicious[j], f"relay{i}-node{j}")
+    mu_rl[ri, nj] = rl
     return MeanGains(mu_sr=mu_sr, mu_rd=mu_rd, mu_se=mu_se, mu_ed=mu_ed, mu_sd=mu_sd, mu_rl=mu_rl)

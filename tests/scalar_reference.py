@@ -3,9 +3,9 @@
 The package evaluates SINRs, leakage, the split search and every scheme over
 a whole `BatchDraws` at once.  This module keeps the direct per-draw
 construction that the batch path replaced: one draw, one served relay, one
-split at a time, with a scalar golden-section loop and a Python loop over
-relays.  Tests compare the batch results against it, exactly where the
-arithmetic is the same.  It also keeps the collusion branch of
+split at a time, with a scalar envelope walk (NCE) or golden-section loop
+(CE) and a Python loop over relays.  Tests compare the batch results against
+it, exactly where the arithmetic is the same.  It also keeps the collusion branch of
 `analytics.esr_dt_lb` as one scalar call per (subset, survival term), and
 `math.fsum` copies of the three closed forms that are signed subset sums
 (the ESR power offset, the SER and the collusion DT bound), and the
@@ -34,8 +34,11 @@ from secrelay.specfun import (
 )
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# Bracket width of the split search, as in the package.
+# Bracket width of the golden-section split search, as in the package.
 SPLIT_TOL = 1e-6
+# The split interval in t = 1/lam, as in the package.
+T_LO = 1.0 / (1.0 - LAMBDA_EPS)
+T_HI = 1.0 / LAMBDA_EPS
 
 
 @dataclass(eq=False)
@@ -154,10 +157,60 @@ def closed_candidates(draw: ChannelDraw, relay: int) -> list[float]:
     return cands
 
 
-def opa_numeric(draw: ChannelDraw, relay: int, model: EveModel) -> tuple[float, float]:
-    """Golden-section search of the exact rate over the split, then the best
-    of the bracket result, the equal split and the closed-form candidates.
-    Returns (split, rate)."""
+def nce_lines(draw: ChannelDraw, relay: int) -> list[tuple[float, float]]:
+    """(slope, intercept) of each node's phase-1 NCE leakage inverse as a
+    line in t = 1/lam; a line with an infinite slope gets a zero intercept.
+    Call under np.errstate: zero gains divide by zero."""
+    lines = [((b + 1.0) / a, -b / a) for a, b in zip(draw.g_null_r[relay], draw.g_ld)]
+    return [(sl, 0.0 if np.isinf(sl) else ic) for sl, ic in lines]
+
+
+def _envelope_score(alpha, beta, gam, dlt, t):
+    x = alpha + beta * t
+    m = gam + dlt * t
+    return (x + 1.0) / x * (m / (m + 1.0))
+
+
+def nce_envelope_split(draw: ChannelDraw, relay: int) -> float:
+    """The NCE split of one draw: walk the lower envelope of nce_lines (the
+    served relay's own line bounds every phase-2 leakage) from T_LO,
+    scoring each piece's clipped stationary roots and its end, until the
+    walk reaches T_HI.  numpy scalars keep every IEEE special value the
+    batch walk produces (division by zero, square roots of negatives)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lines = nce_lines(draw, relay)
+        g_si, g_id = draw.g_sr[relay], draw.g_rd[relay]
+        alpha = 1.0 / g_id - 1.0 / g_si
+        beta = (2.0 * g_id + 1.0) / (g_si * g_id)
+        dest = alpha * (alpha + 1.0) / beta
+        line = int(np.argmin([ic + sl * T_LO for sl, ic in lines]))
+        t = np.float64(T_LO)
+        dlt, gam = lines[line]
+        best_t, best = t, _envelope_score(alpha, beta, gam, dlt, t)
+        while True:
+            dlt, gam = lines[line]
+            cross = [(ic - gam) / (dlt - sl) if sl < dlt else np.inf for sl, ic in lines]
+            nxt = int(np.argmin(cross))
+            end = np.minimum(np.maximum(cross[nxt], t), T_HI)
+            a_q, b_q = beta - dlt, alpha - gam
+            c_q = dest - gam * (gam + 1.0) / dlt
+            q = -(b_q + np.copysign(np.sqrt(b_q * b_q - a_q * c_q), b_q))
+            for cand in (q / a_q, c_q / q, end):
+                tc = np.minimum(np.maximum(cand, t), end)
+                score = _envelope_score(alpha, beta, gam, dlt, tc)
+                if score > best:
+                    best_t, best = tc, score
+            if not end < T_HI:
+                break
+            line, t = nxt, end
+    if best_t == T_LO:
+        return 1.0 - LAMBDA_EPS
+    return min(1.0 / best_t, 1.0 - LAMBDA_EPS)
+
+
+def golden_split(draw: ChannelDraw, relay: int, model: EveModel) -> tuple[float, float]:
+    """Golden-section search of the exact rate over the split.  Returns
+    (split, rate)."""
     a, b = LAMBDA_EPS, 1.0 - LAMBDA_EPS
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
@@ -176,7 +229,18 @@ def opa_numeric(draw: ChannelDraw, relay: int, model: EveModel) -> tuple[float, 
             x2 = a + _GOLDEN * (b - a)
             f2 = rate_at(draw, relay, x2, model)
         width *= _GOLDEN
-    best_lam, best = (x1, f1) if f1 >= f2 else (x2, f2)
+    return (x1, f1) if f1 >= f2 else (x2, f2)
+
+
+def opa_numeric(draw: ChannelDraw, relay: int, model: EveModel) -> tuple[float, float]:
+    """The envelope walk (NCE) or golden-section search (CE), then the best
+    of its split, the equal split and the closed-form candidates.  Returns
+    (split, rate)."""
+    if model is EveModel.NCE:
+        best_lam = nce_envelope_split(draw, relay)
+        best = rate_at(draw, relay, best_lam, model)
+    else:
+        best_lam, best = golden_split(draw, relay, model)
     for lam in [0.5, *closed_candidates(draw, relay)]:
         f = rate_at(draw, relay, lam, model)
         if f > best:

@@ -166,6 +166,71 @@ def test_mean_gains_scale_covariance():
     assert math.isclose(g1.mu_sd, g0.mu_sd / 8.0, rel_tol=1e-12)
 
 
+def _gains_per_link(topology: Topology) -> MeanGains:
+    """mean_gains_from_topology as one scalar hypot and one power per link,
+    as the package computed it before it took all distances in one call."""
+    alpha = topology.path_loss_exp
+    src = np.asarray(topology.source_pos, dtype=float)
+    dst = np.asarray(topology.dest_pos, dtype=float)
+    relays = np.asarray(topology.relay_pos, dtype=float).reshape(-1, 2)
+    eves = np.asarray(topology.eve_pos, dtype=float).reshape(-1, 2)
+    k, l = len(relays), len(eves)
+
+    def gain(a, b, what):
+        d = float(np.hypot(*(a - b)))
+        if d <= 0.0:
+            raise TopologyError(f"zero distance on modeled link: {what}")
+        return d ** (-alpha)
+
+    mu_sr = np.array([gain(src, r, f"source-relay{i}") for i, r in enumerate(relays)])
+    mu_rd = np.array([gain(dst, r, f"relay{i}-dest") for i, r in enumerate(relays)])
+    mu_se = np.array([gain(src, e, f"source-eve{j}") for j, e in enumerate(eves)])
+    mu_ed = np.array([gain(dst, e, f"eve{j}-dest") for j, e in enumerate(eves)])
+    mu_sd = gain(src, dst, "source-dest")
+    malicious = np.concatenate([relays, eves]) if l else relays
+    mu_rl = np.zeros((k, k + l))
+    for i in range(k):
+        for j in range(k + l):
+            if j != i:
+                mu_rl[i, j] = gain(relays[i], malicious[j], f"relay{i}-node{j}")
+    return MeanGains(mu_sr=mu_sr, mu_rd=mu_rd, mu_se=mu_se, mu_ed=mu_ed, mu_sd=mu_sd, mu_rl=mu_rl)
+
+
+def _random_topology(rng, k, l):
+    pos = lambda n: tuple(map(tuple, rng.uniform(-2.0, 2.0, (n, 2))))  # noqa: E731
+    return Topology(source_pos=pos(1)[0], dest_pos=pos(1)[0], relay_pos=pos(k),
+                    eve_pos=pos(l), path_loss_exp=float(rng.uniform(2.0, 4.0)))
+
+
+def test_mean_gains_from_topology_equals_per_link_loop():
+    rng = np.random.default_rng(5)
+    topos = [paper_topology(k, l, relay_ring=r) for k, l, r in
+             ((1, 0, 0.1), (3, 2, 0.05), (10, 50, 0.13))]
+    topos += [_random_topology(rng, k, l) for k in (1, 2, 5, 10) for l in (0, 1, 7, 50)]
+    for topo in topos:
+        got, want = mean_gains_from_topology(topo), _gains_per_link(topo)
+        for name in ("mu_sr", "mu_rd", "mu_se", "mu_ed", "mu_rl"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        assert got.mu_sd == want.mu_sd
+
+
+@pytest.mark.parametrize("clash", [
+    dict(relay_pos=((0.0, 0.0), (1.0, 1.0))),
+    dict(relay_pos=((1.0, 1.0), (3.0, 0.0))),
+    dict(eve_pos=((2.0, 2.0), (0.0, 0.0))),
+    dict(eve_pos=((1.0, 1.0),), relay_pos=((2.0, 2.0), (1.0, 1.0))),
+    dict(relay_pos=((1.0, 1.0), (1.0, 1.0))),
+])
+def test_degenerate_link_named_as_the_per_link_loop_names_it(clash):
+    topo = Topology(**{**dict(source_pos=(0.0, 0.0), dest_pos=(3.0, 0.0),
+                              relay_pos=((1.0, 1.0),), eve_pos=((2.0, 2.0),)), **clash})
+    with pytest.raises(TopologyError) as want:
+        _gains_per_link(topo)
+    with pytest.raises(TopologyError) as got:
+        mean_gains_from_topology(topo)
+    assert str(got.value) == str(want.value)
+
+
 def test_topology_degenerate_links_rejected():
     with pytest.raises(TopologyError, match="zero distance"):
         mean_gains_from_topology(

@@ -6,7 +6,15 @@ import pytest
 
 import scalar_reference as ref
 from secrelay import policy
-from secrelay.channel import LAMBDA_EPS, BatchDraws, draw_batch, leakage_batch, sinr_destination
+from secrelay.channel import (
+    LAMBDA_EPS,
+    BatchDraws,
+    ServedView,
+    draw_batch,
+    leakage_batch,
+    served,
+    sinr_destination,
+)
 from secrelay.model import EveModel, MeanGains, SystemConfig
 from secrelay.montecarlo import simulate
 from secrelay.policy import (
@@ -441,3 +449,221 @@ def test_split_tables_are_kept_per_eavesdropper_model():
             shared, alone = run_scheme_batch(batch, scheme, cfg), run_scheme_batch(fresh, scheme, cfg)
             np.testing.assert_array_equal(shared.lam, alone.lam)
             np.testing.assert_array_equal(shared.rate, alone.rate)
+
+
+# ---------------------------------------------------------------------------
+# The exact NCE split: envelope walk against independent oracles.
+
+T_LO, T_HI = ref.T_LO, ref.T_HI
+
+
+def nce_rates(draw: ref.ChannelDraw, relay: int, lam: np.ndarray) -> np.ndarray:
+    """Exact NCE secrecy rate of one draw at each split of lam."""
+    lam = np.asarray(lam, dtype=float)[:, None]
+    g_si, g_id = draw.g_sr[relay], draw.g_rd[relay]
+    rl = draw.g_rl[relay]
+    p1 = lam * draw.g_null_r[relay] / ((1.0 - lam) * draw.g_ld + 1.0)
+    p2 = lam * g_si * rl / (lam * g_si + (1.0 + (1.0 - lam) * g_id) * (1.0 + rl))
+    g_e = np.maximum(p1, p2).max(axis=1)
+    lam = lam[:, 0]
+    return secrecy_rate(lam * g_si * g_id / (lam * g_si + (2.0 - lam) * g_id + 1.0), g_e)
+
+
+def brute_force_nce(draw: ref.ChannelDraw, relay: int) -> tuple[float, float, str]:
+    """Best (rate, split, kind) over every candidate the rate can peak at:
+    both ends, all pairwise crossings of the leakage lines in t = 1/lam
+    (both phases of every node) and every line's stationary roots."""
+    s, d = float(draw.g_sr[relay]), float(draw.g_rd[relay])
+    nodes = zip(draw.g_null_r[relay].tolist(), draw.g_ld.tolist())
+    lines = [((b + 1.0) / a, -b / a) for a, b in nodes if a > 0.0]
+    for g in draw.g_rl[relay].tolist():
+        if g > 0.0:
+            c = (1.0 + g) / (s * g)
+            lines.append(((1.0 + d) * c, 1.0 / g - d * c))
+    alpha, beta = 1.0 / d - 1.0 / s, (2.0 * d + 1.0) / (s * d)
+    cands = [(T_LO, "end"), (T_HI, "end")]
+    for i, (d1, c1) in enumerate(lines):
+        cands += [((c2 - c1) / (d1 - d2), "kink") for d2, c2 in lines[i + 1 :] if d2 != d1]
+        a, b = beta - d1, alpha - c1
+        c = alpha * (alpha + 1.0) / beta - c1 * (c1 + 1.0) / d1
+        if a == 0.0 and b != 0.0:
+            cands.append((-c / (2.0 * b), "root"))
+        elif a != 0.0 and b * b - a * c >= 0.0:
+            r = math.sqrt(b * b - a * c)
+            cands += [((-b + r) / a, "root"), ((-b - r) / a, "root")]
+    cands = [(t, kind) for t, kind in cands if T_LO <= t <= T_HI]
+    lam = np.clip([1.0 / t for t, _ in cands], LAMBDA_EPS, 1.0 - LAMBDA_EPS)
+    rates = nce_rates(draw, relay, lam)
+    i = int(np.argmax(rates))
+    return float(rates[i]), float(lam[i]), cands[i][1]
+
+
+def walk(batch: BatchDraws, relays, trials=None) -> np.ndarray:
+    return policy._nce_envelope_split(served(batch, relays, trials))
+
+
+def nce_setup(ns, k, l, db, seed, trials):
+    gains = MeanGains.iid(k, l, mu_sr=0.5, mu_rd=1.0, mu_se=0.5, mu_ed=1.0, mu_rl=0.7)
+    cfg = SystemConfig(n_antennas=ns, n_relays=k, n_eves=l, snr_linear=10.0 ** (db / 10.0))
+    batch = draw_batch(gains, cfg, seed, 0, trials)
+    return batch, np.repeat(np.arange(trials), k), np.tile(np.arange(k), trials)
+
+
+def test_nce_split_matches_brute_force_oracle():
+    # Every (trial, relay) pair of two draws per layout and SNR.  The walk's
+    # own split rates within 1e-12 of the best candidate, and so does the
+    # guarded search; the per-draw walk of the reference agrees exactly.
+    pairs = 0
+    for idx, (ns, k, l) in enumerate(
+        (ns, k, l) for ns in (4, 8, 16, 256) for k in (1, 3, 5, 10) for l in (0, 1, 5, 50)
+    ):
+        for db in (0.0, 10.0, 20.0, 30.0, 40.0):
+            batch, trials, relays = nce_setup(ns, k, l, db, 900 + idx, 2)
+            lam = walk(batch, relays, trials)
+            _, rate = _numeric_split_batch(batch, relays, EveModel.NCE, trials)
+            for i, (t, r) in enumerate(zip(trials, relays)):
+                draw = ref.row(batch, t)
+                best, _, _ = brute_force_nce(draw, r)
+                at_walk = nce_rates(draw, r, [lam[i]])[0]
+                assert at_walk >= best - 1e-12, (ns, k, l, db, i)
+                assert abs(rate[i] - best) <= 1e-12, (ns, k, l, db, i)
+                assert ref.nce_envelope_split(draw, r) == lam[i]
+                pairs += 1
+    assert pairs == 2 * 5 * 4 * 4 * (1 + 3 + 5 + 10)
+
+
+def test_nce_split_beats_dense_grid_at_low_snr_and_small_ns():
+    grid = np.linspace(LAMBDA_EPS, 1.0 - LAMBDA_EPS, 4001)
+    for db in (0.0, 3.0):
+        batch, trials, relays = nce_setup(4, 3, 2, db, 37, 100)
+        _, rate = _numeric_split_batch(batch, relays, EveModel.NCE, trials)
+        for i, (t, r) in enumerate(zip(trials, relays)):
+            dense = nce_rates(ref.row(batch, t), r, grid).max()
+            assert rate[i] >= dense - 1e-12, (db, i)
+
+
+def test_nce_split_never_rates_below_golden_section():
+    pairs = 0
+    for ns, k, l in ((4, 1, 1), (8, 3, 5), (16, 5, 5), (256, 10, 50)):
+        for db in (0.0, 10.0, 20.0, 30.0, 40.0):
+            batch, trials, relays = nce_setup(ns, k, l, db, 41 + k, 120)
+            _, rate = _numeric_split_batch(batch, relays, EveModel.NCE, trials)
+            _, golden = policy._golden_split(served(batch, relays, trials), EveModel.NCE)
+            assert np.all(rate >= golden - 1e-12), (ns, k, l, db)
+            pairs += rate.size
+    assert pairs >= 10_000
+
+
+def hand_draw(g_si, g_id, nodes, g_rl):
+    """One relay (node 0) with (g_null, g_ld) per other node and its links."""
+    return ref.one_row_batch(
+        g_sr=[g_si], g_rd=[g_id], g_null_r=[[g_si] + [a for a, _ in nodes]],
+        g_rl=[[0.0] + list(g_rl)], g_ld=[g_id] + [b for _, b in nodes],
+        g_sd=1.0, g_null_d=[1.0] * (1 + len(nodes)), u_rand=0.5,
+    )
+
+
+def test_nce_split_without_phase_two_line():
+    # K=1, L=0: the relay's own SINR is the only leakage, and its line's
+    # stationary root is the optimum.
+    batch = ref.one_row_batch(g_sr=[400.0], g_rd=[20.0], g_null_r=[[400.0]], g_rl=[[0.0]],
+                              g_ld=[20.0], g_sd=1.0, g_null_d=[1.0], u_rand=0.5)
+    (lam,) = walk(batch, np.array([0]))
+    s, d = 400.0, 20.0
+    alpha, beta = 1.0 / d - 1.0 / s, (2.0 * d + 1.0) / (s * d)
+    dlt, gam = (d + 1.0) / s, -d / s
+    a, b = beta - dlt, alpha - gam
+    c = alpha * (alpha + 1.0) / beta - gam * (gam + 1.0) / dlt
+    roots = [(-b + sg * math.sqrt(b * b - a * c)) / a for sg in (1.0, -1.0)]
+    inside = [t for t in roots if T_LO < t < T_HI]
+    assert len(inside) == 1
+    assert math.isclose(lam, 1.0 / inside[0], rel_tol=1e-12)
+    best, _, kind = brute_force_nce(ref.row(batch, 0), 0)
+    assert kind == "root"
+    (rate,) = _numeric_split_batch(batch, np.array([0]), EveModel.NCE)[1]
+    assert abs(rate - best) <= 1e-12
+
+
+def test_nce_split_lands_on_a_kink():
+    # The relay's own line crosses a weakly jammed eavesdropper's line
+    # where the rate rises on the left piece and falls on the right one.
+    batch = hand_draw(13.5, 133.5, [(0.84, 0.38)], [0.01])
+    (lam,) = walk(batch, np.array([0]))
+    d1, c1 = 134.5 / 13.5, -133.5 / 13.5
+    d2, c2 = 1.38 / 0.84, -0.38 / 0.84
+    assert math.isclose(lam, (d1 - d2) / (c2 - c1), rel_tol=1e-12)
+    best, _, kind = brute_force_nce(ref.row(batch, 0), 0)
+    assert kind == "kink"
+    near = nce_rates(ref.row(batch, 0), 0, [lam * (1 - 1e-6), lam, lam * (1 + 1e-6)])
+    assert near[1] > near[0] and near[1] > near[2]
+    assert abs(_numeric_split_batch(batch, np.array([0]), EveModel.NCE)[1][0] - best) <= 1e-12
+
+
+def test_nce_split_at_the_lambda_eps_clamp():
+    # An eavesdropper that hears more than the destination at every split:
+    # the rate is zero everywhere, and its unclipped value rises toward
+    # lam -> 0, so the walk stops at the clamp and no guard rates higher.
+    batch = hand_draw(10.0, 1.0, [(50.0, 0.0)], [1.0])
+    np.testing.assert_array_equal(walk(batch, np.array([0])), [LAMBDA_EPS])
+    lam, rate = _numeric_split_batch(batch, np.array([0]), EveModel.NCE)
+    np.testing.assert_array_equal(lam, [LAMBDA_EPS])
+    np.testing.assert_array_equal(rate, [0.0])
+    grid = np.linspace(LAMBDA_EPS, 1.0 - LAMBDA_EPS, 1001)
+    view = served(batch, np.zeros(grid.size, dtype=np.int64), np.zeros(grid.size, dtype=np.int64))
+    unclipped = np.log1p(view.sinr_destination(grid)) - np.log1p(view.leakage(grid, EveModel.NCE))
+    assert np.all(unclipped < 0.0) and np.argmax(unclipped) == 0
+
+
+@pytest.mark.parametrize("dup_first", [True, False])
+def test_nce_split_ignores_tied_lines(dup_first):
+    # A second eavesdropper with the same gains adds a line equal to an
+    # existing one; the walk must not stall on it or change its answer.
+    nodes = [(3.0, 0.5), (1.0, 2.0)]
+    base = hand_draw(900.0, 30.0, nodes, [0.3, 0.2])
+    twin = nodes[:1] + nodes if dup_first else nodes + nodes[1:]
+    tied = hand_draw(900.0, 30.0, twin, [0.3, 0.3, 0.2] if dup_first else [0.3, 0.2, 0.2])
+    np.testing.assert_array_equal(walk(tied, np.array([0])), walk(base, np.array([0])))
+    best, _, _ = brute_force_nce(ref.row(tied, 0), 0)
+    assert abs(_numeric_split_batch(tied, np.array([0]), EveModel.NCE)[1][0] - best) <= 1e-12
+
+
+def test_nce_split_skips_a_node_that_hears_nothing():
+    # A zero beamforming leakage gives a line of infinite slope, which must
+    # neither start the walk nor poison its crossings with NaN.
+    nodes = [(3.0, 0.5), (1.0, 2.0)]
+    base = hand_draw(900.0, 30.0, nodes, [0.3, 0.2])
+    for deaf in ((0.0, 0.0), (0.0, 4.0)):
+        batch = hand_draw(900.0, 30.0, [deaf, *nodes], [0.0, 0.3, 0.2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(walk(batch, np.array([0])), walk(base, np.array([0])))
+
+
+def test_nce_split_of_a_row_does_not_depend_on_its_neighbours():
+    batch, trials, relays = nce_setup(16, 5, 5, 20.0, 19, 410)
+    trials, relays = trials[:2048], relays[:2048]
+    whole = _numeric_split_batch(batch, relays, EveModel.NCE, trials)
+    parts = [_numeric_split_batch(batch, relays[s : s + 37], EveModel.NCE, trials[s : s + 37])
+             for s in range(0, 2048, 37)]
+    for got, want in zip(whole, zip(*parts)):
+        assert got.tobytes() == np.concatenate(want).tobytes()
+
+
+@pytest.mark.parametrize(("model", "l", "rows"), [
+    (EveModel.NCE, 2, 4), (EveModel.NCE, 0, 3), (EveModel.CE, 2, 34),
+])
+def test_leakage_rows_per_searched_pair(monkeypatch, model, l, rows):
+    # The walk rates its split once, then the guards: 0.5, the NCE closed
+    # split and, with eavesdroppers, the CE one.  The golden section rates
+    # 31 probes before the same three guards.
+    counted = []
+    leakage = ServedView.leakage
+
+    def counting(view, lam, m):
+        counted.append(view.g_si.size)
+        return leakage(view, lam, m)
+
+    monkeypatch.setattr(ServedView, "leakage", counting)
+    batch, trials, relays = nce_setup(8, 3, l, 10.0, 3, 50)
+    _numeric_split_batch(batch, relays, model, trials)
+    assert sum(counted) == rows * relays.size
