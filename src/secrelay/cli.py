@@ -32,7 +32,7 @@ or ExperimentSpec field it sets.  Recognized keys, with example values:
     experiment.emit_asymptotic = False
     experiment.k_grid = [1, 5]      # optional sweep over relay count
     experiment.l_grid = [5, 50]     # optional sweep over eavesdropper count
-    experiment.eve_models = ["nce", "ce"]   # optional sweep over decoding model
+    experiment.eve_models = ["nce", "ce"]   # optional; the models share each point's draws
 
 SNR is dB-valued at this boundary only; everything below works in linear
 scale.  Results land in the CSV named by ``experiment.out`` (one row per
@@ -493,26 +493,33 @@ def run(spec: ExperimentSpec, log=sys.stderr) -> list[ResultRow]:
     if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
         raise OSError(f"cannot write {spec.output_path}: "
                       f"{out_dir} is not a writable directory")
-    rows = []
-    for idx, (em, k, l, rho_db, cfg, gains) in enumerate(points):
+    # The draws do not depend on the eavesdropper model, so each (K, L, rho)
+    # position is simulated once for every model, on the seed of its place
+    # within a model's block of the grid; rows still come out model-major.
+    models = spec.eve_models or [spec.config.eve_model]
+    per_model = len(points) // len(models)
+    blocks = [[] for _ in models]
+    for idx, (_, k, l, rho_db, cfg, gains) in enumerate(points[:per_model]):
         t0 = time.monotonic()
         seed = derive_seed(spec.config.master_seed, idx)
-        traces = simulate(cfg, gains, spec.schemes, spec.trials, seed=seed)
-        for scheme in spec.schemes:
-            for metric in spec.metrics:
-                est = estimate_from_trace(metric, traces[scheme], cfg)
-                closed, asym = _closed_columns(metric, scheme, gains, cfg, spec)
-                rows.append(ResultRow(
-                    eve_model=em.value, n_relays=k, n_eves=l,
-                    scheme=scheme.value, metric=metric.value, rho_db=rho_db,
-                    sim_value=est.value, sim_stderr=est.std_error,
-                    closed_form=closed, asymptotic=asym,
-                    trials=spec.trials, seed=seed,
-                ))
+        traces = simulate(cfg, gains, spec.schemes, spec.trials, seed=seed, eve_models=models)
+        for block, (em, *_, cfg, _) in zip(blocks, points[idx::per_model]):
+            for scheme in spec.schemes:
+                for metric in spec.metrics:
+                    est = estimate_from_trace(metric, traces[em][scheme], cfg)
+                    closed, asym = _closed_columns(metric, scheme, gains, cfg, spec)
+                    block.append(ResultRow(
+                        eve_model=em.value, n_relays=k, n_eves=l,
+                        scheme=scheme.value, metric=metric.value, rho_db=rho_db,
+                        sim_value=est.value, sim_stderr=est.std_error,
+                        closed_form=closed, asymptotic=asym,
+                        trials=spec.trials, seed=seed,
+                    ))
         if log is not None:
-            print(f"[{idx + 1}/{len(points)}] {em.value} K={k} L={l} "
-                  f"rho={rho_db:g} dB: {spec.trials} trials in "
+            print(f"[{idx + 1}/{per_model}] {','.join(m.value for m in models)} "
+                  f"K={k} L={l} rho={rho_db:g} dB: {spec.trials} trials in "
                   f"{time.monotonic() - t0:.1f}s", file=log)
+    rows = [row for block in blocks for row in block]
     write_csv(spec.output_path, rows)
     write_json(_json_path(spec.output_path), rows)
     return rows

@@ -3,8 +3,10 @@
 Draws are addressed by (seed, absolute trial index), so an estimate is
 bit-identical for a fixed (seed, trials) no matter how trials are chunked or
 scheduled, and every scheme evaluated at the same seed sees the same
-channels.  Accumulation goes through exact compensated summation, which
-keeps it order-insensitive at any trial count.
+channels.  The draws do not depend on the eavesdropper model either, so
+`simulate` can run several models' schemes on each drawn chunk, with the
+same traces as one run per model.  Accumulation goes through exact
+compensated summation, which keeps it order-insensitive at any trial count.
 
 Importing this module loads no scipy: `scipy.special` loads at the first
 simulated draw (channel's inverse gamma CDF) or the first SER reduction
@@ -16,7 +18,7 @@ the package's import path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import policy
 from .channel import draw_batch
-from .model import MeanGains, SystemConfig, validate
+from .model import EveModel, MeanGains, SystemConfig, validate
 from .policy import Scheme
 from .specfun import q_function
 
@@ -90,7 +92,8 @@ def simulate(
     trials: int,
     seed: int | None = None,
     chunk_size: int = 2048,
-) -> dict[Scheme, SchemeTrace]:
+    eve_models: Sequence[EveModel] | None = None,
+) -> dict[Scheme, SchemeTrace] | dict[EveModel, dict[Scheme, SchemeTrace]]:
     """Run all schemes over the same `trials` channel draws.
 
     Trials are drawn in chunks of chunk_size; the result does not depend on
@@ -99,8 +102,19 @@ def simulate(
     model.MAX_SNR_DB (200 dB), well before the SINR products overflow; and
     ArithmeticError, as a last guard, when a scheme's rate, destination SINR
     or leakage SINR is not finite.
+
+    With eve_models, config.eve_model is ignored: each chunk is drawn once
+    and every listed model's schemes run on it, and the result is
+    {model: {scheme: trace}}.  The draws do not read the eavesdropper model,
+    so result[m] is bit-identical to simulate(replace(config, eve_model=m),
+    ...) alone.
     """
-    validate(config)
+    configs = {m: replace(config, eve_model=m)
+               for m in ([config.eve_model] if eve_models is None else eve_models)}
+    if not configs:
+        raise ValueError("need at least one eve model")
+    for cfg in configs.values():
+        validate(cfg)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     if not schemes:
@@ -115,24 +129,27 @@ def simulate(
     seed = config.master_seed if seed is None else seed
     schemes = list(dict.fromkeys(schemes))
     out = {
-        s: SchemeTrace(s, np.empty(trials), np.empty(trials)) for s in schemes
+        m: {s: SchemeTrace(s, np.empty(trials), np.empty(trials)) for s in schemes}
+        for m in configs
     }
     done = 0
     while done < trials:
-        m = min(chunk_size, trials - done)
-        batch = draw_batch(gains, config, seed, done, m)
-        for s in schemes:
-            res = policy.run_scheme_batch(batch, s, config)
-            for what, values in (("rate or destination SINR", (res.rate, res.gamma_d)),
-                                 ("leakage SINR", (res.gamma_e,))):
-                if not all(np.isfinite(v).all() for v in values):
-                    raise ArithmeticError(
-                        f"{s.value}: non-finite {what} in trials "
-                        f"{done}-{done + m - 1} at snr_linear={config.snr_linear:g}")
-            out[s].rates[done : done + m] = res.rate
-            out[s].gamma_d[done : done + m] = res.gamma_d
-        done += m
-    return out
+        n = min(chunk_size, trials - done)
+        batch = draw_batch(gains, config, seed, done, n)
+        for m, cfg in configs.items():
+            for s in schemes:
+                res = policy.run_scheme_batch(batch, s, cfg)
+                for what, values in (("rate or destination SINR", (res.rate, res.gamma_d)),
+                                     ("leakage SINR", (res.gamma_e,))):
+                    if not all(np.isfinite(v).all() for v in values):
+                        raise ArithmeticError(
+                            f"{s.value}: non-finite {what} in trials "
+                            f"{done}-{done + n - 1} at snr_linear={config.snr_linear:g} "
+                            f"under {m.value}")
+                out[m][s].rates[done : done + n] = res.rate
+                out[m][s].gamma_d[done : done + n] = res.gamma_d
+        done += n
+    return out if eve_models is not None else out[config.eve_model]
 
 
 def _per_trial(metric: Metric, trace: SchemeTrace, config: SystemConfig) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 
 import secrelay
 from quadrature_reference import log_expect_mp
-from secrelay import cli
+from secrelay import cli, montecarlo
 from secrelay.cli import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -31,7 +31,7 @@ from secrelay.model import (
     mean_gains_from_topology,
     paper_topology,
 )
-from secrelay.montecarlo import Metric, derive_seed
+from secrelay.montecarlo import Metric, derive_seed, estimate_from_trace, simulate
 from secrelay.policy import Scheme
 
 SIX_SCHEMES = {
@@ -294,10 +294,64 @@ def test_run_eve_model_sweep_multiplies_rows(tmp_path):
     )
     rows = run(spec, log=None)
     assert len(rows) == 16
-    assert {r.eve_model for r in rows} == {"nce", "ce"}
-    # point index (and so the derived seed) advances model-major
-    seeds = sorted({r.seed for r in rows})
-    assert seeds == sorted(derive_seed(0, i) for i in range(4))
+    # rows stay model-major: every nce row, then every ce row
+    assert [r.eve_model for r in rows] == ["nce"] * 8 + ["ce"] * 8
+    # one seed per rho, from its index within a model's block, shared by
+    # both models: the draws do not depend on the eavesdropper model
+    seeds = {(r.eve_model, r.rho_db): r.seed for r in rows}
+    assert seeds == {(m, rho): derive_seed(0, i)
+                     for m in ("nce", "ce") for i, rho in enumerate([0.0, 10.0])}
+
+
+def _model_sweep(tmp_path, models, trials=30):
+    out = tmp_path / f"{'-'.join(models)}.csv"
+    return parse_spec_text(tiny_spec_text(
+        out, f"experiment.eve_models = {models!r}\nexperiment.k_grid = [1, 2]\n"
+    ).replace("experiment.trials = 30", f"experiment.trials = {trials}"))
+
+
+@pytest.mark.parametrize("models", [["nce", "ce"], ["ce", "nce"]])
+def test_two_model_run_matches_standalone_runs(tmp_path, models):
+    spec = _model_sweep(tmp_path, models)
+    rows = run(spec, log=None)
+    first = run(_model_sweep(tmp_path, models[:1]), log=None)
+    # The first model's rows are those of a run without the second model.
+    assert rows[: len(first)] == first
+    # Every later row reruns in isolation from the seed it carries.
+    later = rows[len(first):]
+    assert len(later) == len(first) and {r.eve_model for r in later} == {models[1]}
+    for r in later:
+        gains = mean_gains_from_topology(paper_topology(r.n_relays, r.n_eves))
+        cfg = replace(spec.config, n_relays=r.n_relays, n_eves=r.n_eves,
+                      eve_model=EveModel(r.eve_model)).with_snr_db(r.rho_db)
+        scheme = Scheme(r.scheme)
+        trace = simulate(cfg, gains, [scheme], spec.trials, seed=r.seed)[scheme]
+        est = estimate_from_trace(Metric(r.metric), trace, cfg)
+        assert (est.value, est.std_error) == (r.sim_value, r.sim_stderr)
+
+
+def test_model_sweep_draws_each_chunk_once(tmp_path, monkeypatch):
+    # 2100 trials are two chunks of the default 2048 at each (K, L, rho).
+    spec = _model_sweep(tmp_path, ["nce", "ce"], trials=2100)
+    simulated, drawn = [], []
+    real_simulate, real_draw = cli.simulate, montecarlo.draw_batch
+
+    def spy_simulate(cfg, *args, **kwargs):
+        simulated.append((cfg.n_relays, cfg.snr_linear))
+        return real_simulate(cfg, *args, **kwargs)
+
+    def spy_draw(gains, config, master_seed, first_trial, n_trials):
+        drawn.append((master_seed, first_trial))
+        return real_draw(gains, config, master_seed, first_trial, n_trials)
+
+    monkeypatch.setattr(cli, "simulate", spy_simulate)
+    monkeypatch.setattr(montecarlo, "draw_batch", spy_draw)
+    rows = run(spec, log=None)
+    positions = {(r.n_relays, r.rho_db) for r in rows}
+    assert len(positions) == 4 and len(simulated) == 4 == len(set(simulated))
+    assert len(drawn) == 2 * 4 == len(set(drawn))
+    assert {first for _, first in drawn} == {0, 2048}
+    assert {r.seed for r in rows} == {seed for seed, _ in drawn}
 
 
 def test_run_rejects_invalid_spec():

@@ -100,6 +100,31 @@ def test_duplicate_schemes_collapse():
     assert set(out) == {Scheme.JRP, Scheme.DT}
 
 
+@pytest.mark.parametrize("chunk_size", [37, 2048])
+@pytest.mark.parametrize("models", [[EveModel.NCE, EveModel.CE], [EveModel.CE, EveModel.NCE]])
+def test_eve_models_share_draws_bit_for_bit(chunk_size, models):
+    # config.eve_model is ignored once eve_models is given.
+    gains, cfg = small_setup(k=3, l=2, eve_model=EveModel.CE)
+    schemes = list(Scheme)
+    out = simulate(cfg, gains, schemes, 150, seed=11, chunk_size=chunk_size, eve_models=models)
+    assert list(out) == models
+    for m in models:
+        alone = simulate(replace(cfg, eve_model=m), gains, schemes, 150, seed=11,
+                         chunk_size=chunk_size)
+        assert list(out[m]) == schemes
+        for s in schemes:
+            assert out[m][s].rates.tobytes() == alone[s].rates.tobytes()
+            assert out[m][s].gamma_d.tobytes() == alone[s].gamma_d.tobytes()
+
+
+def test_eve_models_collapse_and_must_not_be_empty():
+    gains, cfg = small_setup()
+    out = simulate(cfg, gains, [Scheme.JRP], 10, seed=1, eve_models=[EveModel.CE] * 2)
+    assert list(out) == [EveModel.CE] and list(out[EveModel.CE]) == [Scheme.JRP]
+    with pytest.raises(ValueError):
+        simulate(cfg, gains, [Scheme.JRP], 10, eve_models=[])
+
+
 def test_simulate_validation():
     gains, cfg = small_setup()
     with pytest.raises(ValueError):
