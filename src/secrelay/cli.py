@@ -171,6 +171,13 @@ def _grid(spec: ExperimentSpec) -> tuple[list[tuple], list[str]]:
                 problems.append(f"experiment.{label} entries out of range: {grid}")
     if spec.eve_models is not None and not spec.eve_models:
         problems.append("experiment.eve_models must not be empty when given")
+    # A repeated entry would run its rows twice, or write two rows under one key.
+    for field in ("schemes", "metrics", "rho_grid_db", "k_grid", "l_grid", "eve_models"):
+        values = getattr(spec, field) or []
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                problems.append(f"experiment.{field}: {getattr(value, 'value', value)!r} "
+                                f"is listed more than once")
     for field, nodes, grid in (("n_relays", "relays", spec.k_grid),
                                ("n_eves", "eavesdroppers", spec.l_grid)):
         have, want = getattr(spec.topology, field), getattr(spec.config, field)

@@ -273,17 +273,25 @@ class MeanGains:
             mu_rl=rl,
         )
 
+    # Every closed form scales its means by rho through these three, so they
+    # hold its one check: rho must be positive and finite.
     def gbar_rd(self, rho: float) -> np.ndarray:
         """Average relay->destination SNRs at transmit SNR rho."""
-        return rho * self.mu_rd
+        return _transmit_snr(rho) * self.mu_rd
 
     def gbar_sd(self, rho: float) -> float:
-        return rho * self.mu_sd
+        return _transmit_snr(rho) * self.mu_sd
 
     def leak_means_dt(self, rho: float) -> np.ndarray:
         """Average beamformer-leakage SNRs toward all K+L malicious nodes
         under direct transmission (relays first, then eavesdroppers)."""
-        return rho * np.concatenate([self.mu_sr, self.mu_se])
+        return _transmit_snr(rho) * np.concatenate([self.mu_sr, self.mu_se])
+
+
+def _transmit_snr(rho: float) -> float:
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"transmit SNR rho must be positive and finite, got {rho}")
+    return rho
 
 
 def mean_gains_from_topology(topology: Topology) -> MeanGains:

@@ -60,18 +60,18 @@ class Scheme(Enum):
     EPRS: equal split with the best relay under exact leakage.
     DT: direct transmission, no relay at all.
 
-    Allocating schemes search the split per draw, exactly under NCE (a walk
-    along the envelope of the leakage lines in 1/lam) and by golden section
-    under CE, then keep the equal split or a closed-form candidate wherever
-    it rates higher.  That is what honest finite-antenna evaluation takes:
-    the closed forms are asymptotic in the antenna count and sit in
-    analytics, where the simulated schemes validate them.  A batch's splits
-    are searched once per (trial, relay) pair and shared among JRP, OPRR and
-    EXACT_JRP, so whichever of them runs first on a batch searches the pairs
-    it needs and the others read the stored results.  A search gathers its
-    pairs' served gains once into a node-major channel.ServedView and rates
-    its result and guard candidates (and every golden-section probe) on it;
-    only each scheme's final operating point is rated through leakage_batch.
+    Allocating schemes search the split per draw: exactly under NCE (a walk
+    along the envelope of the leakage lines in 1/lam), and under CE by
+    golden section, guarded by the equal split and the closed-form splits.
+    That is what honest finite-antenna evaluation takes: the closed forms
+    are asymptotic in the antenna count and sit in analytics, where the
+    simulated schemes validate them.  A batch's splits are searched once per
+    (trial, relay) pair and shared among JRP, OPRR and EXACT_JRP, so
+    whichever of them runs first on a batch searches the pairs it needs and
+    the others read the stored results.  A search gathers its pairs' served
+    gains once into a node-major channel.ServedView and rates every
+    candidate on it; only each scheme's final operating point is rated
+    through leakage_batch.
     """
 
     JRP = "jrp"
@@ -133,8 +133,9 @@ def opa_nce(gamma_si, gamma_id):
     (gamma_si > sqrt(2)*gamma_id); outside that regime the value is clamped
     into (0, 1) with a RegimeWarning.
     """
-    if np.any(np.less_equal(gamma_si, 0)) or np.any(np.less(gamma_id, 0)):
-        raise ValueError("SNRs must be positive")
+    g_si, g_id = np.asarray(gamma_si), np.asarray(gamma_id)
+    if not (np.all((g_si > 0) & (g_si < np.inf)) and np.all((g_id >= 0) & (g_id < np.inf))):
+        raise ValueError("SNRs must be positive and finite")
     return _clamp_split(_nce_split(gamma_si, gamma_id), warn=True)
 
 
@@ -144,8 +145,8 @@ def opa_nce_statistical(h_id_gain: float, n_antennas: int, mu_si: float) -> floa
     Replaces the instantaneous first hop with its mean, so the source needs
     no first-hop estimate; halves when the antenna count doubles.
     """
-    if h_id_gain < 0 or n_antennas < 1 or mu_si <= 0:
-        raise ValueError("need |h_id|^2 >= 0, n_antennas >= 1, mu_si > 0")
+    if not (0 <= h_id_gain < math.inf and n_antennas >= 1 and 0 < mu_si < math.inf):
+        raise ValueError("need finite |h_id|^2 >= 0, n_antennas >= 1, finite mu_si > 0")
     return _clamp_split(_nce_split(n_antennas * mu_si, h_id_gain), warn=True)
 
 
@@ -300,10 +301,12 @@ def _nce_envelope_split(view: ServedView) -> np.ndarray:
     return lam
 
 
-def _golden_split(view: ServedView, model: EveModel) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section search of the rate on (0, 1) to bracket width
-    _SPLIT_TOL, row by row over a fixed number of iterations.  Returns
+def _golden_split(view: ServedView) -> tuple[np.ndarray, np.ndarray]:
+    """CE split per row: golden-section search of the rate to bracket width
+    _SPLIT_TOL (31 probes), then the equal split or a closed-form split
+    wherever it rates higher, as the search can be stranded.  Returns
     (split, rate) per row."""
+    model = EveModel.CE
     n = view.g_si.size
     a = np.full(n, LAMBDA_EPS)
     b = np.full(n, 1.0 - LAMBDA_EPS)
@@ -325,38 +328,9 @@ def _golden_split(view: ServedView, model: EveModel) -> tuple[np.ndarray, np.nda
         f2 = np.where(left, f_keep, f_probe)
         a, b, x1, x2 = a_new, b_new, x1_new, x2_new
         width *= _GOLDEN
-    return np.where(f1 >= f2, x1, x2), np.where(f1 >= f2, f1, f2)
-
-
-def _numeric_split_batch(
-    batch: BatchDraws, relay_idx: np.ndarray, model: EveModel, trials: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize the exact secrecy rate over the split for a fixed relay per
-    row: relay relay_idx[i] of trial trials[i] (every trial in order when
-    trials is None).
-
-    NCE: the exact optimum of the envelope walk (_nce_envelope_split),
-    rated once.  CE: golden-section search (_golden_split).  Then the best
-    of that split, the equal split and the closed-form candidates; the
-    returned rate therefore never falls below rate(0.5) or rate(lam*).
-    Returns (split, rate) per row.  The rows' served gains are gathered
-    once into a ServedView that rates every candidate: 4 leakage rows per
-    pair under NCE with eavesdroppers, against 34 for the golden section.
-    A row's result does not depend on the rows searched with it.  Schemes
-    reach it through _searched_splits, which searches each (trial, relay)
-    pair of a batch once and shares the result among JRP, OPRR and
-    EXACT_JRP.
-    """
-    view = served(batch, relay_idx, trials)
-    if model is EveModel.NCE:
-        best = _nce_envelope_split(view)
-        rate = _view_rate(view, best, model)
-    else:
-        best, rate = _golden_split(view, model)
-    # Guard with the equal split and the closed-form candidates.
-    n = best.size
+    best, rate = np.where(f1 >= f2, x1, x2), np.where(f1 >= f2, f1, f2)
     cands = [np.full(n, 0.5), _closed_split(view, EveModel.NCE)]
-    if batch.n_nodes > batch.n_relays:
+    if view.g_null.shape[0] > view.n_relays:
         cands.append(_closed_split(view, EveModel.CE))
     for lam_c in cands:
         r = _view_rate(view, lam_c, model)
@@ -364,6 +338,28 @@ def _numeric_split_batch(
         best = np.where(better, lam_c, best)
         rate = np.where(better, r, rate)
     return best, rate
+
+
+def _numeric_split_batch(
+    batch: BatchDraws, relay_idx: np.ndarray, model: EveModel, trials: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize the exact secrecy rate over the split for a fixed relay per
+    row: relay relay_idx[i] of trial trials[i] (every trial in order when
+    trials is None).  Returns (split, rate) per row.
+
+    The rows' served gains are gathered once into a ServedView.  NCE: the
+    exact optimum of the envelope walk (_nce_envelope_split), rated once,
+    so one leakage row per pair.  CE: the guarded golden-section search
+    (_golden_split), 34 leakage rows per pair.  A row's result does not
+    depend on the rows searched with it.  Schemes reach it through
+    _searched_splits, which searches each (trial, relay) pair of a batch
+    once and shares the result among JRP, OPRR and EXACT_JRP.
+    """
+    view = served(batch, relay_idx, trials)
+    if model is EveModel.NCE:
+        best = _nce_envelope_split(view)
+        return best, _view_rate(view, best, model)
+    return _golden_split(view)
 
 
 # Per batch and eavesdropper model: which (trial, relay) pairs are searched,

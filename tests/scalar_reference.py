@@ -234,8 +234,9 @@ def golden_split(draw: ChannelDraw, relay: int, model: EveModel) -> tuple[float,
 
 def opa_numeric(draw: ChannelDraw, relay: int, model: EveModel) -> tuple[float, float]:
     """The envelope walk (NCE) or golden-section search (CE), then the best
-    of its split, the equal split and the closed-form candidates.  Returns
-    (split, rate)."""
+    of its split, the equal split and the closed-form candidates.  The
+    package keeps these guards under CE only; the tests compare the two
+    with ==, which shows that no NCE guard wins on their draws.  Returns (split, rate)."""
     if model is EveModel.NCE:
         best_lam = nce_envelope_split(draw, relay)
         best = rate_at(draw, relay, best_lam, model)

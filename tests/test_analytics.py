@@ -71,6 +71,22 @@ def test_leakage_floor_values_and_domain():
             leakage_floor(bad)
 
 
+@pytest.mark.parametrize("rho", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_every_closed_form_refuses_a_non_positive_or_non_finite_snr(rho):
+    # Each form checks rho once, through the mean gains it scales.
+    gains = MeanGains.iid(3, 2)
+    relayed = [sop_dbcj, sop_dbcj_asymptotic, ppos_dbcj, ppos_dbcj_asymptotic,
+               esr_dbcj, ser_dbcj, ser_dbcj_asymptotic]
+    for form in relayed:
+        with pytest.raises(ValueError, match="transmit SNR rho"):
+            form(gains, rho)
+    for model in EveModel:
+        cfg = dt_config(16, 3, 2, rho, model)
+        for form in (ppos_dt, sop_dt, esr_dt_lb):
+            with pytest.raises(ValueError, match="transmit SNR rho"):
+                form(gains, cfg, model)
+
+
 def test_outage_threshold_values():
     # target 0 reduces to B(1+B); at target 1 the bracket is 4(1+B)-1.
     b = SQRT2

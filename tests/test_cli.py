@@ -724,6 +724,32 @@ def test_validate_and_run_refuse_the_same_specs(tmp_path, monkeypatch, capsys, l
     assert not (tmp_path / "r.csv").exists() and not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize(
+    "line,want",
+    [
+        ('experiment.schemes = ["jrp", "dt", "jrp"]', "experiment.schemes: 'jrp'"),
+        ('experiment.metrics = ["esr", "esr", "esr"]', "experiment.metrics: 'esr'"),
+        ("experiment.rho_grid_db = [10, 0, 10.0]", "experiment.rho_grid_db: 10.0"),
+        ("experiment.k_grid = [2, 2]", "experiment.k_grid: 2"),
+        ("experiment.l_grid = [1, 0, 1e0]", "experiment.l_grid: 1"),
+        ('experiment.eve_models = ["nce", "nce"]', "experiment.eve_models: 'nce'"),
+    ],
+)
+def test_a_repeated_grid_entry_is_a_spec_error(tmp_path, monkeypatch, capsys, line, want):
+    # Each used to run: a repeated model or scheme doubled its rows, and a
+    # repeated SNR wrote two rows under one key with different seeds.
+    calls = []
+    monkeypatch.setattr("secrelay.cli.simulate", lambda *a, **k: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    text = _replace_line(tiny_spec_text("r.csv"), line)
+    (tmp_path / "exp.spec").write_text(text)
+    want = f"error: exp.spec:{len(text.splitlines())}: {want} is listed more than once\n"
+    for command in ("validate", "run"):
+        assert main([command, "exp.spec"]) == 2
+        assert capsys.readouterr().err.count(want) == 1
+    assert calls == [] and not (tmp_path / "r.csv").exists()
+
+
 def test_an_output_whose_json_mirror_is_a_directory_is_refused(tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr("secrelay.cli.simulate", lambda *a, **k: calls.append(a))

@@ -76,10 +76,19 @@ def test_opa_nce_clamps_with_warning():
     with pytest.warns(RegimeWarning):
         lo = opa_nce(5.0, 0.0)
     assert lo == LAMBDA_EPS
-    with pytest.raises(ValueError):
-        opa_nce(0.0, 1.0)
-    with pytest.raises(ValueError):
-        opa_nce(1.0, -1.0)
+    bad = [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+           (1.0, math.inf), (np.array([4.0, math.nan]), 1.0)]
+    for gamma_si, gamma_id in bad:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive and finite"):
+                opa_nce(gamma_si, gamma_id)
+    for h_id, n, mu_si in [(math.nan, 4, 1.0), (math.inf, 4, 1.0), (1.0, 4, math.nan),
+                           (1.0, 4, math.inf)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                opa_nce_statistical(h_id, n, mu_si)
 
 
 def test_opa_nce_statistical_values():
@@ -509,27 +518,46 @@ def nce_setup(ns, k, l, db, seed, trials):
     return batch, np.repeat(np.arange(trials), k), np.tile(np.arange(k), trials)
 
 
-def test_nce_split_matches_brute_force_oracle():
-    # Every (trial, relay) pair of two draws per layout and SNR.  The walk's
-    # own split rates within 1e-12 of the best candidate, and so does the
-    # guarded search; the per-draw walk of the reference agrees exactly.
-    pairs = 0
-    for idx, (ns, k, l) in enumerate(
-        (ns, k, l) for ns in (4, 8, 16, 256) for k in (1, 3, 5, 10) for l in (0, 1, 5, 50)
-    ):
+def oracle_grid():
+    """The oracle layouts and SNRs: two draws per point, every (trial,
+    relay) pair searched."""
+    layouts = [(ns, k, l) for ns in (4, 8, 16, 256) for k in (1, 3, 5, 10) for l in (0, 1, 5, 50)]
+    for idx, (ns, k, l) in enumerate(layouts):
         for db in (0.0, 10.0, 20.0, 30.0, 40.0):
-            batch, trials, relays = nce_setup(ns, k, l, db, 900 + idx, 2)
-            lam = walk(batch, relays, trials)
-            _, rate = _numeric_split_batch(batch, relays, EveModel.NCE, trials)
-            for i, (t, r) in enumerate(zip(trials, relays)):
-                draw = ref.row(batch, t)
-                best, _, _ = brute_force_nce(draw, r)
-                at_walk = nce_rates(draw, r, [lam[i]])[0]
-                assert at_walk >= best - 1e-12, (ns, k, l, db, i)
-                assert abs(rate[i] - best) <= 1e-12, (ns, k, l, db, i)
-                assert ref.nce_envelope_split(draw, r) == lam[i]
-                pairs += 1
+            yield (ns, k, l, db), nce_setup(ns, k, l, db, 900 + idx, 2)
+
+
+def test_nce_split_matches_brute_force_oracle():
+    # The walk's split, and so the searched rate, is within 1e-12 of the
+    # best candidate; the per-draw walk of the reference agrees exactly.
+    pairs = 0
+    for point, (batch, trials, relays) in oracle_grid():
+        lam = walk(batch, relays, trials)
+        _, rate = _numeric_split_batch(batch, relays, EveModel.NCE, trials)
+        for i, (t, r) in enumerate(zip(trials, relays)):
+            draw = ref.row(batch, t)
+            best, _, _ = brute_force_nce(draw, r)
+            at_walk = nce_rates(draw, r, [lam[i]])[0]
+            assert at_walk >= best - 1e-12, (point, i)
+            assert abs(rate[i] - best) <= 1e-12, (point, i)
+            assert ref.nce_envelope_split(draw, r) == lam[i]
+            pairs += 1
     assert pairs == 2 * 5 * 4 * 4 * (1 + 3 + 5 + 10)
+
+
+def test_nce_split_rates_at_least_every_fixed_candidate():
+    # The NCE search rates no split but its own, so nothing keeps the equal
+    # split or a closed-form split in reserve: on the oracle grid each rates
+    # at most the searched rate, up to 4 ulp of it.
+    for point, (batch, trials, relays) in oracle_grid():
+        _, rate = _numeric_split_batch(batch, relays, EveModel.NCE, trials)
+        view = served(batch, relays, trials)
+        cands = [0.5, policy._closed_split(view, EveModel.NCE)]
+        if point[2]:
+            cands.append(policy._closed_split(view, EveModel.CE))
+        for lam in cands:
+            fixed = policy._view_rate(view, lam, EveModel.NCE)
+            assert np.all(rate >= fixed - 4.0 * np.spacing(rate)), point
 
 
 def test_nce_split_beats_dense_grid_at_low_snr_and_small_ns():
@@ -542,13 +570,17 @@ def test_nce_split_beats_dense_grid_at_low_snr_and_small_ns():
             assert rate[i] >= dense - 1e-12, (db, i)
 
 
-def test_nce_split_never_rates_below_golden_section():
+def test_nce_split_never_rates_below_golden_section(monkeypatch):
+    # The CE search, golden section and fixed candidates alike, rated
+    # under NCE instead.
+    view_rate = policy._view_rate
+    monkeypatch.setattr(policy, "_view_rate", lambda view, lam, _: view_rate(view, lam, EveModel.NCE))
     pairs = 0
     for ns, k, l in ((4, 1, 1), (8, 3, 5), (16, 5, 5), (256, 10, 50)):
         for db in (0.0, 10.0, 20.0, 30.0, 40.0):
             batch, trials, relays = nce_setup(ns, k, l, db, 41 + k, 120)
             _, rate = _numeric_split_batch(batch, relays, EveModel.NCE, trials)
-            _, golden = policy._golden_split(served(batch, relays, trials), EveModel.NCE)
+            _, golden = policy._golden_split(served(batch, relays, trials))
             assert np.all(rate >= golden - 1e-12), (ns, k, l, db)
             pairs += rate.size
     assert pairs >= 10_000
@@ -602,7 +634,7 @@ def test_nce_split_lands_on_a_kink():
 def test_nce_split_at_the_lambda_eps_clamp():
     # An eavesdropper that hears more than the destination at every split:
     # the rate is zero everywhere, and its unclipped value rises toward
-    # lam -> 0, so the walk stops at the clamp and no guard rates higher.
+    # lam -> 0, so the walk stops at the clamp.
     batch = hand_draw(10.0, 1.0, [(50.0, 0.0)], [1.0])
     np.testing.assert_array_equal(walk(batch, np.array([0])), [LAMBDA_EPS])
     lam, rate = _numeric_split_batch(batch, np.array([0]), EveModel.NCE)
@@ -650,12 +682,12 @@ def test_nce_split_of_a_row_does_not_depend_on_its_neighbours():
 
 
 @pytest.mark.parametrize(("model", "l", "rows"), [
-    (EveModel.NCE, 2, 4), (EveModel.NCE, 0, 3), (EveModel.CE, 2, 34),
+    (EveModel.NCE, 2, 1), (EveModel.NCE, 0, 1), (EveModel.CE, 2, 34),
 ])
 def test_leakage_rows_per_searched_pair(monkeypatch, model, l, rows):
-    # The walk rates its split once, then the guards: 0.5, the NCE closed
-    # split and, with eavesdroppers, the CE one.  The golden section rates
-    # 31 probes before the same three guards.
+    # The walk rates its split once and nothing else.  The golden section
+    # rates 31 probes, then its guards: 0.5, the NCE closed split and,
+    # with eavesdroppers, the CE one.
     counted = []
     leakage = ServedView.leakage
 
