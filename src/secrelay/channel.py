@@ -34,6 +34,11 @@ trial, in stream order: the scheme uniform, the d diagonal gammas (inverse
 CDF), the entries above the diagonal, the eavesdropper components (two
 uniforms per complex normal, Box-Muller), then one uniform per exponential
 link gain (relay-destination, eavesdropper-destination, malicious pairs).
+
+Nothing drawn depends on the transmit SNR rho until the last step, which
+multiplies each statistic by rho.  A drawn batch keeps the statistics from
+before that step, so BatchDraws.at_snr rebuilds it at another SNR without
+drawing again, tobytes()-identical to draw_batch at that SNR.
 """
 
 from __future__ import annotations
@@ -95,7 +100,14 @@ class BatchDraws:
         the source beamforms to the destination (direct transmission).
     u_rand[t]: one uniform variate reserved for scheme-level randomness
         (uniform relay pick), so policies stay deterministic per trial.
+
+    A drawn batch also keeps its statistics before rho scales them, so
+    at_snr rebuilds it at another SNR without drawing again.  They live in
+    a slot, outside the fields and vars(), which hold exactly the gains the
+    schemes read; a batch built from fields alone has none.
     """
+
+    __slots__ = ("__dict__", "__weakref__", "_unscaled")
 
     g_sr: np.ndarray
     g_rd: np.ndarray
@@ -105,6 +117,14 @@ class BatchDraws:
     g_sd: np.ndarray
     g_null_d: np.ndarray
     u_rand: np.ndarray
+
+    def at_snr(self, rho: float) -> BatchDraws:
+        """The same draws at transmit SNR rho (linear), without drawing again:
+        every array is tobytes()-identical to draw_batch's at that SNR."""
+        free = getattr(self, "_unscaled", None)
+        if free is None:
+            raise ValueError("at_snr needs a drawn batch; this one was built by hand")
+        return _scaled(free, rho)
 
     @property
     def n_trials(self) -> int:
@@ -159,11 +179,24 @@ def _complex_normals(u: np.ndarray) -> np.ndarray:
     return np.sqrt(-np.log(u[..., :m])) * np.exp(2j * np.pi * u[..., m:])
 
 
-def _build_batch(u: np.ndarray, gains: MeanGains, config: SystemConfig) -> BatchDraws:
+@dataclass(frozen=True, eq=False)
+class _Unscaled:
+    """What a batch draws, before the transmit SNR scales it: the Gram norms
+    (n, K+1) of the relay beams then the destination beam, their leakage
+    ratios (n, K+1, K+L) toward the malicious nodes, the Exp(1) link gains
+    in stream order, and the scheme uniform."""
+
+    norms: np.ndarray
+    leak: np.ndarray
+    links: np.ndarray
+    u_rand: np.ndarray
+    gains: MeanGains
+
+
+def _build_unscaled(u: np.ndarray, gains: MeanGains, config: SystemConfig) -> _Unscaled:
     from scipy.special import gammaincinv  # imported on first use: see the package docstring
 
     k, l, ns = gains.n_relays, gains.n_eves, config.n_antennas
-    rho = config.snr_linear
     n = u.shape[0]
     d = min(ns, k + 1)
     bounds = np.cumsum(_segment_sizes(config, gains))
@@ -183,15 +216,22 @@ def _build_batch(u: np.ndarray, gains: MeanGains, config: SystemConfig) -> Batch
     leak = (gram.real**2 + gram.imag**2) / norms[:, :, None]
     # The self entry is the full beamforming gain, exactly.
     leak[:, np.arange(k), np.arange(k)] = norms[:, :k]
-    g_sr = rho * norms[:, :k]
-    g_sd = rho * norms[:, k]
-    g_null_r = rho * leak[:, :k, :]
-    g_null_d = rho * leak[:, k, :]
+    return _Unscaled(norms, leak, -np.log(u_link), u_rand[:, 0].copy(), gains)
 
-    links = -np.log(u_link)
+
+def _build_batch(u: np.ndarray, gains: MeanGains, config: SystemConfig) -> BatchDraws:
+    """The batch of a chunk's uniforms (one row per trial) at config's SNR."""
+    return _scaled(_build_unscaled(u, gains, config), config.snr_linear)
+
+
+def _scaled(free: _Unscaled, rho: float) -> BatchDraws:
+    """The batch at transmit SNR rho: every gain is rho times its drawn
+    statistic, multiplied in the same order for every rho."""
+    gains, norms, leak, links = free.gains, free.norms, free.leak, free.links
+    k, l = gains.n_relays, gains.n_eves
+    n = len(norms)
     g_rd = rho * gains.mu_rd * links[:, :k]
     g_ed = rho * gains.mu_ed * links[:, k : k + l]
-    g_ld = np.concatenate([g_rd, g_ed], axis=1)
     g_rl = np.zeros((n, k, k + l))
     pairs = _pair_list(k, l)
     if pairs:
@@ -200,16 +240,18 @@ def _build_batch(u: np.ndarray, gains: MeanGains, config: SystemConfig) -> Batch
         g_rl[:, pi, pj] = gp
         rr = pj < k
         g_rl[:, pj[rr], pi[rr]] = gp[:, rr]
-    return BatchDraws(
-        g_sr=g_sr,
+    batch = BatchDraws(
+        g_sr=rho * norms[:, :k],
         g_rd=g_rd,
-        g_null_r=g_null_r,
+        g_null_r=rho * leak[:, :k, :],
         g_rl=g_rl,
-        g_ld=g_ld,
-        g_sd=g_sd,
-        g_null_d=g_null_d,
-        u_rand=u_rand[:, 0].copy(),
+        g_ld=np.concatenate([g_rd, g_ed], axis=1),
+        g_sd=rho * norms[:, k],
+        g_null_d=rho * leak[:, k, :],
+        u_rand=free.u_rand,
     )
+    batch._unscaled = free
+    return batch
 
 
 def draw_batch(

@@ -32,7 +32,7 @@ or ExperimentSpec field it sets.  Recognized keys, with example values:
     experiment.emit_asymptotic = False
     experiment.k_grid = [1, 5]      # optional sweep over relay count
     experiment.l_grid = [5, 50]     # optional sweep over eavesdropper count
-    experiment.eve_models = ["nce", "ce"]   # optional; the models share each point's draws
+    experiment.eve_models = ["nce", "ce"]   # optional; the models share the draws
 
 SNR is dB-valued at this boundary only; everything below works in linear
 scale.  Results land in the CSV named by ``experiment.out`` (one row per
@@ -500,32 +500,42 @@ def run(spec: ExperimentSpec, log=sys.stderr) -> list[ResultRow]:
     if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
         raise OSError(f"cannot write {spec.output_path}: "
                       f"{out_dir} is not a writable directory")
-    # The draws do not depend on the eavesdropper model, so each (K, L, rho)
-    # position is simulated once for every model, on the seed of its place
-    # within a model's block of the grid; rows still come out model-major.
+    # The draws depend on neither the eavesdropper model nor rho beyond a
+    # final scaling, so each (K, L) position is simulated once for every
+    # model and rho, on the seed its first rho point has within a model's
+    # block of the grid; rows still come out model-major.
     models = spec.eve_models or [spec.config.eve_model]
     per_model = len(points) // len(models)
+    n_rho = len(spec.rho_grid_db)
     blocks = [[] for _ in models]
-    for idx, (_, k, l, rho_db, cfg, gains) in enumerate(points[:per_model]):
+    for start in range(0, per_model, n_rho):
         t0 = time.monotonic()
-        seed = derive_seed(spec.config.master_seed, idx)
-        traces = simulate(cfg, gains, spec.schemes, spec.trials, seed=seed, eve_models=models)
-        for block, (em, *_, cfg, _) in zip(blocks, points[idx::per_model]):
-            for scheme in spec.schemes:
-                for metric in spec.metrics:
-                    est = estimate_from_trace(metric, traces[em][scheme], cfg)
-                    closed, asym = _closed_columns(metric, scheme, gains, cfg, spec)
-                    block.append(ResultRow(
-                        eve_model=em.value, n_relays=k, n_eves=l,
-                        scheme=scheme.value, metric=metric.value, rho_db=rho_db,
-                        sim_value=est.value, sim_stderr=est.std_error,
-                        closed_form=closed, asymptotic=asym,
-                        trials=spec.trials, seed=seed,
-                    ))
+        position = [points[b + start : b + start + n_rho]
+                    for b in range(0, len(points), per_model)]
+        _, k, l, _, cfg, gains = position[0][0]
+        seed = derive_seed(spec.config.master_seed, start)
+        traces = simulate(cfg, gains, spec.schemes, spec.trials, seed=seed,
+                          points=[(p[0], p[4].snr_linear) for ps in position for p in ps])
+        for block, ps in zip(blocks, position):
+            for em, _, _, rho_db, cfg, _ in ps:
+                for scheme in spec.schemes:
+                    for metric in spec.metrics:
+                        est = estimate_from_trace(
+                            metric, traces[em, cfg.snr_linear][scheme], cfg)
+                        closed, asym = _closed_columns(metric, scheme, gains, cfg, spec)
+                        block.append(ResultRow(
+                            eve_model=em.value, n_relays=k, n_eves=l,
+                            scheme=scheme.value, metric=metric.value, rho_db=rho_db,
+                            sim_value=est.value, sim_stderr=est.std_error,
+                            closed_form=closed, asymptotic=asym,
+                            trials=spec.trials, seed=seed,
+                        ))
         if log is not None:
-            print(f"[{idx + 1}/{per_model}] {','.join(m.value for m in models)} "
-                  f"K={k} L={l} rho={rho_db:g} dB: {spec.trials} trials in "
-                  f"{time.monotonic() - t0:.1f}s", file=log)
+            lo, hi = min(spec.rho_grid_db), max(spec.rho_grid_db)
+            span = f"{lo:g} dB" if n_rho == 1 else f"{lo:g}..{hi:g} dB ({n_rho} values)"
+            print(f"[{start // n_rho + 1}/{per_model // n_rho}] "
+                  f"{','.join(m.value for m in models)} K={k} L={l} rho={span}: "
+                  f"{spec.trials} trials in {time.monotonic() - t0:.1f}s", file=log)
     rows = [row for block in blocks for row in block]
     write_csv(spec.output_path, rows)
     write_json(_json_path(spec.output_path), rows)

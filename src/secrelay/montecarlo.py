@@ -3,10 +3,12 @@
 Draws are addressed by (seed, absolute trial index), so an estimate is
 bit-identical for a fixed (seed, trials) no matter how trials are chunked or
 scheduled, and every scheme evaluated at the same seed sees the same
-channels.  The draws do not depend on the eavesdropper model either, so
-`simulate` can run several models' schemes on each drawn chunk, with the
-same traces as one run per model.  Accumulation goes through exact
-compensated summation, which keeps it order-insensitive at any trial count.
+channels.  The draws do not depend on the eavesdropper model, and depend on
+the transmit SNR only through a final scaling, so `simulate` runs every
+listed (model, SNR) operating point on each chunk drawn once (common random
+numbers across the SNR grid), with the same traces as one run per point.
+Accumulation goes through exact compensated summation, which keeps it
+order-insensitive at any trial count.
 
 Importing this module loads no scipy: `scipy.special` loads at the first
 simulated draw (channel's inverse gamma CDF) or the first SER reduction
@@ -70,8 +72,8 @@ class SchemeTrace:
 
 
 def derive_seed(master_seed: int, index: int) -> int:
-    """Per-grid-point seed: master XOR a bit-mixed index, so points are
-    decorrelated but reproducible from the master seed alone."""
+    """Child seed of a grid position: master XOR a bit-mixed index, so
+    positions are decorrelated but reproducible from the master seed alone."""
     if not (0 <= master_seed < 2**64 and index >= 0):
         raise ValueError("need a 64-bit master seed and index >= 0")
     return master_seed ^ _splitmix64(index)
@@ -92,8 +94,8 @@ def simulate(
     trials: int,
     seed: int | None = None,
     chunk_size: int = 2048,
-    eve_models: Sequence[EveModel] | None = None,
-) -> dict[Scheme, SchemeTrace] | dict[EveModel, dict[Scheme, SchemeTrace]]:
+    points: Sequence[tuple[EveModel, float]] | None = None,
+) -> dict[Scheme, SchemeTrace] | dict[tuple[EveModel, float], dict[Scheme, SchemeTrace]]:
     """Run all schemes over the same `trials` channel draws.
 
     Trials are drawn in chunks of chunk_size; the result does not depend on
@@ -101,18 +103,20 @@ def simulate(
     for a config that model.validate refuses, which includes every SNR past
     model.MAX_SNR_DB (200 dB), well before the SINR products overflow; and
     ArithmeticError, as a last guard, when a scheme's rate, destination SINR
-    or leakage SINR is not finite.
+    or leakage SINR is not finite, naming the scheme, trials, SNR and model.
 
-    With eve_models, config.eve_model is ignored: each chunk is drawn once
-    and every listed model's schemes run on it, and the result is
-    {model: {scheme: trace}}.  The draws do not read the eavesdropper model,
-    so result[m] is bit-identical to simulate(replace(config, eve_model=m),
-    ...) alone.
+    With points, a list of (eve model, snr_linear) operating points,
+    config.eve_model and config.snr_linear are ignored: each chunk is drawn
+    once, by draw_batch at the first point's SNR, rescaled to every other
+    SNR with BatchDraws.at_snr, and every point's schemes run on it.  The
+    result is {(model, snr_linear): {scheme: trace}}, and result[m, rho] is
+    bit-identical to simulate(replace(config, eve_model=m, snr_linear=rho),
+    ...) alone at the same seed.
     """
-    configs = {m: replace(config, eve_model=m)
-               for m in ([config.eve_model] if eve_models is None else eve_models)}
+    keys = [(config.eve_model, config.snr_linear)] if points is None else points
+    configs = {(m, rho): replace(config, eve_model=m, snr_linear=rho) for m, rho in keys}
     if not configs:
-        raise ValueError("need at least one eve model")
+        raise ValueError("need at least one operating point")
     for cfg in configs.values():
         validate(cfg)
     if trials < 1:
@@ -129,27 +133,36 @@ def simulate(
     seed = config.master_seed if seed is None else seed
     schemes = list(dict.fromkeys(schemes))
     out = {
-        m: {s: SchemeTrace(s, np.empty(trials), np.empty(trials)) for s in schemes}
-        for m in configs
+        key: {s: SchemeTrace(s, np.empty(trials), np.empty(trials)) for s in schemes}
+        for key in configs
     }
+    # The configs at each SNR, the first point's SNR first, so every model
+    # at one SNR reads one batch (and the split searches it stores).
+    by_snr: dict[float, list[SystemConfig]] = {}
+    for cfg in configs.values():
+        by_snr.setdefault(cfg.snr_linear, []).append(cfg)
     done = 0
     while done < trials:
         n = min(chunk_size, trials - done)
-        batch = draw_batch(gains, config, seed, done, n)
-        for m, cfg in configs.items():
-            for s in schemes:
-                res = policy.run_scheme_batch(batch, s, cfg)
-                for what, values in (("rate or destination SINR", (res.rate, res.gamma_d)),
-                                     ("leakage SINR", (res.gamma_e,))):
-                    if not all(np.isfinite(v).all() for v in values):
-                        raise ArithmeticError(
-                            f"{s.value}: non-finite {what} in trials "
-                            f"{done}-{done + n - 1} at snr_linear={config.snr_linear:g} "
-                            f"under {m.value}")
-                out[m][s].rates[done : done + n] = res.rate
-                out[m][s].gamma_d[done : done + n] = res.gamma_d
+        batch = None
+        for rho, group in by_snr.items():
+            batch = (draw_batch(gains, group[0], seed, done, n) if batch is None
+                     else batch.at_snr(rho))
+            for cfg in group:
+                key = (cfg.eve_model, rho)
+                for s in schemes:
+                    res = policy.run_scheme_batch(batch, s, cfg)
+                    for what, values in (("rate or destination SINR", (res.rate, res.gamma_d)),
+                                         ("leakage SINR", (res.gamma_e,))):
+                        if not all(np.isfinite(v).all() for v in values):
+                            raise ArithmeticError(
+                                f"{s.value}: non-finite {what} in trials "
+                                f"{done}-{done + n - 1} at snr_linear={cfg.snr_linear:g} "
+                                f"under {cfg.eve_model.value}")
+                    out[key][s].rates[done : done + n] = res.rate
+                    out[key][s].gamma_d[done : done + n] = res.gamma_d
         done += n
-    return out if eve_models is not None else out[config.eve_model]
+    return out if points is not None else out[keys[0]]
 
 
 def _per_trial(metric: Metric, trace: SchemeTrace, config: SystemConfig) -> np.ndarray:
@@ -208,9 +221,12 @@ def sweep(
 ):
     """Estimate a metric over a transmit-SNR grid (dB).
 
-    Each grid point runs on its own derived seed; the draws at a point depend
-    only on (seed, point index), so separate sweeps with the same master seed
-    see matched channels scheme-for-scheme.  With a single scheme returns
+    The whole grid runs on one simulate call, so on one set of draws
+    rescaled to each SNR (common random numbers), seeded
+    derive_seed(master, 0) with master = seed or config.master_seed.  The
+    estimate at rho_db equals one simulated at that SNR alone from that
+    seed, and separate sweeps with the same master seed see matched
+    channels scheme-for-scheme.  With a single scheme returns
     [(rho_db, MetricEstimate), ...]; with a scheme list, estimates come as a
     dict per point evaluated on shared draws.
     """
@@ -222,11 +238,11 @@ def sweep(
     if not grid:
         raise ValueError("need a non-empty rho grid")
     master = config.master_seed if seed is None else seed
+    cfgs = [config.with_snr_db(rho_db) for rho_db in grid]
+    keys = [(cfg.eve_model, cfg.snr_linear) for cfg in cfgs]
+    traces = simulate(config, gains, schemes, trials, derive_seed(master, 0), points=keys)
     out = []
-    for i, rho_db in enumerate(grid):
-        cfg = config.with_snr_db(rho_db)
-        traces = simulate(cfg, gains, schemes, trials, derive_seed(master, i))
-        ests = {s: estimate_from_trace(metric, traces[s], cfg) for s in schemes}
+    for rho_db, cfg, key in zip(grid, cfgs, keys):
+        ests = {s: estimate_from_trace(metric, traces[key][s], cfg) for s in schemes}
         out.append((rho_db, ests[scheme]) if single else (rho_db, ests))
     return out
-

@@ -16,7 +16,13 @@ from secrelay.channel import (
     served,
     sinr_destination,
 )
-from secrelay.model import EveModel, MeanGains, SystemConfig
+from secrelay.model import (
+    EveModel,
+    MeanGains,
+    SystemConfig,
+    mean_gains_from_topology,
+    paper_topology,
+)
 from secrelay.policy import RegimeWarning, Scheme, opa_ce, run_scheme_batch
 
 
@@ -203,6 +209,23 @@ def test_batch_split_invariance():
     tail = draw_batch(gains, cfg, 77, 6, 4)
     np.testing.assert_array_equal(whole.g_sr[6:], tail.g_sr)
     np.testing.assert_array_equal(whole.u_rand[6:], tail.u_rand)
+
+
+@pytest.mark.parametrize("ns, k, l", [(8, 1, 0), (16, 5, 5), (256, 10, 50), (4, 5, 3)])
+def test_at_snr_is_draw_batch_at_that_snr(ns, k, l):
+    # Heterogeneous gains, so every rho * mu product is checked; Ns=4 < K+1
+    # gives a rank-deficient Bartlett factor.
+    gains = mean_gains_from_topology(paper_topology(k, l))
+    base = SystemConfig(n_antennas=ns, n_relays=k, n_eves=l, snr_linear=1.0)
+    drawn = draw_batch(gains, base.with_snr_db(20.0), 5, 3, 37)
+    for db in (20.0, -7.5, 0.0, 33.0, 200.0):
+        cfg = base.with_snr_db(db)
+        want = draw_batch(gains, cfg, 5, 3, 37)
+        for got in (drawn.at_snr(cfg.snr_linear), drawn.at_snr(2.0).at_snr(cfg.snr_linear)):
+            for name in BatchDraws.__dataclass_fields__:
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (db, name)
+    with pytest.raises(ValueError, match="drawn batch"):
+        small_draw().at_snr(2.0)
 
 
 def test_flat_draw_size_counts_all_uniforms():

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -241,8 +242,9 @@ def test_run_seed_derivation_and_sharing(tmp_path):
     rows = run(spec, log=None)
     first = [r for r in rows if r.rho_db == 0.0]
     second = [r for r in rows if r.rho_db == 10.0]
-    assert {r.seed for r in first} == {derive_seed(0, 0)}
-    assert {r.seed for r in second} == {derive_seed(0, 1)}
+    # One seed per (K, L) position, shared by every rho: the draws are
+    # rescaled to each SNR, not drawn again.
+    assert {r.seed for r in first} == {r.seed for r in second} == {derive_seed(0, 0)}
     assert derive_seed(0, 0) == 16294208416658607535
 
 
@@ -296,11 +298,9 @@ def test_run_eve_model_sweep_multiplies_rows(tmp_path):
     assert len(rows) == 16
     # rows stay model-major: every nce row, then every ce row
     assert [r.eve_model for r in rows] == ["nce"] * 8 + ["ce"] * 8
-    # one seed per rho, from its index within a model's block, shared by
-    # both models: the draws do not depend on the eavesdropper model
-    seeds = {(r.eve_model, r.rho_db): r.seed for r in rows}
-    assert seeds == {(m, rho): derive_seed(0, i)
-                     for m in ("nce", "ce") for i, rho in enumerate([0.0, 10.0])}
+    # one seed for the single (K, L) position, shared by both models and
+    # both rho: the draws depend on neither but for a final scaling by rho
+    assert {r.seed for r in rows} == {derive_seed(0, 0)}
 
 
 def _model_sweep(tmp_path, models, trials=30):
@@ -331,27 +331,55 @@ def test_two_model_run_matches_standalone_runs(tmp_path, models):
 
 
 def test_model_sweep_draws_each_chunk_once(tmp_path, monkeypatch):
-    # 2100 trials are two chunks of the default 2048 at each (K, L, rho).
+    # 2100 trials are two chunks of the default 2048 at each (K, L) position,
+    # and each position has two models at two rho.
     spec = _model_sweep(tmp_path, ["nce", "ce"], trials=2100)
     simulated, drawn = [], []
     real_simulate, real_draw = cli.simulate, montecarlo.draw_batch
 
     def spy_simulate(cfg, *args, **kwargs):
-        simulated.append((cfg.n_relays, cfg.snr_linear))
+        simulated.append((cfg.n_relays, tuple(kwargs["points"])))
         return real_simulate(cfg, *args, **kwargs)
 
     def spy_draw(gains, config, master_seed, first_trial, n_trials):
-        drawn.append((master_seed, first_trial))
+        drawn.append((master_seed, first_trial, config.snr_linear))
         return real_draw(gains, config, master_seed, first_trial, n_trials)
 
     monkeypatch.setattr(cli, "simulate", spy_simulate)
     monkeypatch.setattr(montecarlo, "draw_batch", spy_draw)
     rows = run(spec, log=None)
-    positions = {(r.n_relays, r.rho_db) for r in rows}
-    assert len(positions) == 4 and len(simulated) == 4 == len(set(simulated))
-    assert len(drawn) == 2 * 4 == len(set(drawn))
-    assert {first for _, first in drawn} == {0, 2048}
-    assert {r.seed for r in rows} == {seed for seed, _ in drawn}
+    assert {(r.n_relays, r.rho_db) for r in rows} == {(k, rho) for k in (1, 2)
+                                                      for rho in (0.0, 10.0)}
+    # One simulate call per (K, L) position, listing all four of its points.
+    assert [k for k, _ in simulated] == [1, 2]
+    assert all(len(set(points)) == 4 for _, points in simulated)
+    # One draw per chunk per position, at the first rho (0 dB) only.
+    assert len(drawn) == 2 * 2 == len(set(drawn))
+    assert {first for _, first, _ in drawn} == {0, 2048}
+    assert {snr for *_, snr in drawn} == {1.0}
+    assert {r.seed for r in rows} == {seed for seed, *_ in drawn}
+
+
+@pytest.mark.parametrize("chunk_size", [37, 2048])
+def test_every_row_reruns_alone_at_its_seed(tmp_path, monkeypatch, chunk_size):
+    # 2 models x 3 rho x 2 K on shared draws: every row equals a standalone
+    # simulate at its own config and the seed it carries.
+    spec = _model_sweep(tmp_path, ["ce", "nce"], trials=80)
+    spec.rho_grid_db = [0.0, 10.0, 25.0]
+    monkeypatch.setattr(cli, "simulate", functools.partial(simulate, chunk_size=chunk_size))
+    rows = run(spec, log=None)
+    assert len(rows) == 2 * 3 * 2 * 2 * 2
+    alone = {}
+    for r in rows:
+        gains = mean_gains_from_topology(paper_topology(r.n_relays, r.n_eves))
+        cfg = replace(spec.config, n_relays=r.n_relays, n_eves=r.n_eves,
+                      eve_model=EveModel(r.eve_model)).with_snr_db(r.rho_db)
+        point = (r.eve_model, r.n_relays, r.rho_db, r.seed)
+        if point not in alone:
+            alone[point] = simulate(cfg, gains, spec.schemes, spec.trials, seed=r.seed)
+        est = estimate_from_trace(Metric(r.metric), alone[point][Scheme(r.scheme)], cfg)
+        assert (est.value, est.std_error) == (r.sim_value, r.sim_stderr)
+    assert len(alone) == 12
 
 
 def test_run_rejects_invalid_spec():

@@ -103,26 +103,29 @@ def test_duplicate_schemes_collapse():
 @pytest.mark.parametrize("chunk_size", [37, 2048])
 @pytest.mark.parametrize("models", [[EveModel.NCE, EveModel.CE], [EveModel.CE, EveModel.NCE]])
 def test_eve_models_share_draws_bit_for_bit(chunk_size, models):
-    # config.eve_model is ignored once eve_models is given.
+    # config.eve_model and config.snr_linear are ignored once points are given.
     gains, cfg = small_setup(k=3, l=2, eve_model=EveModel.CE)
     schemes = list(Scheme)
-    out = simulate(cfg, gains, schemes, 150, seed=11, chunk_size=chunk_size, eve_models=models)
-    assert list(out) == models
-    for m in models:
-        alone = simulate(replace(cfg, eve_model=m), gains, schemes, 150, seed=11,
-                         chunk_size=chunk_size)
-        assert list(out[m]) == schemes
+    points = [(m, rho) for rho in (10.0, 0.5, 300.0) for m in models]
+    out = simulate(cfg, gains, schemes, 150, seed=11, chunk_size=chunk_size, points=points)
+    assert list(out) == points
+    for m, rho in points:
+        alone = simulate(replace(cfg, eve_model=m, snr_linear=rho), gains, schemes, 150,
+                         seed=11, chunk_size=chunk_size)
+        assert list(out[m, rho]) == schemes
         for s in schemes:
-            assert out[m][s].rates.tobytes() == alone[s].rates.tobytes()
-            assert out[m][s].gamma_d.tobytes() == alone[s].gamma_d.tobytes()
+            assert out[m, rho][s].rates.tobytes() == alone[s].rates.tobytes()
+            assert out[m, rho][s].gamma_d.tobytes() == alone[s].gamma_d.tobytes()
 
 
 def test_eve_models_collapse_and_must_not_be_empty():
     gains, cfg = small_setup()
-    out = simulate(cfg, gains, [Scheme.JRP], 10, seed=1, eve_models=[EveModel.CE] * 2)
-    assert list(out) == [EveModel.CE] and list(out[EveModel.CE]) == [Scheme.JRP]
+    out = simulate(cfg, gains, [Scheme.JRP], 10, seed=1, points=[(EveModel.CE, 2.0)] * 2)
+    assert list(out) == [(EveModel.CE, 2.0)] and list(out[EveModel.CE, 2.0]) == [Scheme.JRP]
     with pytest.raises(ValueError):
-        simulate(cfg, gains, [Scheme.JRP], 10, eve_models=[])
+        simulate(cfg, gains, [Scheme.JRP], 10, points=[])
+    with pytest.raises(ConfigError, match="snr_linear"):
+        simulate(cfg, gains, [Scheme.JRP], 10, points=[(EveModel.CE, 2.0), (EveModel.CE, 0.0)])
 
 
 def test_simulate_validation():
@@ -189,6 +192,26 @@ def test_simulate_refuses_non_finite_rates(monkeypatch):
         with pytest.raises(ArithmeticError,
                            match=f"jrp: non-finite {what} in trials 0-63 "):
             simulate(cfg, gains, [Scheme.DT, Scheme.JRP], 200, seed=3, chunk_size=64)
+
+
+def test_non_finite_error_names_the_point_at_fault(monkeypatch):
+    # Only the second SNR is poisoned, and only under CE: the message must
+    # name that point, not the first one, whose SNR the chunk was drawn at.
+    gains, cfg = small_setup(k=3, l=2)
+    real = policy.run_scheme_batch
+
+    def poisoned(batch, scheme, config):
+        res = real(batch, scheme, config)
+        if (config.snr_linear, config.eve_model) == (40.0, EveModel.CE):
+            res = replace(res, gamma_e=res.gamma_e * math.nan)
+        return res
+
+    monkeypatch.setattr(policy, "run_scheme_batch", poisoned)
+    points = [(m, rho) for rho in (2.0, 40.0) for m in EveModel]
+    with pytest.raises(ArithmeticError) as err:
+        simulate(cfg, gains, [Scheme.DT], 100, seed=3, chunk_size=64, points=points)
+    assert str(err.value) == ("dt: non-finite leakage SINR in trials 0-63 "
+                              "at snr_linear=40 under ce")
 
 
 @pytest.mark.parametrize("model", list(EveModel), ids=lambda m: m.value)
@@ -263,14 +286,16 @@ def test_sop_at_zero_target_complements_ppos():
 
 
 def test_sweep_single_scheme_uses_derived_seeds():
+    # The whole grid shares the draws of derive_seed(master, 0), so every
+    # point equals a standalone estimate at that seed.
     gains, cfg = small_setup(master_seed=6)
     grid = [0.0, 10.0]
     pts = sweep(Metric.ESR, Scheme.EPRR, cfg, gains, grid, 50)
     assert [db for db, _ in pts] == grid
-    for i, (db, est) in enumerate(pts):
+    for db, est in pts:
         ref = estimate(
             Metric.ESR, Scheme.EPRR, cfg.with_snr_db(db), gains, 50,
-            seed=derive_seed(6, i),
+            seed=derive_seed(6, 0),
         )
         assert est == ref
 
