@@ -12,11 +12,11 @@ K relay->destination links, the maximum X of K independent exponentials:
 - the ESR's power offset and the SER are still signed inclusion-exclusion
   sums over all 2^K - 1 relay subsets, through specfun.signed_subset_eval.
   It adds the terms exactly, by a vectorized correctly rounded accumulator,
-  but it costs O(2^K), and the SER's terms cancel to ~1e-15 absolute at
-  high SNR.  They stay there until the benchmark changes with them:
-  bench/tracing.py requires a signed_subset_eval call in every simulation
-  round, and bench/test_bench.py counts the SER's two cancellation faults
-  as known.
+  and walks the subsets in blocks of 2^14, so it costs O(2^K) time but only
+  O(2^14) memory.  The SER's terms cancel to ~1e-15 absolute at high SNR.
+  They stay there until the benchmark changes with them: bench/tracing.py
+  requires a signed_subset_eval call in every simulation round, and
+  bench/test_bench.py counts the SER's two cancellation faults as known.
 
 The direct-transmission forms instead harden the main link at N_s*gbar_sd and
 keep the leakage random: the max (and, under collusion, the worse of max and

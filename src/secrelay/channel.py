@@ -301,8 +301,7 @@ class ServedView:
     def sinr_destination(self, lam) -> np.ndarray:
         """End-to-end SINR at the destination after self-interference
         cancellation, at per-row split lam."""
-        lam_si = lam * self.g_si
-        return lam_si * self.g_id / (lam_si + (2.0 - lam) * self.g_id + 1.0)
+        return _sinr_destination(self.g_si, self.g_id, lam)
 
     def leakage(self, lam, model: EveModel) -> np.ndarray:
         """Exact information leakage toward the malicious set at per-row
@@ -335,10 +334,17 @@ def served(batch: BatchDraws, relay_idx, trials: np.ndarray | None = None) -> Se
     )
 
 
+def _sinr_destination(g_si: np.ndarray, g_id: np.ndarray, lam) -> np.ndarray:
+    lam_si = lam * g_si
+    return lam_si * g_id / (lam_si + (2.0 - lam) * g_id + 1.0)
+
+
 def sinr_destination(batch: BatchDraws, relay_idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """End-to-end SINR at the destination after self-interference
-    cancellation, with per-trial served relay and power split."""
-    return served(batch, relay_idx).sinr_destination(lam)
+    cancellation, with per-trial served relay and power split.  It reads only
+    the two hops, so it gathers them alone rather than a served view."""
+    rows = np.arange(batch.n_trials)
+    return _sinr_destination(batch.g_sr[rows, relay_idx], batch.g_rd[rows, relay_idx], lam)
 
 
 def leakage_batch(

@@ -10,11 +10,12 @@ X of independent exponentials:
   positive survival function.  Every term is positive, so it costs O(K) and
   holds ~1e-16 relative at any K.  The ergodic secrecy rates use it.
 - signed_subset_eval: a signed inclusion-exclusion sum over all 2^K - 1
-  subsets of the rates.  It adds its terms exactly, with a vectorized
-  correctly rounded accumulator (_exact_signed_sum, the value math.fsum
-  would give), but it still costs O(2^K) and its terms still cancel, so the
-  result loses accuracy as K grows.  The power offset, the SER and the
-  collusion DT bound still use it.
+  subsets of the rates, walked in blocks of 2^_BLOCK_BITS: O(2^K) time,
+  O(2^_BLOCK_BITS) memory.  It adds its terms exactly, with a vectorized
+  correctly rounded accumulator (_exact_units, rounded once; the value
+  math.fsum would give), but its terms still cancel, so the result loses
+  accuracy as K grows.  The power offset and the SER use it, and the
+  collusion DT bound uses its parts.
 """
 
 from __future__ import annotations
@@ -46,6 +47,12 @@ _IID_COLLAPSE_FROM = 16  # from here n identical rates sum as n binomial terms
 _FREXP_EXP_MIN = -1073
 _SPLIT = 3.0 * 2.0**25
 _EXACT_CHUNK = 1 << MAX_SUBSET_NODES
+# Below this many terms math.fsum outruns the exact accumulator's fixed cost:
+# on the power offset's terms on one x86 core, 7 against 40 us at K=5, 39
+# against 58 us at K=10 (1023 terms), but 75 against 38 us at K=11.
+_FSUM_BELOW = 1 << 10
+# signed_subset_eval walks 2^14 subsets at a time: 128 KB per float array.
+_BLOCK_BITS = 14
 _HYPOEXP_MERGE_TOL = 1e-6  # relative gap below which hypoexp merges two means
 
 
@@ -173,9 +180,10 @@ def subset_terms(rates: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     return sizes[1:], sums[1:]
 
 
-def _exact_signed_sum(vals: np.ndarray, odd: np.ndarray) -> float:
-    """Correctly rounded sum of (-1)^odd[i] * vals[i] over a 1-D array: the
-    value math.fsum returns for that list.
+def _exact_units(vals: np.ndarray, odd: np.ndarray) -> int:
+    """Exact sum of (-1)^odd[i] * vals[i] over a 1-D array, as a Python int
+    counting units of 2^(_FREXP_EXP_MIN - 53), the lowest a term can have.
+    Totals of separate arrays add exactly; _round_units rounds one to float.
 
     Each term is f * 2^e with 1/2 <= |f| < 1 and f a 53-bit fraction, split
     exactly into f = hi + lo, hi a multiple of 2^-26 and lo of 2^-53, with
@@ -184,8 +192,8 @@ def _exact_signed_sum(vals: np.ndarray, odd: np.ndarray) -> float:
     2^MAX_SUBSET_NODES = 2^25 terms, so every partial sum of a bin is an
     integer multiple of its unit below 2^25 * 2^26 = 2^51 units, which
     float64 holds exactly whatever the order of the adds.  The few non-empty
-    bins are then combined as Python ints and rounded once.  A non-finite
-    term raises ArithmeticError.
+    bins are then combined as Python ints.  A non-finite term raises
+    ArithmeticError.
     """
     total = 0
     for start in range(0, vals.size, _EXACT_CHUNK):
@@ -210,8 +218,31 @@ def _exact_signed_sum(vals: np.ndarray, odd: np.ndarray) -> float:
                 raise ArithmeticError("non-finite term in an exact sum")
             if h or l:
                 total += ((int(h * 2.0**26) << 27) + int(l * 2.0**53)) << e
-    # total counts units of 2^(_FREXP_EXP_MIN - 53), the lowest a term can have.
+    return total
+
+
+def _round_units(total: int) -> float:
+    """The float nearest an _exact_units total, ties to even."""
     return total / (1 << (53 - _FREXP_EXP_MIN))
+
+
+def _exact_signed_sum(vals: np.ndarray, odd: np.ndarray) -> float:
+    """Correctly rounded sum of (-1)^odd[i] * vals[i] over a 1-D array: the
+    value math.fsum returns for that list.
+
+    Below _FSUM_BELOW terms math.fsum itself is the faster of the two; where
+    it cannot give a finite value (a non-finite term, or a partial sum past
+    the float range) the exact accumulator decides.  A non-finite term
+    raises ArithmeticError.
+    """
+    if vals.size < _FSUM_BELOW:
+        try:
+            total = math.fsum(np.where(odd & 1, -vals, vals).tolist())
+        except (ValueError, OverflowError):  # inf - inf, or an intermediate overflow
+            total = math.nan
+        if math.isfinite(total):
+            return total
+    return _round_units(_exact_units(vals, odd))
 
 
 def signed_subset_eval(
@@ -223,9 +254,15 @@ def signed_subset_eval(
     array_fn maps the arrays (sizes, rate_sums) to term values; with
     array_fn == 1 the sum is -1.  When all rates coincide (to 1e-12 relative)
     and the list is long, the 2^n enumeration collapses to n binomial terms.
-    The terms are added exactly and rounded once (_exact_signed_sum), but the
-    sum still costs O(2^n), and when its terms cancel the result is no better
-    than the terms themselves.
+
+    Otherwise the subsets are walked in blocks of 2^_BLOCK_BITS that share
+    their high bits: subset_terms enumerates the low bits once, and each
+    block adds its set high-bit rates to those sums in increasing bit order,
+    so every subset sum is the float subset_terms(rates) would give.
+    array_fn sees one block at a time, and each block's exact total
+    (_exact_units) joins one Python int that is rounded once at the end.
+    Time stays O(2^n), memory falls to O(2^_BLOCK_BITS), and when the terms
+    cancel the result is no better than the terms themselves.
     """
     arr = _check_rates(rates)
     n = arr.size
@@ -234,8 +271,30 @@ def signed_subset_eval(
         j = np.arange(1, n + 1, dtype=np.int64)
         binom = np.array([float(math.comb(n, m)) for m in range(1, n + 1)])
         return _exact_signed_sum(binom * np.asarray(array_fn(j, j * arr[0]), dtype=float), j)
-    sizes, sums = subset_terms(arr)
-    return _exact_signed_sum(np.asarray(array_fn(sizes, sums), dtype=float), sizes)
+    low = min(n, _BLOCK_BITS)
+    sizes, sums = subset_terms(arr[:low])
+    if low == n:
+        return _exact_signed_sum(np.asarray(array_fn(sizes, sums), dtype=float), sizes)
+
+    def units(block_sizes: np.ndarray, block_sums: np.ndarray) -> int:
+        return _exact_units(np.asarray(array_fn(block_sizes, block_sums), dtype=float),
+                            block_sizes)
+
+    def walk(block_sums: np.ndarray, count: int, next_bit: int) -> int:
+        # The block whose highest set bit is next_bit - 1, then every block
+        # that sets more bits above it.
+        total = units(low_sizes + count, block_sums)
+        for bit in range(next_bit, n):
+            total += walk(block_sums + arr[bit], count + 1, bit + 1)
+        return total
+
+    # The low subsets again with the empty one, which the high bits complete.
+    low_sizes = np.concatenate([[0], sizes])
+    low_sums = np.concatenate([[0.0], sums])
+    total = units(sizes, sums)
+    for bit in range(low, n):
+        total += walk(low_sums + arr[bit], 1, bit + 1)
+    return _round_units(total)
 
 
 def maxexp_cdf(means: Sequence[float], x) -> float | np.ndarray:

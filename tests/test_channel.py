@@ -272,6 +272,19 @@ def test_leakage_batch_matches_scalar():
             assert math.isclose(out[t], want, rel_tol=1e-13)
 
 
+@pytest.mark.parametrize("k, l", [(10, 50), (5, 5), (1, 0)])
+def test_sinr_destination_equals_the_served_view(k, l):
+    # sinr_destination gathers only the two hops it reads, not a whole view.
+    gains = MeanGains.iid(k, l, mu_sr=0.5, mu_rd=1.0, mu_se=0.5, mu_ed=1.0)
+    cfg = SystemConfig(n_antennas=16, n_relays=k, n_eves=l, snr_linear=100.0)
+    batch = draw_batch(gains, cfg, 23, 0, 300)
+    rng = np.random.default_rng(5)
+    relay_idx = rng.integers(0, k, 300)
+    lam = rng.uniform(0.01, 0.99, 300)
+    want = served(batch, relay_idx).sinr_destination(lam)
+    assert sinr_destination(batch, relay_idx, lam).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("k, l", [(10, 50), (5, 5)])
 @pytest.mark.parametrize("model", list(EveModel), ids=lambda m: m.value)
 def test_served_view_is_bit_identical_to_trial_major(k, l, model):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scipy import integrate, special, stats
 
 from quadrature_reference import log_expect_mp
-from secrelay import specfun
+from secrelay import analytics, specfun
 from secrelay.model import mean_gains_from_topology, paper_topology
 from secrelay.specfun import (
     EULER_GAMMA,
@@ -148,12 +149,9 @@ def test_subset_terms_equals_the_bitmask_construction(n):
 
 
 def _enumerated(rates, array_fn):
-    # Reference: every subset one at a time, summed exactly.
+    # Reference: every subset's term from one array_fn call, summed by fsum.
     sizes, sums = subset_terms(rates)
-    return math.fsum(
-        (-1.0) ** int(c) * float(array_fn(np.array([c]), np.array([v]))[0])
-        for c, v in zip(sizes, sums)
-    )
+    return _signed_fsum(np.asarray(array_fn(sizes, sums), dtype=float), sizes)
 
 
 def test_subset_sum_constant_term_is_minus_one():
@@ -194,16 +192,45 @@ ANALYTICS_ARRAY_FNS = {
 }
 
 
+def _signed_fsum(vals, odd):
+    return math.fsum(np.where(np.asarray(odd) & 1, -vals, vals).tolist())
+
+
 def test_signed_subset_eval_matches_subset_sum():
     # The exact accumulator rounds once, as fsum does: equal, not close.
-    for k in (1, 4, 9, 14, 18):
+    # Past 2^14 subsets the sum runs in blocks that share their high bits.
+    for k in (1, 4, 9, 13, 14, 15, 17, 18, 20):
         rates = 1.0 / mean_gains_from_topology(paper_topology(k, 0)).gbar_rd(10.0)
         for name, array_fn in ANALYTICS_ARRAY_FNS.items():
             assert signed_subset_eval(rates, array_fn) == _enumerated(rates, array_fn), (k, name)
 
 
-def _signed_fsum(vals, odd):
-    return math.fsum(np.where(np.asarray(odd) & 1, -vals, vals).tolist())
+@pytest.mark.parametrize("k", [2, 3, 9])
+def test_signed_subset_eval_carries_across_blocks(monkeypatch, k):
+    # Blocks of 2^2 subsets: K=9 walks 128 of them, each adding its high-bit
+    # rates to the low sums and its exact total to the carry.
+    monkeypatch.setattr(specfun, "_BLOCK_BITS", 2)
+    rates = 1.0 / mean_gains_from_topology(paper_topology(k, 0)).gbar_rd(10.0)
+    for name, array_fn in ANALYTICS_ARRAY_FNS.items():
+        assert signed_subset_eval(rates, array_fn) == _enumerated(rates, array_fn), name
+    # The low bits' 3 non-empty subsets, then 4 subsets per high-bit pattern.
+    lengths = []
+    signed_subset_eval(rates, lambda sz, s: lengths.append(len(sz)) or np.ones_like(s))
+    assert lengths == [3] + [4] * ((1 << (k - 2)) - 1)
+
+
+def test_subset_sums_run_in_bounded_memory():
+    # At K=20 the whole 2^20-term arrays took 52 MB; blocks of 2^14 need ~1 MB.
+    gains = mean_gains_from_topology(paper_topology(20, 0, relay_ring=0.1))
+    for name, call in (("esr", lambda: analytics.esr_dbcj(gains, 100.0)),
+                       ("ser", lambda: analytics.ser_dbcj(gains, 10.0))):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, (name, peak)
 
 
 def _exact_sum_cases():
@@ -225,13 +252,22 @@ def _exact_sum_cases():
     }
 
 
+def _both_sum_paths(monkeypatch):
+    # _FSUM_BELOW at 0 sends every sum to the exact accumulator, at 2^21 to
+    # math.fsum; each case runs on both sides of the threshold.
+    for fsum_below in (0, 1 << 21):
+        monkeypatch.setattr(specfun, "_FSUM_BELOW", fsum_below)
+        yield fsum_below
+
+
 @pytest.mark.parametrize("case", list(_exact_sum_cases()))
-def test_exact_signed_sum_equals_fsum(case):
+def test_exact_signed_sum_equals_fsum(case, monkeypatch):
     vals, odd = _exact_sum_cases()[case]
-    got = specfun._exact_signed_sum(vals, odd)
     want = _signed_fsum(vals, odd)
-    assert got == want
-    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+    for path in _both_sum_paths(monkeypatch):
+        got = specfun._exact_signed_sum(vals, odd)
+        assert got == want, path
+        assert math.copysign(1.0, got) == math.copysign(1.0, want), path
 
 
 def test_exact_signed_sum_carries_across_chunks(monkeypatch):
@@ -242,10 +278,20 @@ def test_exact_signed_sum_carries_across_chunks(monkeypatch):
     assert specfun._exact_signed_sum(vals, odd) == _signed_fsum(vals, odd)
 
 
-def test_exact_signed_sum_refuses_non_finite_terms():
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ArithmeticError):
-            specfun._exact_signed_sum(np.array([1.0, bad, 2.0]), np.arange(3))
+def test_exact_signed_sum_refuses_non_finite_terms(monkeypatch):
+    cases = [([1.0, bad, 2.0], [0, 1, 2]) for bad in (math.nan, math.inf, -math.inf)]
+    cases.append(([math.inf, -math.inf, 0.0], [0, 0, 0]))  # fsum raises ValueError here
+    for path in _both_sum_paths(monkeypatch):
+        for vals, odd in cases:
+            with pytest.raises(ArithmeticError):
+                specfun._exact_signed_sum(np.array(vals), np.array(odd))
+
+
+def test_exact_signed_sum_survives_an_intermediate_overflow(monkeypatch):
+    # fsum raises on a partial sum past the float range; the total is finite.
+    vals = np.array([1e308, 1e308, 1e308])
+    for path in _both_sum_paths(monkeypatch):
+        assert specfun._exact_signed_sum(vals, np.array([0, 0, 1])) == 1e308, path
 
 
 def test_signed_subset_eval_iid_collapse_agrees(monkeypatch):
@@ -255,10 +301,11 @@ def test_signed_subset_eval_iid_collapse_agrees(monkeypatch):
     monkeypatch.setattr(
         specfun, "subset_terms", lambda r: enumerated.append(len(r)) or subset_terms(r)
     )
-    for n in (16, 15):
+    for n, enumerates in ((16, False), (15, True)):
+        enumerated.clear()
         got = signed_subset_eval([1.3] * n, fn)
         assert math.isclose(got, _enumerated([1.3] * n, fn), rel_tol=1e-10)
-    assert enumerated == [15]
+        assert bool(enumerated) is enumerates, n
     # The collapsed sum is the 16 binomial terms added exactly.
     j = np.arange(1, 17)
     terms = np.array([float(math.comb(16, m)) for m in j]) * fn(j, 1.3 * j)
