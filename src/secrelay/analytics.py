@@ -11,9 +11,11 @@ K relay->destination links, the maximum X of K independent exponentials:
 - the outage metrics are the positive product CDF of X itself;
 - the ESR's power offset and the SER are still signed inclusion-exclusion
   sums over all 2^K - 1 relay subsets, through specfun.signed_subset_eval.
-  It adds the terms exactly, by a vectorized correctly rounded accumulator,
-  and walks the subsets in blocks of 2^14, so it costs O(2^K) time but only
-  O(2^14) memory.  The SER's terms cancel to ~1e-15 absolute at high SNR.
+  It adds the terms exactly and rounds once, by error-free extraction (each
+  pass splits every term at one power of two into a high part whose float
+  sum is exact and a smaller residual; 2 passes a block here), and walks
+  the subsets in blocks of 2^14, so it costs O(2^K) time but only O(2^14)
+  memory.  The SER's terms cancel to ~1e-15 absolute at high SNR.
   They stay there until the benchmark changes with them: bench/tracing.py
   requires a signed_subset_eval call in every simulation round, and
   bench/test_bench.py counts the SER's two cancellation faults as known.

@@ -11,11 +11,14 @@ X of independent exponentials:
   holds ~1e-16 relative at any K.  The ergodic secrecy rates use it.
 - signed_subset_eval: a signed inclusion-exclusion sum over all 2^K - 1
   subsets of the rates, walked in blocks of 2^_BLOCK_BITS: O(2^K) time,
-  O(2^_BLOCK_BITS) memory.  It adds its terms exactly, with a vectorized
-  correctly rounded accumulator (_exact_units, rounded once; the value
-  math.fsum would give), but its terms still cancel, so the result loses
-  accuracy as K grows.  The power offset and the SER use it, and the
-  collusion DT bound uses its parts.
+  O(2^_BLOCK_BITS) memory.  It adds its terms exactly and rounds once (the
+  value math.fsum would give), by error-free extraction (Rump, Ogita and
+  Oishi, SIAM J. Sci. Comput. 31, 2008; _exact_units): each pass splits
+  every term at one power of two into a high part, whose plain float sum
+  is exact, and a residual, about 52 - log2(n) bits smaller, for the next
+  pass.  Its terms still cancel, so the result loses accuracy as K grows.
+  The power offset and the SER use it, and the collusion DT bound uses its
+  parts.
 """
 
 from __future__ import annotations
@@ -41,15 +44,13 @@ MAX_SUBSET_NODES = 25  # 2**25 - 1 subset terms is the hard ceiling
 # 2.5e-11 at K=25.
 _LOG_GRID_STEP = 1.0 / 8.0
 _IID_COLLAPSE_FROM = 16  # from here n identical rates sum as n binomial terms
-# _exact_signed_sum: frexp exponents of finite doubles start at -1073;
-# adding and subtracting 3 * 2^25 (ulp 2^-26) rounds a frexp fraction to a
-# multiple of 2^-26.
-_FREXP_EXP_MIN = -1073
-_SPLIT = 3.0 * 2.0**25
+# _exact_units counts units of 2^-1126, a whole number of them in any double.
+_UNIT_BITS = 1126
 _EXACT_CHUNK = 1 << MAX_SUBSET_NODES
 # Below this many terms math.fsum outruns the exact accumulator's fixed cost:
-# on the power offset's terms on one x86 core, 7 against 40 us at K=5, 39
-# against 58 us at K=10 (1023 terms), but 75 against 38 us at K=11.
+# on the power offset's terms on one x86 core, 6 against 36 us at K=5 and
+# 26 against 42 us at K=9; at K=10 (1023 terms) the two tie, 47-50 against
+# 45-47 us, and at K=11 fsum takes 84-94 against 45-56 us.
 _FSUM_BELOW = 1 << 10
 # signed_subset_eval walks 2^14 subsets at a time: 128 KB per float array.
 _BLOCK_BITS = 14
@@ -180,50 +181,50 @@ def subset_terms(rates: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     return sizes[1:], sums[1:]
 
 
-def _exact_units(vals: np.ndarray, odd: np.ndarray) -> int:
-    """Exact sum of (-1)^odd[i] * vals[i] over a 1-D array, as a Python int
-    counting units of 2^(_FREXP_EXP_MIN - 53), the lowest a term can have.
-    Totals of separate arrays add exactly; _round_units rounds one to float.
+def _exact_units(vals: np.ndarray) -> int:
+    """Exact sum of a 1-D array, as a Python int counting units of
+    2^-_UNIT_BITS.  Totals of separate arrays add exactly; _round_units
+    rounds one to float.  vals is overwritten: it ends as all zeros.
 
-    Each term is f * 2^e with 1/2 <= |f| < 1 and f a 53-bit fraction, split
-    exactly into f = hi + lo, hi a multiple of 2^-26 and lo of 2^-53, with
-    |hi| * 2^26 and |lo| * 2^53 at most 2^26.  np.bincount adds the halves
-    into bins keyed by (e, parity of odd[i]).  A chunk holds at most
-    2^MAX_SUBSET_NODES = 2^25 terms, so every partial sum of a bin is an
-    integer multiple of its unit below 2^25 * 2^26 = 2^51 units, which
-    float64 holds exactly whatever the order of the adds.  The few non-empty
-    bins are then combined as Python ints.  A non-finite term raises
-    ArithmeticError.
+    Error-free extraction over chunks of n <= _EXACT_CHUNK terms: with
+    2^e > max|v| and 2^m >= n + 2, sigma = 2^(e+m), each pass forms
+    q = (v + sigma) - sigma, the part of v above sigma's last bit, and
+    leaves v - q, both exactly.  Every q is a multiple of 2^(e+m-53) and
+    at most 2^e, so every partial sum of the n of them stays below sigma
+    and q.sum() is exact in any order.  The residuals are at most
+    2^(e+m-53), so each pass drops at least 52 - m binades, and a chunk
+    needs about (exponent spread + 53) / (52 - m) passes: 2 for the closed
+    forms' blocks of 2^14 terms, about 60 for one spanning every double.
+    Terms of 2^(1021-m) or more, where sigma would overflow, are summed
+    apart, scaled by 2^-600.  A non-finite term raises ArithmeticError.
     """
     total = 0
     for start in range(0, vals.size, _EXACT_CHUNK):
-        lo, exp = np.frexp(vals[start:start + _EXACT_CHUNK])
-        hi = lo + _SPLIT
-        hi -= _SPLIT
-        with np.errstate(invalid="ignore"):  # inf - inf: caught on the bins below
-            lo -= hi
-        e_lo, e_hi = int(exp.min()), int(exp.max())
-        exp -= e_lo
-        exp <<= 1
-        idx = odd[start:start + _EXACT_CHUNK] & 1
-        idx += exp
-        # Even bin minus odd bin stays below 2^52 units, so still exact.
-        hi_net, lo_net = (
-            (b[0::2] - b[1::2]).tolist()
-            for b in (np.bincount(idx, weights=w, minlength=2 * (e_hi - e_lo + 1))
-                      for w in (hi, lo))
-        )
-        for e, (h, l) in enumerate(zip(hi_net, lo_net), start=e_lo - _FREXP_EXP_MIN):
-            if not math.isfinite(h + l):
-                raise ArithmeticError("non-finite term in an exact sum")
-            if h or l:
-                total += ((int(h * 2.0**26) << 27) + int(l * 2.0**53)) << e
+        v = vals[start:start + _EXACT_CHUNK]
+        m = (v.size + 1).bit_length()
+        top = max(v.max(), -v.min())
+        if not math.isfinite(top):
+            raise ArithmeticError("non-finite term in an exact sum")
+        if top >= 2.0 ** (1021 - m):
+            big = np.abs(v) >= 2.0 ** (1021 - m)
+            total += _exact_units(v[big] * 2.0**-600) << 600
+            v[big] = 0.0
+            top = max(v.max(), -v.min())
+        q = np.empty_like(v)
+        while top:
+            sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
+            np.add(v, sigma, out=q)
+            q -= sigma
+            v -= q
+            num, den = float(q.sum()).as_integer_ratio()
+            total += (num << _UNIT_BITS) // den
+            top = max(v.max(), -v.min())
     return total
 
 
 def _round_units(total: int) -> float:
     """The float nearest an _exact_units total, ties to even."""
-    return total / (1 << (53 - _FREXP_EXP_MIN))
+    return total / (1 << _UNIT_BITS)
 
 
 def _exact_signed_sum(vals: np.ndarray, odd: np.ndarray) -> float:
@@ -232,17 +233,18 @@ def _exact_signed_sum(vals: np.ndarray, odd: np.ndarray) -> float:
 
     Below _FSUM_BELOW terms math.fsum itself is the faster of the two; where
     it cannot give a finite value (a non-finite term, or a partial sum past
-    the float range) the exact accumulator decides.  A non-finite term
-    raises ArithmeticError.
+    the float range) the exact accumulator (_exact_units) decides.  A
+    non-finite term raises ArithmeticError.
     """
-    if vals.size < _FSUM_BELOW:
+    signed = np.where(odd & 1, -vals, vals)
+    if signed.size < _FSUM_BELOW:
         try:
-            total = math.fsum(np.where(odd & 1, -vals, vals).tolist())
+            total = math.fsum(signed.tolist())
         except (ValueError, OverflowError):  # inf - inf, or an intermediate overflow
             total = math.nan
         if math.isfinite(total):
             return total
-    return _round_units(_exact_units(vals, odd))
+    return _round_units(_exact_units(signed))
 
 
 def signed_subset_eval(
@@ -259,10 +261,13 @@ def signed_subset_eval(
     their high bits: subset_terms enumerates the low bits once, and each
     block adds its set high-bit rates to those sums in increasing bit order,
     so every subset sum is the float subset_terms(rates) would give.
-    array_fn sees one block at a time, and each block's exact total
-    (_exact_units) joins one Python int that is rounded once at the end.
-    Time stays O(2^n), memory falls to O(2^_BLOCK_BITS), and when the terms
-    cancel the result is no better than the terms themselves.
+    array_fn sees one block at a time.  The low subsets' signs (-1)^|u| are
+    one +-1.0 vector, built once; each block's terms are multiplied by it
+    (exactly), added exactly by _exact_units, and the block's total is
+    negated when it sets an odd number of high bits.  The totals join one
+    Python int that is rounded once at the end.  Time stays O(2^n), memory
+    falls to O(2^_BLOCK_BITS), and when the terms cancel the result is no
+    better than the terms themselves.
     """
     arr = _check_rates(rates)
     n = arr.size
@@ -276,14 +281,13 @@ def signed_subset_eval(
     if low == n:
         return _exact_signed_sum(np.asarray(array_fn(sizes, sums), dtype=float), sizes)
 
-    def units(block_sizes: np.ndarray, block_sums: np.ndarray) -> int:
-        return _exact_units(np.asarray(array_fn(block_sizes, block_sums), dtype=float),
-                            block_sizes)
+    def units(block_sizes: np.ndarray, block_sums: np.ndarray, sign: np.ndarray) -> int:
+        return _exact_units(sign * np.asarray(array_fn(block_sizes, block_sums), dtype=float))
 
     def walk(block_sums: np.ndarray, count: int, next_bit: int) -> int:
         # The block whose highest set bit is next_bit - 1, then every block
         # that sets more bits above it.
-        total = units(low_sizes + count, block_sums)
+        total = (-1) ** count * units(low_sizes + count, block_sums, low_sign)
         for bit in range(next_bit, n):
             total += walk(block_sums + arr[bit], count + 1, bit + 1)
         return total
@@ -291,7 +295,8 @@ def signed_subset_eval(
     # The low subsets again with the empty one, which the high bits complete.
     low_sizes = np.concatenate([[0], sizes])
     low_sums = np.concatenate([[0.0], sums])
-    total = units(sizes, sums)
+    low_sign = np.where(low_sizes & 1, -1.0, 1.0)
+    total = units(sizes, sums, low_sign[1:])
     for bit in range(low, n):
         total += walk(low_sums + arr[bit], 1, bit + 1)
     return _round_units(total)

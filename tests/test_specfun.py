@@ -196,13 +196,21 @@ def _signed_fsum(vals, odd):
     return math.fsum(np.where(np.asarray(odd) & 1, -vals, vals).tolist())
 
 
+# Plus one that reads the sizes, so a block total negated by the wrong
+# parity changes the sum.
+ARRAY_FNS = {**ANALYTICS_ARRAY_FNS, "sized": lambda sz, s: sz / (1.0 + s)}
+
+
 def test_signed_subset_eval_matches_subset_sum():
     # The exact accumulator rounds once, as fsum does: equal, not close.
     # Past 2^14 subsets the sum runs in blocks that share their high bits.
+    # At 30 dB the SER's terms cancel to rounding noise, which must match too.
     for k in (1, 4, 9, 13, 14, 15, 17, 18, 20):
-        rates = 1.0 / mean_gains_from_topology(paper_topology(k, 0)).gbar_rd(10.0)
-        for name, array_fn in ANALYTICS_ARRAY_FNS.items():
-            assert signed_subset_eval(rates, array_fn) == _enumerated(rates, array_fn), (k, name)
+        for rho in (10.0, 1000.0):
+            rates = 1.0 / mean_gains_from_topology(paper_topology(k, 0)).gbar_rd(rho)
+            for name, array_fn in ARRAY_FNS.items():
+                want = _enumerated(rates, array_fn)
+                assert signed_subset_eval(rates, array_fn) == want, (k, rho, name)
 
 
 @pytest.mark.parametrize("k", [2, 3, 9])
@@ -211,7 +219,7 @@ def test_signed_subset_eval_carries_across_blocks(monkeypatch, k):
     # rates to the low sums and its exact total to the carry.
     monkeypatch.setattr(specfun, "_BLOCK_BITS", 2)
     rates = 1.0 / mean_gains_from_topology(paper_topology(k, 0)).gbar_rd(10.0)
-    for name, array_fn in ANALYTICS_ARRAY_FNS.items():
+    for name, array_fn in ARRAY_FNS.items():
         assert signed_subset_eval(rates, array_fn) == _enumerated(rates, array_fn), name
     # The low bits' 3 non-empty subsets, then 4 subsets per high-bit pattern.
     lengths = []
@@ -238,8 +246,14 @@ def _exact_sum_cases():
     n = 5000
     spread = rng.standard_normal(n) * np.exp2(rng.integers(-700, 701, n).astype(float))
     x = rng.standard_normal(1000) * np.exp2(rng.integers(-30, 31, 1000).astype(float))
+    spread_odd = rng.integers(0, 26, n)
+    huge = rng.uniform(1.0e308, 1.7e308, 4095)
+    pair_odd = rng.integers(0, 2, 4095)
+    tiny = rng.integers(1, 1 << 52, 8192) * 5e-324
+    # Below 2^1015, so that the signed total stays far from overflow.
+    every_binade = np.ldexp(rng.uniform(1.0, 2.0, 1 << 14), rng.integers(-1074, 1015, 1 << 14))
     return {
-        "exponents-700-to-700": (spread, rng.integers(0, 26, n)),
+        "exponents-700-to-700": (spread, spread_odd),
         "signed-zeros": (np.array([0.0, -0.0, 3.5, -0.0, -3.5, 0.0]), np.arange(6)),
         "subnormal-total": (np.array([5e-324, 5e-324, -1e-310]), np.zeros(3, dtype=np.int64)),
         "cancellation-plus-residue": (np.concatenate([x, x, [2.0**-1000]]),
@@ -249,6 +263,21 @@ def _exact_sum_cases():
                                   np.zeros(1 << 20, dtype=np.int64)),
         "tie-to-even": (np.array([1.0 + 2.0**-52, 2.0**-53]), np.zeros(2, dtype=np.int64)),
         "just-past-a-tie": (np.array([1.0, 2.0**-53, 2.0**-300]), np.zeros(3, dtype=np.int64)),
+        # Pairs near 1.7e308 that cancel to their last bits, one pair that
+        # cancels exactly, and subnormals: the part summed at 2^-600.
+        "overflow-part": (np.concatenate([np.column_stack([huge, np.nextafter(huge, 0.0)]).ravel(),
+                                          [1.7e308, 1.7e308], tiny]),
+                          np.concatenate([np.repeat(pair_odd, 2) + np.tile([0, 1], 4095),
+                                          [0, 1], rng.integers(0, 2, 8192)])),
+        # n terms within 2^-22 of -2, on either side of n + 2 = 2^14, where
+        # the extraction's 2^m >= n + 2 moves m up by one: with 2^m < n,
+        # their parts' sum would pass -2^(m+1) and lose its last bit.
+        **{f"max-significands-{n}": (2.0 - rng.integers(1, 1 << 30, n) * 2.0**-52,
+                                     np.ones(n, dtype=np.int64))
+           for n in ((1 << 14) - 2, (1 << 14) - 1, 1 << 14, (1 << 14) + 1)},
+        # One block from the least subnormal to 2^1023: the most passes.
+        "exponents-1074-to-1023": (np.concatenate([[5e-324, 2.0**1023], every_binade]),
+                                   rng.integers(0, 2, (1 << 14) + 2)),
     }
 
 
@@ -270,9 +299,19 @@ def test_exact_signed_sum_equals_fsum(case, monkeypatch):
         assert math.copysign(1.0, got) == math.copysign(1.0, want), path
 
 
+@pytest.mark.parametrize("case", list(_exact_sum_cases()))
+def test_exact_units_is_the_exact_total(case):
+    # The integer total shows every lost bit, also one the rounding would hide.
+    vals, odd = _exact_sum_cases()[case]
+    signed = np.where(odd & 1, -vals, vals)
+    want = sum((num << specfun._UNIT_BITS) // den
+               for num, den in map(float.as_integer_ratio, signed.tolist()))
+    assert specfun._exact_units(signed) == want
+
+
 def test_exact_signed_sum_carries_across_chunks(monkeypatch):
     # Past 2^25 terms (the collusion DT bound at large K and L) the sum runs
-    # in chunks whose bins meet as Python ints; small chunks show the seam.
+    # in chunks whose totals meet as Python ints; small chunks show the seam.
     vals, odd = _exact_sum_cases()["exponents-700-to-700"]
     monkeypatch.setattr(specfun, "_EXACT_CHUNK", 7)
     assert specfun._exact_signed_sum(vals, odd) == _signed_fsum(vals, odd)
