@@ -3,13 +3,13 @@ are helpful but untrusted, with destination-based jamming against them and
 any external eavesdroppers.
 
 Layering: model (parameters, geometry, mean gains) -> specfun (exponential
-integrals, hypoexponential CDFs, the max-of-exponentials quadrature, subset
-sums) -> channel (batched fading draws and exact SINRs) -> policy (power
-splits and relay selection, one batch of trials at a time) -> analytics
-(closed-form ESR/SOP/SER and their asymptotes) -> montecarlo (trial engine)
--> cli (experiment runner).  The package does not import cli, so
-`python -m secrelay.cli` runs it as __main__ only; import the runner's names
-from `secrelay.cli`.
+integrals, the max-of-exponentials quadrature, the sum-of-exponentials CDF
+and tail integral, subset sums) -> channel (batched fading draws and exact
+SINRs) -> policy (power splits and relay selection, one batch of trials at a
+time) -> analytics (closed-form ESR/SOP/SER and their asymptotes) ->
+montecarlo (trial engine) -> cli (experiment runner).  The package does not
+import cli, so `python -m secrelay.cli` runs it as __main__ only; import the
+runner's names from `secrelay.cli`.
 
 Importing secrelay (or secrelay.cli) loads no scipy module.  The two
 functions that call `scipy.special` import it on first use: the first

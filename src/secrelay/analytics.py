@@ -23,10 +23,10 @@ K relay->destination links, the maximum X of K independent exponentials:
 The direct-transmission forms instead harden the main link at N_s*gbar_sd and
 keep the leakage random: the max (and, under collusion, the worse of max and
 sum) of independent exponentials.  Without collusion the DT ESR bound is the
-same quadrature over all K+L leakages, so it has no subset ceiling; with it,
-the bound is a subset sum over the K relay leakages.  Relayed forms take the
-transmit SNR rho directly; direct-transmission forms need n_antennas too and
-take the config.
+same quadrature over all K+L leakages.  With it, the bound is E ln(1 + M) plus
+the eavesdroppers' positive tail integral J summed over the relay subsets: the
+benchmark traces that subset sum, which int (1 - F_M F_S)/(1 + x) dx would
+drop.  Relayed forms take rho; direct-transmission forms take the config.
 """
 
 from __future__ import annotations
@@ -40,12 +40,10 @@ from .model import EveModel, MeanGains, Modulation, SystemConfig
 from .specfun import (
     EULER_GAMMA,
     _exact_signed_sum,
-    exp_poly_recip_integral,
     hypoexp_cdf,
-    hypoexp_terms,
+    hypoexp_tail_integral,
     maxexp_cdf,
     maxexp_log_expect,
-    scaled_e1,
     signed_subset_eval,
     subset_terms,
 )
@@ -215,10 +213,10 @@ def esr_dt_lb(gains: MeanGains, config: SystemConfig, model: EveModel) -> float:
     log2 of the hardened main link minus the exact E[log2(1 + leakage)].
     Without collusion the leakage is a max of K+L exponentials and the
     expectation is maxexp_log_expect over all K+L leakage means, with no
-    ceiling on K+L.  With it, the leakage is the worse of the relay maximum
-    and the eavesdroppers' sum: a signed sum over the relay subsets,
-    integrated through the survival-function terms of the sum.  Clamped at
-    zero at the end.
+    ceiling on K+L.  With it, the leakage is max(M, S), M the relay maximum
+    and S the eavesdroppers' sum: E ln(1 + M) plus sum_u (-1)^|u| J(s_u) over
+    all relay subsets u, the empty one too, J the tail integral of S
+    (specfun.hypoexp_tail_integral) at u's rate sum.  Clamped at zero.
     """
     rho = config.snr_linear
     leak = gains.leak_means_dt(rho)
@@ -228,16 +226,10 @@ def esr_dt_lb(gains: MeanGains, config: SystemConfig, model: EveModel) -> float:
     else:
         k = gains.n_relays
         sizes, sums = subset_terms(1.0 / leak[:k])
-        terms = hypoexp_terms(leak[k:])
-        # The parts are added exactly and rounded once, so their order is free.
-        parts = np.concatenate([
-            [coef * exp_poly_recip_integral(p, r, r) for coef, p, r in terms],
-            scaled_e1(sums),
-            *(coef * exp_poly_recip_integral(p, r, sums + r) for coef, p, r in terms),
-        ])
-        odd = np.concatenate([np.zeros(len(terms), dtype=np.int64), sizes + 1,
-                              *[sizes] * len(terms)])
-        e_ln = _exact_signed_sum(parts, odd)
+        tails = hypoexp_tail_integral(leak[k:], np.concatenate([[0.0], sums]))
+        # Added exactly and rounded once, so the order of the parts is free.
+        parts = np.concatenate([[maxexp_log_expect(leak[:k], 1.0)], tails])
+        e_ln = _exact_signed_sum(parts, np.concatenate([[0, 0], sizes]))
     return max(0.0, cap - e_ln / _LN2)
 
 

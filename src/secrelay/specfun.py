@@ -2,13 +2,18 @@
 
 Everything here is deterministic scalar/array math: the exponential integral
 in the overflow-safe scaled form exp(s)*E1(s), the Gaussian tail Q, integer
-digamma, the distribution functions of the maximum and of the sum of
-independent exponentials, and two kernels for expectations over the maximum
-X of independent exponentials:
+digamma, the CDF of the maximum of independent exponentials, and four
+kernels:
 
-- maxexp_log_expect: E[ln(1 + X/c)] by the trapezoid rule in ln x over the
-  positive survival function.  Every term is positive, so it costs O(K) and
-  holds ~1e-16 relative at any K.  The ergodic secrecy rates use it.
+- maxexp_log_expect: E[ln(1 + X/c)], X the maximum of independent
+  exponentials, by the trapezoid rule in ln x over the positive survival
+  function.  Every term is positive, so it costs O(K) and holds ~1e-16
+  relative at any K.  The ergodic secrecy rates use it.
+- hypoexp_cdf: the CDF of a sum S of L independent exponentials, from the
+  matrix exponential of the chain through its L stages, by a non-negative
+  Taylor series and squaring: ties and close means need no special case.
+- hypoexp_tail_integral: J(s) = int_0^inf e^(-s x) P[S > x]/(1 + x) dx by
+  the trapezoid rule in ln y over a positive integrand.
 - signed_subset_eval: a signed inclusion-exclusion sum over all 2^K - 1
   subsets of the rates, walked in blocks of 2^_BLOCK_BITS: O(2^K) time,
   O(2^_BLOCK_BITS) memory.  It adds its terms exactly and rounds once (the
@@ -17,8 +22,8 @@ X of independent exponentials:
   every term at one power of two into a high part, whose plain float sum
   is exact, and a residual, about 52 - log2(n) bits smaller, for the next
   pass.  Its terms still cancel, so the result loses accuracy as K grows.
-  The power offset and the SER use it, and the collusion DT bound uses its
-  parts.
+  The power offset and the SER use it, and the collusion DT bound adds J
+  over the relay subsets with the same exact sum.
 """
 
 from __future__ import annotations
@@ -54,7 +59,18 @@ _EXACT_CHUNK = 1 << MAX_SUBSET_NODES
 _FSUM_BELOW = 1 << 10
 # signed_subset_eval walks 2^14 subsets at a time: 128 KB per float array.
 _BLOCK_BITS = 14
-_HYPOEXP_MERGE_TOL = 1e-6  # relative gap below which hypoexp merges two means
+# hypoexp_cdf's Taylor series runs this many terms past the L-th, where its
+# last entry starts: with q tau <= 1, term L + m of an entry is at most 1/m!
+# of its first, so what is left out is about 1/21! (2e-20) of it.
+_TAYLOR_EXTRA = 20
+# Trapezoid step in t = ln y for hypoexp_tail_integral.  The integrand is
+# analytic in a strip about pi/2 wide (past it e^-y grows without bound), so
+# the error falls like exp(-pi^2/h), about 7e-18 at 1/4; step 1/8 cost
+# twice as much for no gain.
+_TAIL_GRID_STEP = 1.0 / 4.0
+# hypoexp_tail_integral's (s, y) arrays hold 2^13 values (64 KB): in cache and
+# under glibc's 128 KB mmap threshold; 3 MB arrays ran 10% slower at K=16.
+_TAIL_BLOCK = 1 << 13
 
 
 def _scaled_e1_series(s: np.ndarray) -> np.ndarray:
@@ -339,123 +355,71 @@ def maxexp_log_expect(means: Sequence[float], c: float) -> float:
     return math.log1p(x[0] / c) + float(np.trapezoid(surv * x / (c + x), dx=_LOG_GRID_STEP))
 
 
-# ---------------------------------------------------------------------------
-# Sum of independent exponentials (hypoexponential distribution).
-#
-# The survival function is represented as a list of terms
-#     S(x) = sum_t coef_t * (rate_t * x)**power_t / power_t! * exp(-rate_t * x).
-# Distinct means give the classic single-pole weights (all powers zero);
-# means that coincide within tolerance are merged into a group whose poles
-# have higher multiplicity, which brings in the polynomial powers.  The
-# normalized (r*x)^p/p! form keeps coefficients O(1) in the common cases.
-# ---------------------------------------------------------------------------
-
-
-def _group_rates(means: np.ndarray) -> list[tuple[float, int]]:
-    order = np.argsort(means)
-    groups: list[list[float]] = []
-    for m in means[order]:
-        if groups and (m - groups[-1][0]) <= _HYPOEXP_MERGE_TOL * m:
-            groups[-1].append(float(m))
-        else:
-            groups.append([float(m)])
-    # rate = 1/mean, one multiplicity per merged group
-    return [(1.0 / float(np.mean(g)), len(g)) for g in groups]
-
-
-def _pole_coefficients(groups: list[tuple[float, int]], g: int) -> np.ndarray:
-    """Taylor coefficients (orders 0..m_g-1) of prod_{g'!=g} (r'/(s+r'))^m'
-    times r_g^m_g, expanded around s = -r_g."""
-    rate_g, mult_g = groups[g]
-    series = np.zeros(mult_g)
-    series[0] = rate_g**mult_g
-    for gp, (rate, mult) in enumerate(groups):
-        if gp == g:
-            continue
-        delta = rate - rate_g
-        fac = np.zeros(mult_g)
-        base = (rate / delta) ** mult
-        for t in range(mult_g):
-            fac[t] = base * (-1.0) ** t * math.comb(mult + t - 1, t) / delta**t
-        out = np.zeros(mult_g)
-        for t in range(mult_g):
-            out[t] = np.dot(series[: t + 1], fac[t::-1])
-        series = out
-    return series
-
-
-def hypoexp_terms(means: Sequence[float]) -> list[tuple[float, int, float]]:
-    """Survival-function terms (coef, power, rate) for a sum of independent
-    exponentials with the given means.
-
-    Means closer than 1e-6 (relative) are merged into one repeated rate;
-    a fully repeated list reduces to the Erlang tail (all coefs 1.0).
+def _hypoexp_row(means: Sequence[float], x) -> np.ndarray:
+    """Row 0 of exp(G x) for each finite x >= 0.  G has -r_i on its diagonal
+    and r_i above it, the last state absorbing; the last entry is P[S <= x]
+    and the others sum to P[S > x].  With q = max r_i and tau = x/2^s <= 1/q,
+    exp(G tau) is e^(-q tau) times the Taylor series of (qI + G) tau; each of
+    the s squarings then resets the diagonal to exp(-tau 2^j/m_i) (Al-Mohy
+    and Higham, SIAM J. Matrix Anal. Appl. 31, 2009).  Each x has its own s:
+    squarings chained along a grid doubled a row sum's excess at every step.
     """
     arr = _check_means(means)
-    groups = _group_rates(arr)
-    terms: list[tuple[float, int, float]] = []
-    if len(groups) == 1:
-        rate, mult = groups[0]
-        return [(1.0, p, rate) for p in range(mult)]
-    for g, (rate, mult) in enumerate(groups):
-        taylor = _pole_coefficients(groups, g)
-        # A_{g,k} = taylor[m_g - k] is the weight of (s + r_g)^{-k}; its
-        # tail integral contributes (r x)^i/i! e^{-rx} for every i < k.
-        for power in range(mult):
-            coef = math.fsum(
-                taylor[mult - k] / rate**k for k in range(power + 1, mult + 1)
-            )
-            terms.append((float(coef), power, rate))
-    return terms
-
-
-def _poisson_weight(power: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # z**p / p! * exp(-z), safe for large p via the log-gamma form; power is
-    # one small integer per survival term.
-    log_fact = np.array([math.lgamma(p + 1.0) for p in power.tolist()])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logw = power * np.log(z) - z - log_fact
-    return np.where(z > 0, np.exp(logw), np.where(power == 0, 1.0, 0.0))
+    xv = np.asarray(x, dtype=float)
+    if not (np.isfinite(xv).all() and (xv >= 0).all()):
+        raise ValueError("hypoexp_cdf needs finite x >= 0")
+    n, q, flat = arr.size, 1.0 / arr.min(), xv.ravel()
+    ext = np.append(arr, np.inf)  # the absorbing state's rate is 1/inf = 0
+    with np.errstate(divide="ignore"):
+        squarings = np.maximum(0.0, np.ceil(np.log2(q) + np.log2(flat))).astype(np.int64)
+    tau = np.ldexp(flat, -squarings)
+    diag = np.arange(n + 1)
+    a = (np.diag(q - 1.0 / ext) + np.diag(1.0 / arr, 1)) * tau[:, None, None]
+    e = eye = np.eye(n + 1)
+    for k in range(n + _TAYLOR_EXTRA, 0, -1):  # Horner: I + a(I + a/2(...))
+        e = eye + e @ a / k
+    e *= np.exp(-q * tau)[:, None, None]
+    for j in range(int(squarings.max(initial=0)) + 1):
+        live = np.flatnonzero(squarings >= j)
+        block = e[live] @ e[live] if j else e[live]
+        block[:, diag, diag] = np.exp(-np.ldexp(tau[live], j)[:, None] / ext)
+        e[live] = block
+    return e[:, 0, :].reshape(xv.shape + (n + 1,))
 
 
 def hypoexp_cdf(means: Sequence[float], x) -> float | np.ndarray:
-    """CDF of a sum of independent exponentials with the given means.
-
-    Distinct means use the standard partial-fraction weights; repeated means
-    (within 1e-6 relative) fall back to the generalized Erlang form.  A single mean
-    reduces to the exponential CDF, and the result is clamped to [0, 1].
-    """
-    terms = hypoexp_terms(means)
-    xv = np.asarray(x, dtype=float)
-    if (xv < 0).any():
-        raise ValueError("hypoexp_cdf needs x >= 0")
-    coefs = np.array([t[0] for t in terms])
-    powers = np.array([t[1] for t in terms], dtype=float)
-    rates = np.array([t[2] for t in terms])
-    surv = np.sum(coefs * _poisson_weight(powers, rates * xv[..., None]), axis=-1)
-    out = np.clip(1.0 - surv, 0.0, 1.0)
+    """CDF of a sum S of independent exponentials with the given means, at
+    finite x >= 0: _hypoexp_row's absorbing entry up to 1/2, one minus its
+    survival above; both are sums of non-negative terms at any means."""
+    row = _hypoexp_row(means, x)
+    out = np.where(row[..., -1] <= 0.5, row[..., -1], 1.0 - row[..., :-1].sum(axis=-1))
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
-def exp_poly_recip_integral(power: int, scale_rate: float, decay_rate):
-    """integral_0^inf (scale_rate*x)^power/power! * exp(-decay_rate*x)/(1+x) dx.
+def hypoexp_tail_integral(means: Sequence[float], s) -> float | np.ndarray:
+    """J(s) = int_0^inf e^(-s x) P[S > x]/(1 + x) dx for each finite s >= 0,
+    S a sum of independent exponentials with the given means.
 
-    Evaluated by the stable forward recurrence
-        T_0 = exp(d) E1(d),   T_p = (w/d)^p / p - (w/p) T_{p-1},
-    which needs scale_rate <= decay_rate (always true here: the decay carries
-    the scale rate plus a nonnegative shift).  decay_rate may be an array;
-    a scalar gives a float.
+    With 1/(1+x) = int_0^inf e^(-y(1+x)) dy, J(s) integrates e^(-y) (1 -
+    prod_l 1/(1 + z m_l))/z over y, z = s + y, and 1 - prod is
+    -expm1(-sum_l log1p(z m_l)).  The grid in t = ln y runs from 36 e-folds
+    below min(1, 1/max m_l) up to y = 40; the piece over [0, y_0] is y_0
+    times the integrand at y_0/2.
     """
-    if power < 0 or power != int(power):
-        raise ValueError(f"power must be a nonnegative integer, got {power}")
-    d = np.asarray(decay_rate, dtype=float)
-    if not (0.0 < scale_rate and (scale_rate <= d).all() and np.isfinite(d).all()):
-        raise ValueError("need 0 < scale_rate <= decay_rate, both finite")
-    t = scaled_e1(d)
-    ratio = scale_rate / d
-    for p in range(1, int(power) + 1):
-        # libm's pow on each element, as a scalar call takes it: numpy's
-        # vectorized power can round differently in the last bit.
-        rp = np.array([r**p for r in np.ravel(ratio).tolist()]).reshape(d.shape)
-        t = rp / p - (scale_rate / p) * t
-    return float(t) if d.ndim == 0 else t
+    arr = _check_means(means)
+    sv = np.asarray(s, dtype=float)
+    if not (np.isfinite(sv).all() and (sv >= 0).all()):
+        raise ValueError("hypoexp_tail_integral needs finite s >= 0")
+    h, t_lo = _TAIL_GRID_STEP, math.log(min(1.0, 1.0 / arr.max())) - 36.0
+    y = np.exp(t_lo + h * np.arange((math.log(40.0) - t_lo) // h + 2))
+    # dy = y dt; both ends hold under 1e-16 of the sum, so take full weights.
+    w = h * y * np.exp(-y)
+    y, w = np.append(0.5 * y[0], y), np.append(y[0] * math.exp(-0.5 * y[0]), w)
+    flat, out, rows = sv.ravel(), np.empty(sv.size), max(1, _TAIL_BLOCK // y.size)
+    for start in range(0, flat.size, rows):
+        z = flat[start:start + rows, None] + y
+        acc = np.zeros_like(z)
+        for m in arr:
+            acc += np.log1p(z * m)
+        out[start:start + rows] = (-np.expm1(-acc) / z * w).sum(axis=1)
+    return float(out[0]) if np.isscalar(s) or sv.ndim == 0 else out.reshape(sv.shape)

@@ -1,11 +1,16 @@
 """Adaptive-quadrature oracles for the relayed ESR and SER closed forms.
 
-Each scipy oracle integrates the max-over-relays CDF directly with
-`scipy.integrate.quad`; it shares nothing with `secrelay.analytics` beyond
-`maxexp_cdf` and `leakage_floor`, so agreement with the closed forms is
-meaningful.  `log_expect_mp` is the 30-digit mpmath oracle for
+Each scipy oracle integrates a positive CDF or survival function directly
+with `scipy.integrate.quad`.  The relayed ones share nothing with
+`secrelay.analytics` beyond `maxexp_cdf` and `leakage_floor`, and the
+collusion DT one shares only `specfun._hypoexp_row`, which `hypoexp_mp`
+checks on its own, so agreement with the closed forms is meaningful.
+`log_expect_mp` is the 30-digit mpmath oracle for
 `specfun.maxexp_log_expect`: Gauss-Legendre quadrature in mpmath, which
-shares neither its rule nor its float arithmetic.  This is verification
+shares neither its rule nor its float arithmetic.  `hypoexp_mp` is the
+40-digit mpmath oracle for the law of a sum of exponentials: the
+uniformization series, a sum of positive terms that is not the package's
+matrix method.  This is verification
 code: it lives here, not in the package, so that importing `secrelay` never
 loads `scipy.integrate`.  It is a plain module that test files import, not a
 test file itself.
@@ -20,8 +25,8 @@ import numpy as np
 from scipy import integrate
 
 from secrelay.analytics import leakage_floor
-from secrelay.model import MeanGains, Modulation
-from secrelay.specfun import maxexp_cdf
+from secrelay.model import MeanGains, Modulation, SystemConfig
+from secrelay.specfun import _hypoexp_row, maxexp_cdf
 
 _QPSK = Modulation.psk(4)
 _LN2 = math.log(2.0)
@@ -113,3 +118,78 @@ def log_expect_mp(means, c: float, dps: int = 30) -> float:
         tail = mpmath.quad(lambda t: surv(mpmath.exp(t)) / (cc * mpmath.exp(-t) + 1), breaks,
                            method="gauss-legendre")
         return float(head + tail)
+
+
+def hypoexp_mp(means, xs, dps: int = 40) -> tuple[list[float], list[float]]:
+    """(CDF, survival) at each x of a sum S of independent exponentials with
+    the given means, by uniformization at `dps` digits.
+
+    With q the largest rate, S is absorbed within n jumps of the chain
+    P = I + G/q, whose jumps come at Poisson(q x) many times, so
+    P[S <= x] = sum_n Pois(n; q x) (P^n)[0, L] and P[S > x] is the same sum
+    over the other entries of row 0.  Every term is positive, repeated means
+    included.  Each x's sums stop past its Poisson mode once a term falls
+    below 10^-dps of the smaller sum; the cost is about q x steps.
+    """
+    with mpmath.workdps(dps):
+        rates = [1 / mpmath.mpf(float(m)) for m in means]
+        q = max(rates)
+        stay = [1 - r / q for r in rates]
+        move = [r / q for r in rates]
+        last = len(rates)
+        qx = [q * mpmath.mpf(float(x)) for x in xs]
+        pois = [mpmath.exp(-v) for v in qx]
+        row = [mpmath.mpf(1)] + [mpmath.mpf(0)] * last
+        cdf = [mpmath.mpf(0)] * len(xs)
+        surv = list(pois)  # no jump yet: all mass in the first stage
+        tiny = mpmath.mpf(10) ** -dps
+        live = list(range(len(xs)))
+        n = 0
+        while live:
+            n += 1
+            row = ([row[0] * stay[0]]
+                   + [row[j] * stay[j] + row[j - 1] * move[j - 1] for j in range(1, last)]
+                   + [row[last] + row[last - 1] * move[last - 1]])
+            absorbed, waiting = row[last], mpmath.fsum(row[:last])
+            still = []
+            for i in live:
+                pois[i] *= qx[i] / n
+                cdf[i] += pois[i] * absorbed
+                surv[i] += pois[i] * waiting
+                if n <= max(qx[i], last) or pois[i] > tiny * min(cdf[i], surv[i]):
+                    still.append(i)
+            live = still
+        return [float(c) for c in cdf], [float(v) for v in surv]
+
+
+def esr_dt_lb_ce_quad(gains: MeanGains, config: SystemConfig) -> float:
+    """analytics.esr_dt_lb under collusion, with eavesdroppers present, by
+    adaptive quadrature of the positive integrand
+    ((1 - F_M) + F_M P[S > x])/(1 + x), M the relay maximum and S the
+    eavesdroppers' sum; P[S > x] is the survival of specfun._hypoexp_row.
+
+    Over x = e^t from 1e-6 of the smallest scale (the piece below is added
+    by the midpoint rule, off by about 1e-12 of itself) up to where both
+    tails are below e^-40, in panels of about eight e-folds.
+    """
+    rho = config.snr_linear
+    leak = gains.leak_means_dt(rho)
+    k = gains.n_relays
+    relay, eves = leak[:k], leak[k:]
+
+    def integrand(x: float) -> float:
+        f_m = float(np.prod(-np.expm1(-x / relay)))
+        surv_m = -math.expm1(float(np.sum(np.log(-np.expm1(-x / relay)))))
+        surv_s = float(_hypoexp_row(eves, x)[:-1].sum())
+        return (surv_m + f_m * surv_s) / (1.0 + x)
+
+    x0 = 1e-6 * min(1.0, float(relay.min()), float(eves.min()))
+    x_hi = 45.0 * (1.0 + float(relay.max()) + float(eves.sum()))
+    breaks = np.linspace(math.log(x0), math.log(x_hi), math.ceil(math.log(x_hi / x0) / 8.0) + 1)
+    e_ln = x0 * integrand(0.5 * x0)
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        val, _ = integrate.quad(lambda t: integrand(math.exp(t)) * math.exp(t), lo, hi,
+                                epsabs=0.0, epsrel=1e-12, limit=200)
+        e_ln += val
+    cap = math.log2(1.0 + config.n_antennas * gains.gbar_sd(rho))
+    return max(0.0, cap - e_ln / _LN2)

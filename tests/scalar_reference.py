@@ -6,7 +6,7 @@ construction that the batch path replaced: one draw, one served relay, one
 split at a time, with a scalar envelope walk (NCE) or golden-section loop
 (CE) and a Python loop over relays.  Tests compare the batch results against
 it, exactly where the arithmetic is the same.  It also keeps the collusion branch of
-`analytics.esr_dt_lb` as one scalar call per (subset, survival term), and
+`analytics.esr_dt_lb` as one scalar tail-integral call per subset, and
 `math.fsum` copies of the three closed forms that are signed subset sums
 (the ESR power offset, the SER and the collusion DT bound), and the
 trial-major batch leakage and collusion split that the node-major served
@@ -27,9 +27,8 @@ from secrelay.model import EveModel, MeanGains, Modulation, SystemConfig
 from secrelay.policy import Scheme, secrecy_rate
 from secrelay.specfun import (
     EULER_GAMMA,
-    exp_poly_recip_integral,
-    hypoexp_terms,
-    scaled_e1,
+    hypoexp_tail_integral,
+    maxexp_log_expect,
     subset_terms,
 )
 
@@ -328,20 +327,17 @@ def closed_split_ce_batch(batch: BatchDraws, relay_idx) -> np.ndarray:
 
 def esr_dt_lb_collusion(gains: MeanGains, config: SystemConfig) -> float:
     """analytics.esr_dt_lb under collusion (with eavesdroppers present),
-    evaluated one subset and one survival term at a time."""
+    evaluated one subset at a time: E ln(1 + M) plus sum over every relay
+    subset u, the empty one included, of (-1)^|u| J(s_u)."""
     rho = config.snr_linear
     leak = gains.leak_means_dt(rho)
     cap = math.log2(1.0 + config.n_antennas * gains.gbar_sd(rho))
     k = gains.n_relays
     sizes, sums = subset_terms(1.0 / leak[:k])
-    signs = np.where(sizes % 2 == 1, -1.0, 1.0)
-    terms = hypoexp_terms(leak[k:])
-    parts = [coef * exp_poly_recip_integral(p, r, r) for coef, p, r in terms]
-    parts.extend(-sg * scaled_e1(a) for sg, a in zip(signs, sums))
+    parts = [maxexp_log_expect(leak[:k], 1.0), hypoexp_tail_integral(leak[k:], 0.0)]
     parts.extend(
-        sg * coef * exp_poly_recip_integral(p, r, a + r)
-        for sg, a in zip(signs, sums)
-        for coef, p, r in terms
+        (-1.0) ** int(size) * hypoexp_tail_integral(leak[k:], float(a))
+        for size, a in zip(sizes, sums)
     )
     return max(0.0, cap - math.fsum(parts) / math.log(2.0))
 
@@ -373,17 +369,14 @@ def ser_dbcj_fsum(gains: MeanGains, rho: float, c: float, modulation: Modulation
 
 
 def esr_dt_lb_collusion_fsum(gains: MeanGains, config: SystemConfig) -> float:
-    """esr_dt_lb_collusion with each survival term evaluated on all subsets
+    """esr_dt_lb_collusion with the tail integral evaluated on all subsets
     at once, fast enough for K = 18."""
     rho = config.snr_linear
     leak = gains.leak_means_dt(rho)
     cap = math.log2(1.0 + config.n_antennas * gains.gbar_sd(rho))
     k = gains.n_relays
     sizes, sums = subset_terms(1.0 / leak[:k])
-    terms = hypoexp_terms(leak[k:])
-    signs = np.where(sizes & 1, -1.0, 1.0)
-    parts = [coef * exp_poly_recip_integral(p, r, r) for coef, p, r in terms]
-    parts += (-signs * scaled_e1(sums)).tolist()
-    for coef, p, r in terms:
-        parts += (signs * coef * exp_poly_recip_integral(p, r, sums + r)).tolist()
+    tails = hypoexp_tail_integral(leak[k:], np.concatenate([[0.0], sums]))
+    parts = [maxexp_log_expect(leak[:k], 1.0), float(tails[0])]
+    parts += np.where(sizes & 1, -tails[1:], tails[1:]).tolist()
     return max(0.0, cap - math.fsum(parts) / math.log(2.0))

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
-from quadrature_reference import esr_quadrature_oracle, log_expect_mp, ser_quadrature_oracle
+from quadrature_reference import (
+    esr_dt_lb_ce_quad,
+    esr_quadrature_oracle,
+    log_expect_mp,
+    ser_quadrature_oracle,
+)
 from secrelay.analytics import (
     EsrBreakdown,
     dmt_reliability,
@@ -380,7 +385,7 @@ def test_esr_dt_lb_collusion_and_degenerate_cases():
     g0 = MeanGains.iid(2, 0)
     cfg0 = dt_config(16, 2, 0, 100.0)
     assert esr_dt_lb(g0, cfg0, EveModel.CE) == esr_dt_lb(g0, cfg0, EveModel.NCE)
-    # equal-mean eavesdroppers go through the repeated-rate path
+    # equal-mean eavesdroppers need no path of their own
     g_eq = MeanGains.iid(2, 3, mu_se=1.0)
     val = esr_dt_lb(g_eq, dt_config(16, 2, 3, 50.0, EveModel.CE), EveModel.CE)
     assert math.isfinite(val) and val >= 0.0
@@ -392,8 +397,8 @@ def test_esr_dt_lb_collusion_and_degenerate_cases():
     ids=["distinct", "all-merged", "two-merged-groups"],
 )
 def test_esr_dt_lb_collusion_equals_the_scalar_loop(mu_se):
-    # The vectorized collusion branch against one scalar call per subset and
-    # survival term; merged means bring in the terms with power > 0.
+    # The vectorized collusion branch against one scalar tail integral per
+    # subset, at distinct, all-equal and grouped eavesdropper means.
     l = len(mu_se)
     g = MeanGains(
         mu_sr=np.array([0.4, 0.7, 1.0, 1.3, 1.9, 2.2, 3.1, 4.0]),
@@ -407,6 +412,51 @@ def test_esr_dt_lb_collusion_equals_the_scalar_loop(mu_se):
         got = esr_dt_lb(g, cfg, EveModel.CE)
         assert got > 0.0
         assert got == ref.esr_dt_lb_collusion(g, cfg)
+
+
+@pytest.mark.parametrize("l,want", [(8, 4.069997), (10, 3.737639), (16, 3.038086),
+                                    (50, 1.368452)])
+def test_esr_dt_lb_collusion_holds_at_many_close_eavesdroppers(l, want):
+    # In paper_topology(5, L) neighbouring eavesdropper means differ by 2.4e-2
+    # (L=8) down to 6.9e-4 (L=50) relative, and mirror pairs share one.  The
+    # partial-fraction form returned 4.070041, 3.657790, 0.0 and 0.0.
+    g = mean_gains_from_topology(paper_topology(5, l))
+    got = esr_dt_lb(g, dt_config(16, 5, l, 100.0, EveModel.CE), EveModel.CE)
+    assert got == pytest.approx(want, abs=1e-6)
+
+
+def test_esr_dt_lb_collusion_at_fifty_eavesdroppers_and_0_db():
+    # The partial-fraction form returned 8.213e62 here.
+    g = mean_gains_from_topology(paper_topology(8, 50))
+    got = esr_dt_lb(g, dt_config(256, 8, 50, 1.0, EveModel.CE), EveModel.CE)
+    assert got == pytest.approx(5.15774, abs=1e-5)
+
+
+def test_sop_dt_collusion_at_fifty_eavesdroppers():
+    # The partial-fraction CDF of the eavesdroppers' sum came out as 1.0, so
+    # sop_dt returned 0.0.
+    g = mean_gains_from_topology(paper_topology(5, 50))
+    got = sop_dt(g, dt_config(16, 5, 50, 100.0, EveModel.CE), EveModel.CE)
+    assert got == pytest.approx(0.0316622, rel=2e-6)
+
+
+# (K, L, dB) on paper_topology at Ns=256: K over 1..10, L over 1..50, -10 to 60 dB.
+DT_COLLUSION_POINTS = [
+    (1, 1, -10), (2, 3, 0), (3, 5, 10), (4, 8, 20), (5, 10, 30), (6, 16, 40), (7, 20, 50),
+    (8, 30, 60), (9, 50, -10), (10, 2, 20), (1, 40, 30), (2, 16, 60), (3, 30, -10),
+    (4, 1, 40), (5, 24, 20), (6, 4, 0), (7, 8, 10), (8, 50, 0), (9, 12, 40), (10, 5, 60),
+]
+
+
+def test_esr_dt_lb_collusion_matches_quadrature():
+    # Against adaptive quadrature of ((1 - F_M) + F_M P[S > x])/(1 + x):
+    # positive, with no relay subsets and no tail integral.
+    for k, l, db in DT_COLLUSION_POINTS:
+        g = mean_gains_from_topology(paper_topology(k, l))
+        cfg = dt_config(256, k, l, 10.0 ** (db / 10.0), EveModel.CE)
+        want = esr_dt_lb_ce_quad(g, cfg)
+        assert want > 1.0
+        assert esr_dt_lb(g, cfg, EveModel.CE) == pytest.approx(want, rel=1e-12), (k, l, db)
 
 
 @pytest.mark.parametrize("db", [0.0, 30.0])

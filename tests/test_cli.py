@@ -481,6 +481,29 @@ def test_dt_esr_past_the_old_subset_ceiling_validates_and_runs(tmp_path, capsys)
     assert row.closed_form == pytest.approx(want, rel=1e-12)
 
 
+def test_collusion_dt_esr_closed_form_meets_the_simulation(tmp_path, monkeypatch):
+    # At Ns=256, K=8, L=50, 0 dB the partial-fraction bound wrote 8.213e62
+    # beside a simulated 5.15 and the run still exited 0.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ce.spec").write_text(
+        "config.n_antennas = 256\n"
+        "config.n_relays = 8\n"
+        "config.n_eves = 50\n"
+        'config.eve_model = "ce"\n'
+        "config.master_seed = 3\n"
+        'experiment.schemes = ["dt"]\n'
+        'experiment.metrics = ["esr"]\n'
+        "experiment.rho_grid_db = [0]\n"
+        "experiment.trials = 2000\n"
+        'experiment.out = "ce.csv"\n'
+    )
+    assert main(["run", "ce.spec"]) == 0
+    (row,) = read_table("ce.csv")
+    assert (row.scheme, row.metric, row.eve_model) == ("dt", "esr", "ce")
+    assert math.isfinite(row.closed_form)
+    assert abs(row.closed_form - row.sim_value) < 0.05
+
+
 def test_module_entry_point_runs_without_warnings(tmp_path):
     spec_file = tmp_path / "exp.spec"
     spec_file.write_text(tiny_spec_text(tmp_path / "r.csv"))

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from quadrature_reference import log_expect_mp
+from quadrature_reference import hypoexp_mp, log_expect_mp
 from secrelay import analytics, specfun
-from secrelay.model import mean_gains_from_topology, paper_topology
+from secrelay.model import EveModel, SystemConfig, mean_gains_from_topology, paper_topology
 from secrelay.specfun import (
     EULER_GAMMA,
+    _hypoexp_row,
     digamma_int,
-    exp_poly_recip_integral,
     hypoexp_cdf,
-    hypoexp_terms,
+    hypoexp_tail_integral,
     maxexp_cdf,
     maxexp_log_expect,
     q_function,
@@ -227,18 +227,33 @@ def test_signed_subset_eval_carries_across_blocks(monkeypatch, k):
     assert lengths == [3] + [4] * ((1 << (k - 2)) - 1)
 
 
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_subset_sums_run_in_bounded_memory():
     # At K=20 the whole 2^20-term arrays took 52 MB; blocks of 2^14 need ~1 MB.
     gains = mean_gains_from_topology(paper_topology(20, 0, relay_ring=0.1))
     for name, call in (("esr", lambda: analytics.esr_dbcj(gains, 100.0)),
                        ("ser", lambda: analytics.ser_dbcj(gains, 10.0))):
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(call)
         assert peak < 4 << 20, (name, peak)
+
+
+def test_collusion_dt_bound_runs_in_bounded_memory():
+    # The eavesdroppers' tail integral takes the 2^16 relay subsets a few
+    # dozen at a time, about 4 MB at the peak; the partial-fraction form it
+    # replaced peaked at about 17 MB.
+    gains = mean_gains_from_topology(paper_topology(16, 5, relay_ring=0.1))
+    cfg = SystemConfig(n_antennas=64, n_relays=16, n_eves=5, snr_linear=100.0,
+                       eve_model=EveModel.CE)
+    peak = _traced_peak(lambda: analytics.esr_dt_lb(gains, cfg, EveModel.CE))
+    assert peak < 8 << 20, peak
 
 
 def _exact_sum_cases():
@@ -466,67 +481,112 @@ def test_hypoexp_cdf_monotone_in_unit_interval():
     assert np.all(np.diff(out) >= -1e-12)
 
 
-def test_hypoexp_terms_weights_sum_to_one():
-    # Survival function at 0 is 1, so the power-zero coefficients sum to 1.
-    for means in ([1.0, 2.0, 3.0], [1.0, 1.0, 2.0], [0.5] * 4):
-        total = math.fsum(c for c, p, r in hypoexp_terms(means) if p == 0)
-        assert math.isclose(total, 1.0, rel_tol=1e-12)
+def test_hypoexp_cdf_holds_at_close_means():
+    # Ten means within 1e-4 of each other: the partial-fraction weights grew
+    # like 1/(spread)^9 and cancelled to a CDF of 1.0.
+    means = [1.0 + 1e-4 * j / 9 for j in range(10)]
+    assert math.isclose(hypoexp_cdf(means, 5.0), 0.0318189923220236, rel_tol=1e-13)
 
 
-def test_hypoexp_terms_reconstruct_survival():
-    means = [1.0, 1.0, 3.0, 0.5]
-    terms = hypoexp_terms(means)
-    for x in (0.3, 2.0, 7.0):
-        sf = math.fsum(
-            c * (r * x) ** p / math.factorial(p) * math.exp(-r * x) for c, p, r in terms
-        )
-        assert math.isclose(1.0 - sf, hypoexp_cdf(means, x), abs_tol=1e-12)
+def _spread_means(n, spread):
+    return [1.0 + spread * j / max(n - 1, 1) for j in range(n)]
 
 
-def test_exp_poly_recip_integral_zero_power_is_scaled_e1():
-    for d in (0.3, 1.0, 4.0):
-        assert math.isclose(exp_poly_recip_integral(0, d, d), scaled_e1(d), rel_tol=1e-12)
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 16, 30, 50])
+def test_hypoexp_cdf_matches_the_uniformization_series(n):
+    # Against the 40-digit mpmath series, every term positive.  The means run
+    # from 1 to 1 + spread: exact ties, 1e-6, 1e-3, 1 and 1e3.  The x values
+    # reach from CDFs far below 1e-7 to survivals near 1e-12; the oracle costs
+    # about q x steps, so only x with q x <= 1000 are checked.
+    worst_cdf = worst_small = worst_surv = 0.0
+    for spread in (0.0, 1e-6, 1e-3, 1.0, 1e3):
+        means = _spread_means(n, spread)
+        total = sum(means)
+        xs = [f * total for f in (1e-3, 0.05, 0.3, 1.0, 2.0, 2.5)] + [total + 28 * max(means)]
+        xs = [x for x in xs if x / min(means) <= 1000.0]
+        cdf_mp, surv_mp = hypoexp_mp(means, xs)
+        cdf = hypoexp_cdf(means, np.array(xs))
+        surv = _hypoexp_row(means, np.array(xs))[:, :-1].sum(axis=1)
+        for want_c, want_s, got_c, got_s in zip(cdf_mp, surv_mp, cdf, surv):
+            if want_c >= 1e-7:
+                worst_cdf = max(worst_cdf, abs(got_c - want_c) / want_c)
+            else:
+                worst_small = max(worst_small, abs(got_c - want_c))
+            if want_s >= 1e-12:
+                worst_surv = max(worst_surv, abs(got_s - want_s) / want_s)
+        assert [hypoexp_cdf(means, x) for x in xs] == cdf.tolist()
+    assert worst_cdf < 1e-13 and worst_small < 1e-19 and worst_surv < 1e-13
 
 
-@pytest.mark.parametrize(
-    "power,scale,decay,want",
-    [
-        (1, 1.0, 1.0, 0.4036526376768058),
-        (2, 0.5, 1.0, 0.07454342029039925),
-        (3, 2.0, 2.5, 0.08596555135202132),
-        (5, 0.3, 0.9, 0.0006779566660175024),
-    ],
-)
-def test_exp_poly_recip_integral_against_quadrature(power, scale, decay, want):
-    got = exp_poly_recip_integral(power, scale, decay)
-    assert math.isclose(got, want, rel_tol=1e-8)
+def test_hypoexp_survival_holds_through_many_squarings():
+    # Means 1e-6 and 1: q x reaches 3e7, so x = 30 takes 25 squarings.  The
+    # survival is e^-x/(1 - 1e-6) plus a term below 1e-300; without the
+    # diagonal reset each squaring would add its rounding error again.
+    for x in (5.0, 30.0):
+        surv = _hypoexp_row([1e-6, 1.0], x)[:-1].sum()
+        assert math.isclose(surv, math.exp(-x) / (1.0 - 1e-6), rel_tol=1e-14), x
 
 
-def test_exp_poly_recip_integral_fresh_quadrature():
-    p, w, d = 4, 1.2, 1.8
-    f = lambda x: (w * x) ** p / math.factorial(p) * math.exp(-d * x) / (1.0 + x)
-    ref, err = integrate.quad(f, 0.0, np.inf, limit=300)
-    assert err < 1e-7
-    assert math.isclose(exp_poly_recip_integral(p, w, d), ref, rel_tol=1e-7)
+def test_hypoexp_cdf_scales_with_its_means():
+    means = np.array(_spread_means(8, 1e-3))
+    x = np.array([0.5, 8.0, 30.0])
+    base = hypoexp_cdf(means, x)
+    for scale in (2.0**-40, 2.0**40):
+        assert hypoexp_cdf(means * scale, x * scale).tobytes() == base.tobytes()
 
 
-def test_exp_poly_recip_integral_array_equals_scalar_calls():
-    decay = np.linspace(0.7, 40.0, 301)
-    for power in range(5):
-        got = exp_poly_recip_integral(power, 0.7, decay)
-        want = [exp_poly_recip_integral(power, 0.7, float(d)) for d in decay]
-        assert got.tobytes() == np.array(want).tobytes()
-    assert isinstance(exp_poly_recip_integral(2, 0.7, np.float64(1.0)), float)
+def test_hypoexp_cdf_domain():
+    for x in (-1.0, np.nan, np.inf, np.array([1.0, -0.5])):
+        with pytest.raises(ValueError, match="x >= 0"):
+            hypoexp_cdf([1.0, 2.0], x)
+    with pytest.raises(ValueError, match="means"):
+        hypoexp_cdf([1.0, 0.0], 1.0)
+    assert hypoexp_cdf([1.0, 2.0], 0.0) == 0.0
+    assert isinstance(hypoexp_cdf([1.0, 2.0], np.float64(1.0)), float)
 
 
-def test_exp_poly_recip_integral_domain():
-    with pytest.raises(ValueError):
-        exp_poly_recip_integral(-1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        exp_poly_recip_integral(1, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        exp_poly_recip_integral(1, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        exp_poly_recip_integral(1, 1.0, np.array([2.0, 0.5]))
-    with pytest.raises(ValueError):
-        exp_poly_recip_integral(1, 1.0, np.array([2.0, np.inf]))
+def _tail_integral_quad(means, s):
+    # int_0^inf e^(-s x) P[S > x]/(1 + x) dx in panels of x, the survival
+    # from the matrix kernel that the mpmath series checks.
+    def f(x):
+        return math.exp(-s * x) * float(_hypoexp_row(means, x)[:-1].sum()) / (1.0 + x)
+
+    top = 60.0 * (sum(means) + 1.0)
+    breaks = [0.0] + list(np.geomspace(1e-3 * min(means), top, 12))
+    return math.fsum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                     for lo, hi in zip(breaks[:-1], breaks[1:]))
+
+
+@pytest.mark.parametrize("means", [[0.7], [2.0, 2.0, 2.0], [0.05, 0.3, 4.0, 11.0], [3e4, 3.1e4]])
+def test_hypoexp_tail_integral_matches_quadrature(means):
+    got = hypoexp_tail_integral(means, np.array([0.0, 0.02, 1.0, 40.0]))
+    for s, value in zip((0.0, 0.02, 1.0, 40.0), got):
+        assert math.isclose(value, _tail_integral_quad(means, s), rel_tol=1e-12), s
+
+
+def test_hypoexp_tail_integral_of_one_mean():
+    # One exponential: J(s) = int e^(-(s + r) x)/(1 + x) dx = e^(s+r) E1(s+r).
+    for m in (0.01, 1.0, 300.0):
+        for s in (0.0, 0.5, 1e4):
+            want = scaled_e1(s + 1.0 / m)
+            assert math.isclose(hypoexp_tail_integral([m], s), want, rel_tol=2e-15), (m, s)
+
+
+def test_hypoexp_tail_integral_array_equals_scalar_calls(monkeypatch):
+    # Blocks of a few values: every element is the float one scalar call gives.
+    monkeypatch.setattr(specfun, "_TAIL_BLOCK", 1000)
+    means = [0.4, 1.3, 1.3, 9.0]
+    s = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 40)])
+    got = hypoexp_tail_integral(means, s)
+    want = np.array([hypoexp_tail_integral(means, float(v)) for v in s])
+    assert got.tobytes() == want.tobytes()
+    assert hypoexp_tail_integral(means, s[1:].reshape(5, 8)).shape == (5, 8)
+    assert isinstance(hypoexp_tail_integral(means, np.float64(1.0)), float)
+
+
+def test_hypoexp_tail_integral_domain():
+    for s in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="s >= 0"):
+            hypoexp_tail_integral([1.0], s)
+    with pytest.raises(ValueError, match="means"):
+        hypoexp_tail_integral([], 1.0)
