@@ -38,12 +38,17 @@ link gain (relay-destination, eavesdropper-destination, malicious pairs).
 Nothing drawn depends on the transmit SNR rho until the last step, which
 multiplies each statistic by rho.  A drawn batch keeps the statistics from
 before that step, so BatchDraws.at_snr rebuilds it at another SNR without
-drawing again, tobytes()-identical to draw_batch at that SNR.
+drawing again, tobytes()-identical to draw_batch at that SNR.  Given several
+SNRs, at_snr stacks the draws once per SNR, SNR-major, so a row is then a
+(rho, trial) pair; every function here works row by row, so each block
+evaluates exactly as the batch at its SNR alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -83,7 +88,9 @@ class RngStream:
 @dataclass(eq=False)
 class BatchDraws:
     """Network realizations, reduced to the gains the protocol sees, with a
-    leading trial axis (row t == trial t; a single draw is a one-row batch).
+    leading row axis (row t == trial t; a single draw is a one-row batch).
+    A batch that at_snr stacks over m SNRs has m * n rows, SNR-major: row
+    j*n + t is trial t at the j-th SNR.  Every [t] below indexes a row.
 
     g_sr[t, i]: rho*||h_si||^2, source->relay i beamforming gain.
     g_rd[t, i]: rho*|h_id|^2, relay i <-> destination (reciprocal, so it is
@@ -118,9 +125,15 @@ class BatchDraws:
     g_null_d: np.ndarray
     u_rand: np.ndarray
 
-    def at_snr(self, rho: float) -> BatchDraws:
+    def at_snr(self, rho: float | Sequence[float]) -> BatchDraws:
         """The same draws at transmit SNR rho (linear), without drawing again:
-        every array is tobytes()-identical to draw_batch's at that SNR."""
+        every array is tobytes()-identical to draw_batch's at that SNR.
+
+        Given a sequence of m SNRs, the draws are stacked once per SNR in
+        that order: block j (rows j*n to j*n + n - 1, for the n drawn
+        trials) is tobytes()-identical to at_snr(rho[j]).  A stacked batch
+        rebuilds from the drawn trials, so its at_snr has n rows per SNR.
+        """
         free = getattr(self, "_unscaled", None)
         if free is None:
             raise ValueError("at_snr needs a drawn batch; this one was built by hand")
@@ -146,6 +159,20 @@ def _pair_list(k: int, l: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _n_pairs(k: int, l: int) -> int:
+    """len(_pair_list(k, l)), without building the list."""
+    return k * (k - 1) // 2 + k * l
+
+
+@lru_cache(maxsize=64)
+def _pair_index(k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """_pair_list(k, l) as read-only index arrays (relay, malicious node),
+    built once per (K, L)."""
+    pi, pj = np.array(_pair_list(k, l), dtype=np.intp).reshape(-1, 2).T.copy()
+    pi.flags.writeable = pj.flags.writeable = False
+    return pi, pj
+
+
 def _segment_sizes(config: SystemConfig, gains: MeanGains) -> tuple[int, ...]:
     """Uniforms per trial for each segment, in stream order: scheme uniform,
     diagonal gammas, upper entries, eavesdropper components, link gains."""
@@ -154,7 +181,7 @@ def _segment_sizes(config: SystemConfig, gains: MeanGains) -> tuple[int, ...]:
     # Entries strictly above the diagonal of the d x (K+1) Bartlett factor;
     # columns j >= d lie wholly above it.
     n_upper = sum(min(j, d) for j in range(k + 1))
-    return 1, d, 2 * n_upper, 2 * d * l, k + l + len(_pair_list(k, l))
+    return 1, d, 2 * n_upper, 2 * d * l, k + l + _n_pairs(k, l)
 
 
 def flat_draw_size(config: SystemConfig, gains: MeanGains) -> int:
@@ -224,31 +251,44 @@ def _build_batch(u: np.ndarray, gains: MeanGains, config: SystemConfig) -> Batch
     return _scaled(_build_unscaled(u, gains, config), config.snr_linear)
 
 
-def _scaled(free: _Unscaled, rho: float) -> BatchDraws:
-    """The batch at transmit SNR rho: every gain is rho times its drawn
-    statistic, multiplied in the same order for every rho."""
+def _scaled(free: _Unscaled, rho: float | Sequence[float]) -> BatchDraws:
+    """The batch at transmit SNR rho, or stacked SNR-major over a sequence
+    of SNRs: every gain is rho times its drawn statistic, multiplied in the
+    same order for every rho, so a stacked block is tobytes()-identical to
+    the batch at its SNR alone."""
     gains, norms, leak, links = free.gains, free.norms, free.leak, free.links
     k, l = gains.n_relays, gains.n_eves
+    rhos = np.asarray(rho, dtype=float).reshape(-1)
+    if rhos.size == 0:
+        raise ValueError("need at least one SNR")
     n = len(norms)
-    g_rd = rho * gains.mu_rd * links[:, :k]
-    g_ed = rho * gains.mu_ed * links[:, k : k + l]
-    g_rl = np.zeros((n, k, k + l))
-    pairs = _pair_list(k, l)
-    if pairs:
-        pi, pj = np.array(pairs).T
-        gp = rho * gains.mu_rl[pi, pj] * links[:, k + l :]
+    rows = rhos.size * n
+
+    def times_rho(stat: np.ndarray, mu=None) -> np.ndarray:
+        # rho * stat, or (rho * mu) * stat, once per SNR, SNR-major.
+        r = rhos.reshape((-1,) + (1,) * stat.ndim)
+        if mu is not None:
+            r = r * mu
+        return (r * stat).reshape((rows,) + stat.shape[1:])
+
+    g_rd = times_rho(links[:, :k], gains.mu_rd)
+    g_ed = times_rho(links[:, k : k + l], gains.mu_ed)
+    g_rl = np.zeros((rows, k, k + l))
+    pi, pj = _pair_index(k, l)
+    if pi.size:
+        gp = times_rho(links[:, k + l :], gains.mu_rl[pi, pj])
         g_rl[:, pi, pj] = gp
         rr = pj < k
         g_rl[:, pj[rr], pi[rr]] = gp[:, rr]
     batch = BatchDraws(
-        g_sr=rho * norms[:, :k],
+        g_sr=times_rho(norms[:, :k]),
         g_rd=g_rd,
-        g_null_r=rho * leak[:, :k, :],
+        g_null_r=times_rho(leak[:, :k, :]),
         g_rl=g_rl,
         g_ld=np.concatenate([g_rd, g_ed], axis=1),
-        g_sd=rho * norms[:, k],
-        g_null_d=rho * leak[:, k, :],
-        u_rand=free.u_rand,
+        g_sd=times_rho(norms[:, k]),
+        g_null_d=times_rho(leak[:, k, :]),
+        u_rand=free.u_rand if rhos.size == 1 else np.tile(free.u_rand, rhos.size),
     )
     batch._unscaled = free
     return batch

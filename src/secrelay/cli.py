@@ -454,18 +454,25 @@ def preset(name: str) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
+def _collusion_penalty(gains, cfg: SystemConfig, spec: ExperimentSpec) -> float:
+    """The CE penalty C that a grid point's jrp closed forms take: zero under
+    NCE, below two antennas, or when the spec emits no jrp closed column."""
+    if (Scheme.JRP in spec.schemes and (spec.emit_closed_form or spec.emit_asymptotic)
+            and cfg.eve_model is EveModel.CE and cfg.n_antennas >= 2):
+        return c_params(gains, cfg).c
+    return 0.0
+
+
 def _closed_columns(
-    metric: Metric, scheme: Scheme, gains, cfg: SystemConfig, spec: ExperimentSpec
+    metric: Metric, scheme: Scheme, gains, cfg: SystemConfig, spec: ExperimentSpec, c: float
 ) -> tuple[float | None, float | None]:
     """A row's closed-form and asymptotic cells, None where no formula
-    applies.  A formula runs only for a column the spec emits: the jrp
-    ESR's power offset and the jrp SER are 2^K subset sums."""
+    applies; c is the point's _collusion_penalty.  A formula runs only for
+    a column the spec emits: the jrp ESR's power offset and the jrp SER are
+    2^K subset sums."""
     closed = asym = None
     rho = cfg.snr_linear
     if scheme is Scheme.JRP and (spec.emit_closed_form or spec.emit_asymptotic):
-        c = 0.0
-        if cfg.eve_model is EveModel.CE and cfg.n_antennas >= 2:
-            c = c_params(gains, cfg).c
         if metric is Metric.ESR:  # one call gives both columns
             breakdown = analytics.esr_dbcj(gains, rho, c)
             closed, asym = breakdown.esr, breakdown.asymptotic_esr
@@ -518,11 +525,12 @@ def run(spec: ExperimentSpec, log=sys.stderr) -> list[ResultRow]:
                           points=[(p[0], p[4].snr_linear) for ps in position for p in ps])
         for block, ps in zip(blocks, position):
             for em, _, _, rho_db, cfg, _ in ps:
+                c = _collusion_penalty(gains, cfg, spec)
                 for scheme in spec.schemes:
                     for metric in spec.metrics:
                         est = estimate_from_trace(
                             metric, traces[em, cfg.snr_linear][scheme], cfg)
-                        closed, asym = _closed_columns(metric, scheme, gains, cfg, spec)
+                        closed, asym = _closed_columns(metric, scheme, gains, cfg, spec, c)
                         block.append(ResultRow(
                             eve_model=em.value, n_relays=k, n_eves=l,
                             scheme=scheme.value, metric=metric.value, rho_db=rho_db,

@@ -7,6 +7,9 @@ channels.  The draws do not depend on the eavesdropper model, and depend on
 the transmit SNR only through a final scaling, so `simulate` runs every
 listed (model, SNR) operating point on each chunk drawn once (common random
 numbers across the SNR grid), with the same traces as one run per point.
+It stacks a chunk's SNR points, as many as fit in chunk_size rows, into one
+batch, so each scheme runs once per stack rather than once per SNR; the
+schemes work row by row, so stacking changes no trace.
 Accumulation goes through exact compensated summation, which keeps it
 order-insensitive at any trial count.
 
@@ -103,13 +106,19 @@ def simulate(
     for a config that model.validate refuses, which includes every SNR past
     model.MAX_SNR_DB (200 dB), well before the SINR products overflow; and
     ArithmeticError, as a last guard, when a scheme's rate, destination SINR
-    or leakage SINR is not finite, naming the scheme, trials, SNR and model.
+    or leakage SINR is not finite, naming the scheme, trials, SNR and model
+    of the first such point in (SNR, model, scheme) order.
 
     With points, a list of (eve model, snr_linear) operating points,
-    config.eve_model and config.snr_linear are ignored: each chunk is drawn
-    once, by draw_batch at the first point's SNR, rescaled to every other
-    SNR with BatchDraws.at_snr, and every point's schemes run on it.  The
-    result is {(model, snr_linear): {scheme: trace}}, and result[m, rho] is
+    config.eve_model and config.snr_linear are ignored: each chunk of n
+    trials is drawn once, by draw_batch at the first point's SNR, and its
+    SNRs, in order of first appearance, are taken floor(chunk_size / n) at
+    a time.  BatchDraws.at_snr stacks each such group of the chunk's draws
+    into one batch, SNR-major, and every model listed at one of the group's
+    SNRs runs each scheme once on it.  So chunk_size bounds the rows of
+    every scheme call as well as the trials of every draw, and a chunk of
+    more than chunk_size / 2 trials runs one SNR per call.  The result is
+    {(model, snr_linear): {scheme: trace}}, and result[m, rho] is
     bit-identical to simulate(replace(config, eve_model=m, snr_linear=rho),
     ...) alone at the same seed.
     """
@@ -141,28 +150,52 @@ def simulate(
     by_snr: dict[float, list[SystemConfig]] = {}
     for cfg in configs.values():
         by_snr.setdefault(cfg.snr_linear, []).append(cfg)
+    snrs = list(by_snr)
     done = 0
     while done < trials:
         n = min(chunk_size, trials - done)
-        batch = None
-        for rho, group in by_snr.items():
-            batch = (draw_batch(gains, group[0], seed, done, n) if batch is None
-                     else batch.at_snr(rho))
-            for cfg in group:
-                key = (cfg.eve_model, rho)
+        per_batch = chunk_size // n
+        drawn = draw_batch(gains, by_snr[snrs[0]][0], seed, done, n)
+        for first in range(0, len(snrs), per_batch):
+            rhos = snrs[first : first + per_batch]
+            # The drawn batch is already at the first SNR.
+            batch = drawn if rhos == snrs[:1] else drawn.at_snr(rhos)
+            # One config per model listed at any of the stack's SNRs: a
+            # scheme reads only its eve_model.
+            models = {cfg.eve_model: cfg for rho in rhos for cfg in by_snr[rho]}
+            finite = {}
+            for model, cfg in models.items():
                 for s in schemes:
                     res = policy.run_scheme_batch(batch, s, cfg)
-                    for what, values in (("rate or destination SINR", (res.rate, res.gamma_d)),
-                                         ("leakage SINR", (res.gamma_e,))):
-                        if not all(np.isfinite(v).all() for v in values):
-                            raise ArithmeticError(
-                                f"{s.value}: non-finite {what} in trials "
-                                f"{done}-{done + n - 1} at snr_linear={cfg.snr_linear:g} "
-                                f"under {cfg.eve_model.value}")
-                    out[key][s].rates[done : done + n] = res.rate
-                    out[key][s].gamma_d[done : done + n] = res.gamma_d
+                    finite[model, s] = (
+                        _blocks_finite((res.rate, res.gamma_d), len(rhos)),
+                        _blocks_finite((res.gamma_e,), len(rhos)),
+                    )
+                    for j, rho in enumerate(rhos):
+                        if (model, rho) in out:
+                            trace = out[model, rho][s]
+                            trace.rates[done : done + n] = res.rate[j * n : (j + 1) * n]
+                            trace.gamma_d[done : done + n] = res.gamma_d[j * n : (j + 1) * n]
+            # The first non-finite point in (SNR, model, scheme) order, as
+            # a run of one SNR per batch would meet it.
+            for j, rho in enumerate(rhos):
+                for cfg in by_snr[rho]:
+                    for s in schemes:
+                        for what, ok in zip(("rate or destination SINR", "leakage SINR"),
+                                            finite[cfg.eve_model, s]):
+                            if not ok[j]:
+                                raise ArithmeticError(
+                                    f"{s.value}: non-finite {what} in trials "
+                                    f"{done}-{done + n - 1} at snr_linear={rho:g} "
+                                    f"under {cfg.eve_model.value}")
         done += n
     return out if points is not None else out[keys[0]]
+
+
+def _blocks_finite(values: Sequence[np.ndarray], n_blocks: int) -> np.ndarray:
+    """Per block of a stacked result's rows: whether every value is finite."""
+    return np.logical_and.reduce(
+        [np.isfinite(v).reshape(n_blocks, -1).all(axis=1) for v in values])
 
 
 def _per_trial(metric: Metric, trace: SchemeTrace, config: SystemConfig) -> np.ndarray:

@@ -400,8 +400,13 @@ def _searched_splits(
 
 
 def run_scheme_batch(batch: BatchDraws, scheme: Scheme, config: SystemConfig) -> SchemeBatchResult:
-    """Apply a scheme to every trial of the batch and report its exact
-    operating points."""
+    """Apply a scheme to every row of the batch and report its exact
+    operating points.
+
+    Of the config it reads only eve_model: the SNR is in the batch's gains,
+    so one call serves a batch that BatchDraws.at_snr stacked over several
+    SNRs.  Every step works row by row, so a row's result does not depend
+    on the rows it runs with."""
     model = config.eve_model
     n, k = batch.n_trials, batch.n_relays
     rows = np.arange(n)

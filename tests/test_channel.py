@@ -9,6 +9,9 @@ from secrelay.channel import (
     LAMBDA_EPS,
     BatchDraws,
     RngStream,
+    _n_pairs,
+    _pair_index,
+    _pair_list,
     draw_batch,
     dt_leakage,
     flat_draw_size,
@@ -217,15 +220,35 @@ def test_at_snr_is_draw_batch_at_that_snr(ns, k, l):
     # gives a rank-deficient Bartlett factor.
     gains = mean_gains_from_topology(paper_topology(k, l))
     base = SystemConfig(n_antennas=ns, n_relays=k, n_eves=l, snr_linear=1.0)
+    # A stacked at_snr has one 37-row block per SNR, SNR-major, and each
+    # block is draw_batch at its SNR.
     drawn = draw_batch(gains, base.with_snr_db(20.0), 5, 3, 37)
-    for db in (20.0, -7.5, 0.0, 33.0, 200.0):
-        cfg = base.with_snr_db(db)
-        want = draw_batch(gains, cfg, 5, 3, 37)
-        for got in (drawn.at_snr(cfg.snr_linear), drawn.at_snr(2.0).at_snr(cfg.snr_linear)):
+    dbs = (20.0, -7.5, 0.0, 33.0, 200.0)
+    rhos = [base.with_snr_db(db).snr_linear for db in dbs]
+    stacked = drawn.at_snr(rhos)
+    assert stacked.n_trials == 37 * len(dbs)
+    for j, (db, rho) in enumerate(zip(dbs, rhos)):
+        want = draw_batch(gains, base.with_snr_db(db), 5, 3, 37)
+        block = BatchDraws(**{name: getattr(stacked, name)[37 * j : 37 * (j + 1)]
+                              for name in BatchDraws.__dataclass_fields__})
+        for got in (drawn.at_snr(rho), drawn.at_snr(2.0).at_snr(rho), drawn.at_snr([rho]),
+                    stacked.at_snr(rho), block):
             for name in BatchDraws.__dataclass_fields__:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (db, name)
     with pytest.raises(ValueError, match="drawn batch"):
         small_draw().at_snr(2.0)
+    with pytest.raises(ValueError, match="at least one SNR"):
+        drawn.at_snr([])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 10])
+@pytest.mark.parametrize("l", [0, 1, 50])
+def test_pair_count_and_index_follow_the_pair_list(k, l):
+    pairs = _pair_list(k, l)
+    assert _n_pairs(k, l) == len(pairs)
+    pi, pj = _pair_index(k, l)
+    assert list(zip(pi.tolist(), pj.tolist())) == pairs
+    assert not (pi.flags.writeable or pj.flags.writeable)
 
 
 def test_flat_draw_size_counts_all_uniforms():

@@ -33,7 +33,7 @@ from secrelay.model import (
     paper_topology,
 )
 from secrelay.montecarlo import Metric, derive_seed, estimate_from_trace, simulate
-from secrelay.policy import Scheme
+from secrelay.policy import Scheme, c_params
 
 SIX_SCHEMES = {
     Scheme.EXACT_JRP, Scheme.JRP, Scheme.EPRS, Scheme.OPRR, Scheme.EPRR, Scheme.DT
@@ -287,6 +287,24 @@ def test_run_without_closed_columns_calls_no_closed_form(tmp_path, monkeypatch):
     rows = run(spec, log=None)
     assert len(rows) == 8
     assert all(r.closed_form is None and r.asymptotic is None for r in rows)
+
+
+def test_run_computes_the_collusion_penalty_once_per_ce_point(tmp_path, monkeypatch):
+    # Two metrics of the jrp rows share one c_params per CE grid point, and
+    # the NCE points compute none.
+    calls = []
+
+    def counted(gains, cfg):
+        calls.append((cfg.eve_model, cfg.snr_linear))
+        return c_params(gains, cfg)
+
+    monkeypatch.setattr(cli, "c_params", counted)
+    out = tmp_path / "r.csv"
+    spec = parse_spec_text(tiny_spec_text(out, "experiment.eve_models = [\"nce\", \"ce\"]\n"))
+    rows = run(spec, log=None)
+    assert calls == [(EveModel.CE, 1.0), (EveModel.CE, 10.0)]
+    assert any(r.eve_model == "ce" and r.scheme == "jrp" and r.closed_form is not None
+               for r in rows)
 
 
 def test_run_eve_model_sweep_multiplies_rows(tmp_path):

@@ -195,23 +195,91 @@ def test_simulate_refuses_non_finite_rates(monkeypatch):
 
 
 def test_non_finite_error_names_the_point_at_fault(monkeypatch):
-    # Only the second SNR is poisoned, and only under CE: the message must
-    # name that point, not the first one, whose SNR the chunk was drawn at.
+    # 64 trials and a chunk_size of 192 stack all three SNRs of one chunk in
+    # one batch, SNR-major: row j*64 + t is trial t at the j-th SNR.  Only
+    # the second SNR is poisoned under CE: the message must name that point,
+    # not the first one, whose SNR the chunk was drawn at.  The third SNR is
+    # poisoned too, under NCE, which runs first on the stack but comes later
+    # in (SNR, model, scheme) order, the order a run of one SNR per batch
+    # meets the points in.
     gains, cfg = small_setup(k=3, l=2)
     real = policy.run_scheme_batch
 
     def poisoned(batch, scheme, config):
         res = real(batch, scheme, config)
-        if (config.snr_linear, config.eve_model) == (40.0, EveModel.CE):
-            res = replace(res, gamma_e=res.gamma_e * math.nan)
-        return res
+        assert batch.n_trials == 3 * 64
+        j = {EveModel.CE: 1, EveModel.NCE: 2}[config.eve_model]
+        gamma_e = res.gamma_e.copy()
+        gamma_e[j * 64 : (j + 1) * 64] = math.nan
+        return replace(res, gamma_e=gamma_e)
 
     monkeypatch.setattr(policy, "run_scheme_batch", poisoned)
-    points = [(m, rho) for rho in (2.0, 40.0) for m in EveModel]
+    points = [(m, rho) for rho in (2.0, 40.0, 300.0) for m in EveModel]
     with pytest.raises(ArithmeticError) as err:
-        simulate(cfg, gains, [Scheme.DT], 100, seed=3, chunk_size=64, points=points)
+        simulate(cfg, gains, [Scheme.DT], 64, seed=3, chunk_size=192, points=points)
     assert str(err.value) == ("dt: non-finite leakage SINR in trials 0-63 "
                               "at snr_linear=40 under ce")
+
+
+def _grid_points(cfg, models=tuple(EveModel)):
+    return [(m, cfg.with_snr_db(db).snr_linear) for db in range(0, 45, 5) for m in models]
+
+
+@pytest.mark.parametrize("chunk_size", [37, 300, 2048])
+def test_stacked_snr_points_match_single_point_runs(chunk_size):
+    # 90 trials: chunks of 37, 37 and 16 trials stack 1, 1 and 2 SNRs a
+    # batch at chunk_size 37, 3 at 300, and all 9 at 2048.
+    gains = mean_gains_from_topology(paper_topology(3, 2))
+    cfg = SystemConfig(n_antennas=8, n_relays=3, n_eves=2, snr_linear=1.0)
+    schemes = list(Scheme)
+    points = _grid_points(cfg)
+    out = simulate(cfg, gains, schemes, 90, seed=5, chunk_size=chunk_size, points=points)
+    for m, rho in points:
+        alone = simulate(replace(cfg, eve_model=m, snr_linear=rho), gains, schemes, 90,
+                         seed=5, chunk_size=chunk_size)
+        for s in schemes:
+            assert out[m, rho][s].rates.tobytes() == alone[s].rates.tobytes(), (m, rho, s)
+            assert out[m, rho][s].gamma_d.tobytes() == alone[s].gamma_d.tobytes(), (m, rho, s)
+
+
+def test_stacks_with_models_missing_at_some_snrs():
+    # Each stack runs every model listed at any of its SNRs; a point that
+    # was not asked for gets no trace and no say in the non-finite check.
+    gains, cfg = small_setup(k=3, l=2)
+    points = [(EveModel.NCE, 2.0), (EveModel.CE, 40.0), (EveModel.NCE, 40.0),
+              (EveModel.CE, 300.0)]
+    schemes = [Scheme.JRP, Scheme.EXACT_JRP, Scheme.DT]
+    out = simulate(cfg, gains, schemes, 50, seed=9, points=points)
+    assert list(out) == points
+    for m, rho in points:
+        alone = simulate(replace(cfg, eve_model=m, snr_linear=rho), gains, schemes, 50, seed=9)
+        for s in schemes:
+            assert out[m, rho][s].rates.tobytes() == alone[s].rates.tobytes(), (m, rho, s)
+            assert out[m, rho][s].gamma_d.tobytes() == alone[s].gamma_d.tobytes(), (m, rho, s)
+
+
+@pytest.mark.parametrize(("trials", "chunk_size", "n_calls"),
+                         [(300, 2048, 2), (90, 37, 9 + 9 + 5), (2100, 2048, 9 + 1)])
+def test_scheme_calls_fill_at_most_chunk_size_rows(monkeypatch, trials, chunk_size, n_calls):
+    # 9 SNRs: 300 trials stack 6 then 3 SNRs a call; 90 trials in chunks of
+    # 37 run one SNR per call until the 16-trial tail stacks 2; 2100 trials
+    # run one SNR per call on the 2048-trial chunk and all 9 on the tail.
+    gains, cfg = small_setup(k=2, l=1)
+    real = policy.run_scheme_batch
+    rows: dict[tuple[EveModel, Scheme], list[int]] = {}
+
+    def spy(batch, scheme, config):
+        rows.setdefault((config.eve_model, scheme), []).append(batch.n_trials)
+        return real(batch, scheme, config)
+
+    monkeypatch.setattr(policy, "run_scheme_batch", spy)
+    simulate(cfg, gains, list(Scheme), trials, seed=4, chunk_size=chunk_size,
+             points=_grid_points(cfg))
+    assert set(rows) == {(m, s) for m in EveModel for s in Scheme}
+    for calls in rows.values():
+        assert max(calls) <= chunk_size
+        assert sum(calls) == 9 * trials
+        assert len(calls) == n_calls
 
 
 @pytest.mark.parametrize("model", list(EveModel), ids=lambda m: m.value)
