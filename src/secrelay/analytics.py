@@ -81,15 +81,11 @@ def outage_threshold(c: float, target_rate: float) -> float:
     return (1.0 + b) * (2.0 ** (2.0 * target_rate) * (1.0 + b) - 1.0)
 
 
-def _outage_product(gains: MeanGains, rho: float, c: float, target_rate: float) -> float:
-    r_tilde = outage_threshold(c, target_rate)
-    return float(np.prod(-np.expm1(-r_tilde / gains.gbar_rd(rho))))
-
-
 def sop_dbcj(gains: MeanGains, rho: float, c: float = 0.0, target_rate: float = 1.0) -> float:
     """Secrecy outage probability of the relayed scheme: the best second hop
     fails to clear the threshold, prod_i(1 - exp(-r_tilde/gbar_id))."""
-    return _outage_product(gains, rho, c, target_rate)
+    r_tilde = outage_threshold(c, target_rate)
+    return float(np.prod(-np.expm1(-r_tilde / gains.gbar_rd(rho))))
 
 
 def sop_dbcj_asymptotic(
@@ -103,13 +99,12 @@ def sop_dbcj_asymptotic(
 def ppos_dbcj(gains: MeanGains, rho: float, c: float = 0.0) -> float:
     """Probability of a strictly positive secrecy rate for the relayed
     scheme: the exact complement of sop_dbcj at zero target rate."""
-    return 1.0 - _outage_product(gains, rho, c, 0.0)
+    return 1.0 - sop_dbcj(gains, rho, c, 0.0)
 
 
 def ppos_dbcj_asymptotic(gains: MeanGains, rho: float, c: float = 0.0) -> float:
     """High-SNR companion of ppos_dbcj: 1 - (B(1+B))^K / prod(gbar_id)."""
-    r_tilde = outage_threshold(c, 0.0)
-    return 1.0 - float(r_tilde ** gains.n_relays * np.prod(1.0 / gains.gbar_rd(rho)))
+    return 1.0 - sop_dbcj_asymptotic(gains, rho, c, 0.0)
 
 
 def esr_dbcj(gains: MeanGains, rho: float, c: float = 0.0) -> EsrBreakdown:

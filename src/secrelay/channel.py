@@ -37,8 +37,10 @@ link gain (relay-destination, eavesdropper-destination, malicious pairs).
 
 Nothing drawn depends on the transmit SNR rho until the last step, which
 multiplies each statistic by rho.  A drawn batch keeps the statistics from
-before that step, so BatchDraws.at_snr rebuilds it at another SNR without
-drawing again, tobytes()-identical to draw_batch at that SNR.  Given several
+before that step, each in the layout of the gain it becomes (the pair links
+already laid out as g_rl, beside their means), so BatchDraws.at_snr rebuilds
+it at another SNR without drawing again, with one product per gain,
+tobytes()-identical to draw_batch at that SNR.  Given several
 SNRs, at_snr stacks the draws once per SNR, SNR-major, so a row is then a
 (rho, trial) pair; every function here works row by row, so each block
 evaluates exactly as the batch at its SNR alone.
@@ -210,12 +212,16 @@ def _complex_normals(u: np.ndarray) -> np.ndarray:
 class _Unscaled:
     """What a batch draws, before the transmit SNR scales it: the Gram norms
     (n, K+1) of the relay beams then the destination beam, their leakage
-    ratios (n, K+1, K+L) toward the malicious nodes, the Exp(1) link gains
-    in stream order, and the scheme uniform."""
+    ratios (n, K+1, K+L) toward the malicious nodes, the Exp(1) gains of the
+    K+L node-destination links (n, K+L), the Exp(1) pair links laid out as
+    g_rl (n, K, K+L) with their means mu_rl (K, K+L) (both zero on the self
+    entry and mirrored from the upper relay block), and the scheme uniform."""
 
     norms: np.ndarray
     leak: np.ndarray
     links: np.ndarray
+    rl: np.ndarray
+    mu_rl: np.ndarray
     u_rand: np.ndarray
     gains: MeanGains
 
@@ -243,7 +249,18 @@ def _build_unscaled(u: np.ndarray, gains: MeanGains, config: SystemConfig) -> _U
     leak = (gram.real**2 + gram.imag**2) / norms[:, :, None]
     # The self entry is the full beamforming gain, exactly.
     leak[:, np.arange(k), np.arange(k)] = norms[:, :k]
-    return _Unscaled(norms, leak, -np.log(u_link), u_rand[:, 0].copy(), gains)
+    links = -np.log(u_link)
+    # Each pair link is drawn once; the relay-relay ones serve both directions
+    # at the mean of the drawn (upper) entry.
+    pi, pj = _pair_index(k, l)
+    rr = pj < k
+    rl = np.zeros((n, k, k + l))
+    rl[:, pi, pj] = links[:, k + l :]
+    rl[:, pj[rr], pi[rr]] = rl[:, pi[rr], pj[rr]]
+    mu_rl = np.zeros((k, k + l))
+    mu_rl[pi, pj] = gains.mu_rl[pi, pj]
+    mu_rl[pj[rr], pi[rr]] = mu_rl[pi[rr], pj[rr]]
+    return _Unscaled(norms, leak, links[:, : k + l].copy(), rl, mu_rl, u_rand[:, 0].copy(), gains)
 
 
 def _build_batch(u: np.ndarray, gains: MeanGains, config: SystemConfig) -> BatchDraws:
@@ -253,11 +270,12 @@ def _build_batch(u: np.ndarray, gains: MeanGains, config: SystemConfig) -> Batch
 
 def _scaled(free: _Unscaled, rho: float | Sequence[float]) -> BatchDraws:
     """The batch at transmit SNR rho, or stacked SNR-major over a sequence
-    of SNRs: every gain is rho times its drawn statistic, multiplied in the
-    same order for every rho, so a stacked block is tobytes()-identical to
-    the batch at its SNR alone."""
+    of SNRs: every gain, g_rl included, is one product of rho (times the
+    mean, for a link gain) and its drawn statistic, multiplied in the same
+    order for every rho, so a stacked block is tobytes()-identical to the
+    batch at its SNR alone."""
     gains, norms, leak, links = free.gains, free.norms, free.leak, free.links
-    k, l = gains.n_relays, gains.n_eves
+    k = gains.n_relays
     rhos = np.asarray(rho, dtype=float).reshape(-1)
     if rhos.size == 0:
         raise ValueError("need at least one SNR")
@@ -272,19 +290,12 @@ def _scaled(free: _Unscaled, rho: float | Sequence[float]) -> BatchDraws:
         return (r * stat).reshape((rows,) + stat.shape[1:])
 
     g_rd = times_rho(links[:, :k], gains.mu_rd)
-    g_ed = times_rho(links[:, k : k + l], gains.mu_ed)
-    g_rl = np.zeros((rows, k, k + l))
-    pi, pj = _pair_index(k, l)
-    if pi.size:
-        gp = times_rho(links[:, k + l :], gains.mu_rl[pi, pj])
-        g_rl[:, pi, pj] = gp
-        rr = pj < k
-        g_rl[:, pj[rr], pi[rr]] = gp[:, rr]
+    g_ed = times_rho(links[:, k:], gains.mu_ed)
     batch = BatchDraws(
         g_sr=times_rho(norms[:, :k]),
         g_rd=g_rd,
         g_null_r=times_rho(leak[:, :k, :]),
-        g_rl=g_rl,
+        g_rl=times_rho(free.rl, free.mu_rl),
         g_ld=np.concatenate([g_rd, g_ed], axis=1),
         g_sd=times_rho(norms[:, k]),
         g_null_d=times_rho(leak[:, k, :]),

@@ -145,9 +145,10 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
 
 
 def _grid(spec: ExperimentSpec) -> tuple[list[tuple], list[str]]:
-    """Every grid point in run order, as (eve model, K, L, rho_dB, config,
-    mean gains), and every problem with the spec (led by the key at fault,
-    if one).  The points are runnable only when there are no problems."""
+    """Every (K, L) position in run order, as (K, L, mean gains, points)
+    with its points model-major as (eve model, rho_dB, config), and every
+    problem with the spec (led by the key at fault, if one).  The positions
+    are runnable only when there are no problems."""
     problems = []
     for field in ("schemes", "metrics", "rho_grid_db"):
         if not getattr(spec, field):
@@ -183,38 +184,39 @@ def _grid(spec: ExperimentSpec) -> tuple[list[tuple], list[str]]:
         have, want = getattr(spec.topology, field), getattr(spec.config, field)
         if grid is None and have != want:
             problems.append(f"topology has {have} {nodes}, config says {want}")
-    points, gains = [], {}
-    for em, k, l in product(spec.eve_models or [spec.config.eve_model],
-                            spec.k_grid or [spec.config.n_relays],
-                            spec.l_grid or [spec.config.n_eves]):
-        # Gains depend on (K, L) only.  Counts that model.validate refuses
-        # get no layout, and so no second message.
-        if (k, l) not in gains and 1 <= k <= model.MAX_RELAYS and l >= 0:
-            gains[k, l] = None
+    positions = []
+    for k, l in product(spec.k_grid or [spec.config.n_relays],
+                        spec.l_grid or [spec.config.n_eves]):
+        # Counts that model.validate refuses get no layout, and so no
+        # second message.
+        gains = None
+        if 1 <= k <= model.MAX_RELAYS and l >= 0:
             topo = spec.topology
             try:
                 if (k, l) != (topo.n_relays, topo.n_eves):
                     topo = model.paper_topology(
                         k, l, spec.relay_ring, spec.eve_ring, topo.path_loss_exp)
-                gains[k, l] = model.mean_gains_from_topology(topo)
+                gains = model.mean_gains_from_topology(topo)
             except ValueError as err:  # a TopologyError, or gains that are not finite
                 problems.append(f"topology at K={k} L={l}: {err}")
-        cfg = replace(spec.config, n_relays=k, n_eves=l, eve_model=em)
-        points += [(em, k, l, rho_db, cfg.with_snr_db(rho_db), gains.get((k, l)))
-                   for rho_db in spec.rho_grid_db]
+        points = []
+        for em in spec.eve_models or [spec.config.eve_model]:
+            cfg = replace(spec.config, n_relays=k, n_eves=l, eve_model=em)
+            points += [(em, rho_db, cfg.with_snr_db(rho_db)) for rho_db in spec.rho_grid_db]
+        positions.append((k, l, gains, points))
     # A ConfigError message leads with the field at fault; prefix it with
     # the spec key that set the field.
     keys = {"snr_linear": "experiment.rho_grid_db",
             "n_relays": "config.n_relays" if spec.k_grid is None else "experiment.k_grid",
             "n_eves": "config.n_eves" if spec.l_grid is None else "experiment.l_grid"}
-    for cfg in [point[4] for point in points] or [spec.config]:
+    for cfg in [cfg for *_, points in positions for _, _, cfg in points] or [spec.config]:
         try:
             model.validate(cfg)
         except ConfigError as err:
             for message in str(err).split("; "):
                 field = re.match(r"\w+", message).group()
                 problems.append(f"{keys.get(field, 'config.' + field)}: {message}")
-    return points, list(dict.fromkeys(problems))
+    return positions, list(dict.fromkeys(problems))
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +501,7 @@ def _closed_columns(
 
 def run(spec: ExperimentSpec, log=sys.stderr) -> list[ResultRow]:
     """Execute the experiment and write its CSV and JSON outputs."""
-    points, problems = _grid(spec)
+    positions, problems = _grid(spec)
     if problems:
         raise SpecError(problems)
     # Fail on an output that cannot be written before simulating, not after.
@@ -509,42 +511,37 @@ def run(spec: ExperimentSpec, log=sys.stderr) -> list[ResultRow]:
                       f"{out_dir} is not a writable directory")
     # The draws depend on neither the eavesdropper model nor rho beyond a
     # final scaling, so each (K, L) position is simulated once for every
-    # model and rho, on the seed its first rho point has within a model's
-    # block of the grid; rows still come out model-major.
+    # model and rho, seeded by the index its first point has among one
+    # model's points (position index times n_rho); rows still come out
+    # model-major.
     models = spec.eve_models or [spec.config.eve_model]
-    per_model = len(points) // len(models)
     n_rho = len(spec.rho_grid_db)
-    blocks = [[] for _ in models]
-    for start in range(0, per_model, n_rho):
+    blocks = {em: [] for em in models}
+    for index, (k, l, gains, points) in enumerate(positions):
         t0 = time.monotonic()
-        position = [points[b + start : b + start + n_rho]
-                    for b in range(0, len(points), per_model)]
-        _, k, l, _, cfg, gains = position[0][0]
-        seed = derive_seed(spec.config.master_seed, start)
-        traces = simulate(cfg, gains, spec.schemes, spec.trials, seed=seed,
-                          points=[(p[0], p[4].snr_linear) for ps in position for p in ps])
-        for block, ps in zip(blocks, position):
-            for em, _, _, rho_db, cfg, _ in ps:
-                c = _collusion_penalty(gains, cfg, spec)
-                for scheme in spec.schemes:
-                    for metric in spec.metrics:
-                        est = estimate_from_trace(
-                            metric, traces[em, cfg.snr_linear][scheme], cfg)
-                        closed, asym = _closed_columns(metric, scheme, gains, cfg, spec, c)
-                        block.append(ResultRow(
-                            eve_model=em.value, n_relays=k, n_eves=l,
-                            scheme=scheme.value, metric=metric.value, rho_db=rho_db,
-                            sim_value=est.value, sim_stderr=est.std_error,
-                            closed_form=closed, asymptotic=asym,
-                            trials=spec.trials, seed=seed,
-                        ))
+        seed = derive_seed(spec.config.master_seed, index * n_rho)
+        traces = simulate(points[0][2], gains, spec.schemes, spec.trials, seed=seed,
+                          points=[(em, cfg.snr_linear) for em, _, cfg in points])
+        for em, rho_db, cfg in points:
+            c = _collusion_penalty(gains, cfg, spec)
+            for scheme in spec.schemes:
+                for metric in spec.metrics:
+                    est = estimate_from_trace(metric, traces[em, cfg.snr_linear][scheme], cfg)
+                    closed, asym = _closed_columns(metric, scheme, gains, cfg, spec, c)
+                    blocks[em].append(ResultRow(
+                        eve_model=em.value, n_relays=k, n_eves=l,
+                        scheme=scheme.value, metric=metric.value, rho_db=rho_db,
+                        sim_value=est.value, sim_stderr=est.std_error,
+                        closed_form=closed, asymptotic=asym,
+                        trials=spec.trials, seed=seed,
+                    ))
         if log is not None:
             lo, hi = min(spec.rho_grid_db), max(spec.rho_grid_db)
             span = f"{lo:g} dB" if n_rho == 1 else f"{lo:g}..{hi:g} dB ({n_rho} values)"
-            print(f"[{start // n_rho + 1}/{per_model // n_rho}] "
+            print(f"[{index + 1}/{len(positions)}] "
                   f"{','.join(m.value for m in models)} K={k} L={l} rho={span}: "
                   f"{spec.trials} trials in {time.monotonic() - t0:.1f}s", file=log)
-    rows = [row for block in blocks for row in block]
+    rows = [row for block in blocks.values() for row in block]
     write_csv(spec.output_path, rows)
     write_json(_json_path(spec.output_path), rows)
     return rows

@@ -118,16 +118,15 @@ def simulate(
     SNRs runs each scheme once on it.  So chunk_size bounds the rows of
     every scheme call as well as the trials of every draw, and a chunk of
     more than chunk_size / 2 trials runs one SNR per call.  The result is
-    {(model, snr_linear): {scheme: trace}}, and result[m, rho] is
-    bit-identical to simulate(replace(config, eve_model=m, snr_linear=rho),
-    ...) alone at the same seed.
+    {(model, snr_linear): {scheme: trace}}, keyed in the order of points,
+    and result[m, rho] is bit-identical to simulate(replace(config,
+    eve_model=m, snr_linear=rho), ...) alone at the same seed.
     """
     keys = [(config.eve_model, config.snr_linear)] if points is None else points
-    configs = {(m, rho): replace(config, eve_model=m, snr_linear=rho) for m, rho in keys}
-    if not configs:
+    if not keys:
         raise ValueError("need at least one operating point")
-    for cfg in configs.values():
-        validate(cfg)
+    for m, rho in keys:
+        validate(replace(config, eve_model=m, snr_linear=rho))
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     if not schemes:
@@ -143,59 +142,51 @@ def simulate(
     schemes = list(dict.fromkeys(schemes))
     out = {
         key: {s: SchemeTrace(s, np.empty(trials), np.empty(trials)) for s in schemes}
-        for key in configs
+        for key in keys
     }
-    # The configs at each SNR, the first point's SNR first, so every model
+    # The models at each SNR, the first point's SNR first, so every model
     # at one SNR reads one batch (and the split searches it stores).
-    by_snr: dict[float, list[SystemConfig]] = {}
-    for cfg in configs.values():
-        by_snr.setdefault(cfg.snr_linear, []).append(cfg)
+    by_snr: dict[float, list[EveModel]] = {}
+    for m, rho in out:
+        by_snr.setdefault(rho, []).append(m)
     snrs = list(by_snr)
+    first = replace(config, eve_model=keys[0][0], snr_linear=snrs[0])
     done = 0
     while done < trials:
         n = min(chunk_size, trials - done)
         per_batch = chunk_size // n
-        drawn = draw_batch(gains, by_snr[snrs[0]][0], seed, done, n)
-        for first in range(0, len(snrs), per_batch):
-            rhos = snrs[first : first + per_batch]
+        drawn = draw_batch(gains, first, seed, done, n)
+        for lo in range(0, len(snrs), per_batch):
+            rhos = snrs[lo : lo + per_batch]
             # The drawn batch is already at the first SNR.
             batch = drawn if rhos == snrs[:1] else drawn.at_snr(rhos)
-            # One config per model listed at any of the stack's SNRs: a
-            # scheme reads only its eve_model.
-            models = {cfg.eve_model: cfg for rho in rhos for cfg in by_snr[rho]}
-            finite = {}
-            for model, cfg in models.items():
+            # Each model listed at any of the stack's SNRs runs each scheme
+            # once; a scheme reads only the config's eve_model.
+            res = {}
+            for m in dict.fromkeys(m for rho in rhos for m in by_snr[rho]):
+                cfg = replace(config, eve_model=m)
                 for s in schemes:
-                    res = policy.run_scheme_batch(batch, s, cfg)
-                    finite[model, s] = (
-                        _blocks_finite((res.rate, res.gamma_d), len(rhos)),
-                        _blocks_finite((res.gamma_e,), len(rhos)),
-                    )
-                    for j, rho in enumerate(rhos):
-                        if (model, rho) in out:
-                            trace = out[model, rho][s]
-                            trace.rates[done : done + n] = res.rate[j * n : (j + 1) * n]
-                            trace.gamma_d[done : done + n] = res.gamma_d[j * n : (j + 1) * n]
-            # The first non-finite point in (SNR, model, scheme) order, as
-            # a run of one SNR per batch would meet it.
+                    res[m, s] = policy.run_scheme_batch(batch, s, cfg)
+            # Block j of each result is the j-th SNR.  Walking in (SNR,
+            # model, scheme) order meets the first non-finite point as a run
+            # of one SNR per batch would.
             for j, rho in enumerate(rhos):
-                for cfg in by_snr[rho]:
+                block = slice(j * n, (j + 1) * n)
+                for m in by_snr[rho]:
                     for s in schemes:
-                        for what, ok in zip(("rate or destination SINR", "leakage SINR"),
-                                            finite[cfg.eve_model, s]):
-                            if not ok[j]:
+                        r = res[m, s]
+                        rate, gamma_d = r.rate[block], r.gamma_d[block]
+                        for what, values in (("rate or destination SINR", (rate, gamma_d)),
+                                             ("leakage SINR", (r.gamma_e[block],))):
+                            if not all(np.isfinite(v).all() for v in values):
                                 raise ArithmeticError(
                                     f"{s.value}: non-finite {what} in trials "
                                     f"{done}-{done + n - 1} at snr_linear={rho:g} "
-                                    f"under {cfg.eve_model.value}")
+                                    f"under {m.value}")
+                        out[m, rho][s].rates[done : done + n] = rate
+                        out[m, rho][s].gamma_d[done : done + n] = gamma_d
         done += n
     return out if points is not None else out[keys[0]]
-
-
-def _blocks_finite(values: Sequence[np.ndarray], n_blocks: int) -> np.ndarray:
-    """Per block of a stacked result's rows: whether every value is finite."""
-    return np.logical_and.reduce(
-        [np.isfinite(v).reshape(n_blocks, -1).all(axis=1) for v in values])
 
 
 def _per_trial(metric: Metric, trace: SchemeTrace, config: SystemConfig) -> np.ndarray:

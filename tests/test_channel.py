@@ -241,6 +241,33 @@ def test_at_snr_is_draw_batch_at_that_snr(ns, k, l):
         drawn.at_snr([])
 
 
+def test_relay_pairs_share_one_draw_at_the_upper_mean():
+    # A hand-given mu_rl that is not symmetric in the relay block: each
+    # relay pair is drawn once, so both directions carry that draw scaled by
+    # the upper entry's mean, in draw_batch and in every stacked block.
+    k, l, n = 3, 2, 20
+    mu_rl = np.arange(1.0, 1.0 + k * (k + l)).reshape(k, k + l)
+    np.fill_diagonal(mu_rl[:, :k], 0.0)
+    assert mu_rl[0, 1] != mu_rl[1, 0]
+    upper = np.triu(mu_rl[:, :k], 1)
+    mu_sym = np.concatenate([upper + upper.T, mu_rl[:, k:]], axis=1)
+    unit_gains = MeanGains.iid(k, l)
+    gains = MeanGains(mu_sr=unit_gains.mu_sr, mu_rd=unit_gains.mu_rd, mu_se=unit_gains.mu_se,
+                      mu_ed=unit_gains.mu_ed, mu_sd=unit_gains.mu_sd, mu_rl=mu_rl)
+    cfg = SystemConfig(n_antennas=8, n_relays=k, n_eves=l, snr_linear=2.0)
+    drawn = draw_batch(gains, cfg, 4, 0, n)
+    unit = draw_batch(unit_gains, cfg, 4, 0, n)
+    rhos = [2.0, 30.0, 0.5]
+    stacked = drawn.at_snr(rhos)
+    blocks = [(drawn.g_rl, unit.g_rl)]
+    blocks += [(stacked.g_rl[j * n : (j + 1) * n], unit.at_snr(rho).g_rl)
+               for j, rho in enumerate(rhos)]
+    for g_rl, g_unit in blocks:
+        assert g_rl[:, 1, 0].tobytes() == g_rl[:, 0, 1].tobytes()
+        assert (g_rl[:, np.arange(k), np.arange(k)] == 0.0).all()
+        np.testing.assert_allclose(g_rl, mu_sym * g_unit, rtol=1e-15, atol=0.0)
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 5, 10])
 @pytest.mark.parametrize("l", [0, 1, 50])
 def test_pair_count_and_index_follow_the_pair_list(k, l):

@@ -321,6 +321,19 @@ def test_run_eve_model_sweep_multiplies_rows(tmp_path):
     assert {r.seed for r in rows} == {derive_seed(0, 0)}
 
 
+def test_each_position_is_seeded_by_its_first_points_index(tmp_path):
+    # 2 K x 2 L positions at 2 rho: position i carries
+    # derive_seed(master, i * 2), the index of its first point among one
+    # model's points.
+    spec = parse_spec_text(tiny_spec_text(
+        tmp_path / "r.csv",
+        "experiment.k_grid = [1, 2]\nexperiment.l_grid = [0, 1]\nconfig.master_seed = 17\n"))
+    rows = run(spec, log=None)
+    for i, position in enumerate([(1, 0), (1, 1), (2, 0), (2, 1)]):
+        seeds = {r.seed for r in rows if (r.n_relays, r.n_eves) == position}
+        assert seeds == {derive_seed(17, 2 * i)}, position
+
+
 def _model_sweep(tmp_path, models, trials=30):
     out = tmp_path / f"{'-'.join(models)}.csv"
     return parse_spec_text(tiny_spec_text(

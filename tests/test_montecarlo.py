@@ -242,6 +242,15 @@ def test_stacked_snr_points_match_single_point_runs(chunk_size):
             assert out[m, rho][s].gamma_d.tobytes() == alone[s].gamma_d.tobytes(), (m, rho, s)
 
 
+def test_result_keys_follow_the_order_of_points():
+    # The first model at two SNRs, then the second model: a result built
+    # SNR-major would list (CE, 1.0) before (NCE, 2.0).
+    gains, cfg = small_setup()
+    points = [(EveModel.NCE, 1.0), (EveModel.NCE, 2.0), (EveModel.CE, 1.0)]
+    out = simulate(cfg, gains, [Scheme.JRP], 10, seed=3, points=points)
+    assert list(out) == points
+
+
 def test_stacks_with_models_missing_at_some_snrs():
     # Each stack runs every model listed at any of its SNRs; a point that
     # was not asked for gets no trace and no say in the non-finite check.
