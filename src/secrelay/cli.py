@@ -39,7 +39,8 @@ scale.  Results land in the CSV named by ``experiment.out`` (one row per
 eve model/K/L/scheme/metric/SNR tuple) plus a JSON mirror next to it.
 Rows carry simulation estimates always, closed-form and asymptotic columns
 where a formula exists (relayed closed forms on jrp rows, direct-transmission
-forms on dt rows; blank otherwise).  K or L sweeps rebuild the two-hop
+forms on dt rows; blank otherwise, and on CE jrp rows below two antennas,
+where the collusion penalty is undefined).  K or L sweeps rebuild the two-hop
 cluster layout at each size, so they presume the built-in layout rather
 than explicit positions.  ``validate`` builds every grid point's layout,
 mean gains and config in the pass that ``run`` simulates from, so it
@@ -456,25 +457,26 @@ def preset(name: str) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
-def _collusion_penalty(gains, cfg: SystemConfig, spec: ExperimentSpec) -> float:
+def _collusion_penalty(gains, cfg: SystemConfig, spec: ExperimentSpec) -> float | None:
     """The CE penalty C that a grid point's jrp closed forms take: zero under
-    NCE, below two antennas, or when the spec emits no jrp closed column."""
-    if (Scheme.JRP in spec.schemes and (spec.emit_closed_form or spec.emit_asymptotic)
-            and cfg.eve_model is EveModel.CE and cfg.n_antennas >= 2):
-        return c_params(gains, cfg).c
-    return 0.0
+    NCE or when the spec emits no jrp closed column, and None under CE below
+    two antennas, where c_params is undefined and the jrp cells stay blank."""
+    if (Scheme.JRP not in spec.schemes or not (spec.emit_closed_form or spec.emit_asymptotic)
+            or cfg.eve_model is EveModel.NCE):
+        return 0.0
+    return c_params(gains, cfg).c if cfg.n_antennas >= 2 else None
 
 
 def _closed_columns(
-    metric: Metric, scheme: Scheme, gains, cfg: SystemConfig, spec: ExperimentSpec, c: float
+    metric: Metric, scheme: Scheme, gains, cfg: SystemConfig, spec: ExperimentSpec, c: float | None
 ) -> tuple[float | None, float | None]:
     """A row's closed-form and asymptotic cells, None where no formula
-    applies; c is the point's _collusion_penalty.  A formula runs only for
-    a column the spec emits: the jrp ESR's power offset and the jrp SER are
-    2^K subset sums."""
+    applies; c is the point's _collusion_penalty, and jrp has no formula
+    where it is None.  A formula runs only for a column the spec emits: the
+    jrp ESR's power offset and the jrp SER are 2^K subset sums."""
     closed = asym = None
     rho = cfg.snr_linear
-    if scheme is Scheme.JRP and (spec.emit_closed_form or spec.emit_asymptotic):
+    if scheme is Scheme.JRP and c is not None and (spec.emit_closed_form or spec.emit_asymptotic):
         if metric is Metric.ESR:  # one call gives both columns
             breakdown = analytics.esr_dbcj(gains, rho, c)
             closed, asym = breakdown.esr, breakdown.asymptotic_esr

@@ -9,6 +9,8 @@ in-simulation reference the closed forms are judged against.  Under NCE the
 search is exact: in t = 1/lam every leakage inverse is a line, so the rate
 is maximized piece by piece along their lower envelope.  Under CE it is a
 golden-section search.  Every scheme runs on a whole BatchDraws at once.
+A relaying scheme is a relay rule and a split rule (searched or equal),
+read from one pair table per batch, eavesdropper model and split rule.
 """
 
 from __future__ import annotations
@@ -60,18 +62,21 @@ class Scheme(Enum):
     EPRS: equal split with the best relay under exact leakage.
     DT: direct transmission, no relay at all.
 
-    Allocating schemes search the split per draw: exactly under NCE (a walk
-    along the envelope of the leakage lines in 1/lam), and under CE by
-    golden section, guarded by the equal split and the closed-form splits.
-    That is what honest finite-antenna evaluation takes: the closed forms
-    are asymptotic in the antenna count and sit in analytics, where the
-    simulated schemes validate them.  A batch's splits are searched once per
-    (trial, relay) pair and shared among JRP, OPRR and EXACT_JRP, so
-    whichever of them runs first on a batch searches the pairs it needs and
-    the others read the stored results.  A search gathers its pairs' served
-    gains once into a node-major channel.ServedView and rates every
-    candidate on it; only each scheme's final operating point is rated
-    through leakage_batch.
+    A relaying scheme is a relay rule and a split rule.  The relay rule
+    takes the strongest second hop (JRP), a random relay (EPRR, OPRR) or
+    the best of all K under the split rule (EXACT_JRP, EPRS); the split
+    rule is the equal split (EPRR, EPRS) or a per-draw search (the rest):
+    exact under NCE (a walk along the envelope of the leakage lines in
+    1/lam), and under CE by golden section, guarded by the equal split and
+    the closed-form splits.  That is what honest finite-antenna evaluation
+    takes: the closed forms are asymptotic in the antenna count and sit in
+    analytics, where the simulated schemes validate them.  There is one
+    pair table per batch, eavesdropper model and split rule, so each
+    (trial, relay) pair is rated once per rule: whichever scheme runs first
+    on a batch rates the pairs it needs and the others read the stored
+    (split, rate).  A rating gathers its pairs' served gains once into a
+    node-major channel.ServedView and rates every candidate on it; only
+    each scheme's final operating point is rated through leakage_batch.
     """
 
     JRP = "jrp"
@@ -340,62 +345,46 @@ def _golden_split(view: ServedView) -> tuple[np.ndarray, np.ndarray]:
     return best, rate
 
 
-def _numeric_split_batch(
-    batch: BatchDraws, relay_idx: np.ndarray, model: EveModel, trials: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize the exact secrecy rate over the split for a fixed relay per
-    row: relay relay_idx[i] of trial trials[i] (every trial in order when
-    trials is None).  Returns (split, rate) per row.
-
-    The rows' served gains are gathered once into a ServedView.  NCE: the
-    exact optimum of the envelope walk (_nce_envelope_split), rated once,
-    so one leakage row per pair.  CE: the guarded golden-section search
-    (_golden_split), 34 leakage rows per pair.  A row's result does not
-    depend on the rows searched with it.  Schemes reach it through
-    _searched_splits, which searches each (trial, relay) pair of a batch
-    once and shares the result among JRP, OPRR and EXACT_JRP.
-    """
-    view = served(batch, relay_idx, trials)
+def _search(view: ServedView, model: EveModel) -> tuple[np.ndarray, np.ndarray]:
+    """The split that maximizes the exact secrecy rate per row of the view,
+    and its rate.  NCE: the exact optimum of the envelope walk
+    (_nce_envelope_split), rated once, so one leakage row per pair.  CE:
+    the guarded golden-section search (_golden_split), 34 leakage rows per
+    pair.  A row's result does not depend on the rows searched with it."""
     if model is EveModel.NCE:
         best = _nce_envelope_split(view)
         return best, _view_rate(view, best, model)
     return _golden_split(view)
 
 
-# Per batch and eavesdropper model: which (trial, relay) pairs are searched,
-# with their splits and rates.  Weak keys (BatchDraws hashes by identity) let
-# a table live exactly as long as its batch; it assumes the batch's arrays
-# do not change once a scheme has run on it.
-_SPLIT_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+def _equal_split(view: ServedView, model: EveModel) -> tuple[float, np.ndarray]:
+    """The equal split, one for every row, and its rate per row."""
+    return 0.5, _view_rate(view, 0.5, model)
 
 
-def _over_pairs(trials: np.ndarray, relays: np.ndarray, fn) -> tuple:
-    """fn(trials, relays) over slices of at most _PAIR_ROWS (trial, relay)
-    pairs; each returned array is concatenated in pair order."""
-    parts = [
-        fn(trials[s : s + _PAIR_ROWS], relays[s : s + _PAIR_ROWS])
-        for s in range(0, trials.size, _PAIR_ROWS)
-    ]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+# Per batch, per (eavesdropper model, split rule): each (trial, relay) pair's
+# split and rate, the split NaN until the pair is rated.  Weak keys
+# (BatchDraws hashes by identity) let the tables live exactly as long as
+# their batch; they assume its arrays do not change once a scheme has run.
+_PAIR_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _searched_splits(
-    batch: BatchDraws, trials: np.ndarray, relays: np.ndarray, model: EveModel
+def _pair_table(
+    batch: BatchDraws, trials: np.ndarray, relays: np.ndarray, model: EveModel, rule
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Searched (split, rate) of each (trial, relay) pair; pairs not yet in
-    the batch's table are searched together and stored."""
-    tables = _SPLIT_TABLES.setdefault(batch, {})
-    if model not in tables:
+    """(split, rate) under the split rule of relay relays[i] of trial
+    trials[i].  Pairs not yet in the batch's table for (model, rule) are
+    rated on served views of at most _PAIR_ROWS pairs and stored."""
+    tables = _PAIR_TABLES.setdefault(batch, {})
+    if (model, rule) not in tables:
         shape = (batch.n_trials, batch.n_relays)
-        tables[model] = (np.zeros(shape, dtype=bool), np.empty(shape), np.empty(shape))
-    done, lam, rate = tables[model]
-    todo = ~done[trials, relays]
-    if todo.any():
-        t, r = trials[todo], relays[todo]
-        lam[t, r], rate[t, r] = _over_pairs(
-            t, r, lambda tt, rr: _numeric_split_batch(batch, rr, model, tt)
-        )
-        done[t, r] = True
+        tables[model, rule] = (np.full(shape, np.nan), np.empty(shape))
+    lam, rate = tables[model, rule]
+    todo = np.isnan(lam[trials, relays])
+    t, r = trials[todo], relays[todo]
+    for s in range(0, t.size, _PAIR_ROWS):
+        tt, rr = t[s : s + _PAIR_ROWS], r[s : s + _PAIR_ROWS]
+        lam[tt, rr], rate[tt, rr] = rule(served(batch, rr, tt), model)
     return lam[trials, relays], rate[trials, relays]
 
 
@@ -409,29 +398,23 @@ def run_scheme_batch(batch: BatchDraws, scheme: Scheme, config: SystemConfig) ->
     on the rows it runs with."""
     model = config.eve_model
     n, k = batch.n_trials, batch.n_relays
-    rows = np.arange(n)
     if scheme is Scheme.DT:
         g_e = np.asarray(dt_leakage(batch.g_null_d, k, model), dtype=float)
         rate = secrecy_rate(batch.g_sd, g_e, half=False)
         return SchemeBatchResult(scheme, None, None, batch.g_sd.copy(), g_e, rate)
-    if scheme in (Scheme.EPRR, Scheme.OPRR):
-        relay = np.minimum((batch.u_rand * k).astype(np.int64), k - 1)
-        lam = np.full(n, 0.5) if scheme is Scheme.EPRR else _searched_splits(batch, rows, relay, model)[0]
-    elif scheme is Scheme.JRP:
-        relay = select_relay_maxgain(batch)
-        lam = _searched_splits(batch, rows, relay, model)[0]
-    elif scheme is Scheme.EPRS:
-        (rates,) = _over_pairs(
-            np.repeat(rows, k), np.tile(np.arange(k), n),
-            lambda t, r: (_view_rate(served(batch, r, t), 0.5, model),),
-        )
-        relay = np.argmax(rates.reshape(n, k), axis=1)
-        lam = np.full(n, 0.5)
-    elif scheme is Scheme.EXACT_JRP:
-        lams, rates = _searched_splits(batch, np.repeat(rows, k), np.tile(np.arange(k), n), model)
+    rows = np.arange(n)
+    rule = _equal_split if scheme in (Scheme.EPRS, Scheme.EPRR) else _search
+    if scheme in (Scheme.EPRS, Scheme.EXACT_JRP):
+        lams, rates = _pair_table(batch, np.repeat(rows, k), np.tile(np.arange(k), n), model, rule)
         # The first maximum: ties go to the lowest relay index.
         relay = np.argmax(rates.reshape(n, k), axis=1)
         lam = lams.reshape(n, k)[rows, relay]
+    elif scheme in (Scheme.JRP, Scheme.EPRR, Scheme.OPRR):
+        if scheme is Scheme.JRP:
+            relay = select_relay_maxgain(batch)
+        else:
+            relay = np.minimum((batch.u_rand * k).astype(np.int64), k - 1)
+        lam = _pair_table(batch, rows, relay, model, rule)[0]
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     g_d = sinr_destination(batch, relay, lam)

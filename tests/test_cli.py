@@ -307,6 +307,24 @@ def test_run_computes_the_collusion_penalty_once_per_ce_point(tmp_path, monkeypa
                for r in rows)
 
 
+def test_ce_jrp_closed_cells_are_blank_below_two_antennas(tmp_path):
+    # The collusion penalty is undefined at one antenna, so the CE jrp
+    # cells stay blank rather than carry the NCE value; the rest are filled.
+    text = tiny_spec_text(tmp_path / "r.csv", (
+        "experiment.eve_models = [\"nce\", \"ce\"]\n"
+        "experiment.emit_asymptotic = True\n"
+    ))
+    for old, new in (("n_antennas = 4", "n_antennas = 1"), ("n_eves = 1", "n_eves = 2"),
+                     ("rho_grid_db = [0, 10]", "rho_grid_db = [20]")):
+        text = text.replace(old, new)
+    rows = run(parse_spec_text(text), log=None)
+    assert len(rows) == 8
+    for r in rows:
+        blank = r.eve_model == "ce" and r.scheme == "jrp"
+        assert (r.closed_form is None) == blank, r
+        assert (r.asymptotic is None) == (blank or r.scheme == "dt"), r
+
+
 def test_run_eve_model_sweep_multiplies_rows(tmp_path):
     out = tmp_path / "r.csv"
     spec = parse_spec_text(

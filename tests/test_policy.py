@@ -20,7 +20,6 @@ from secrelay.montecarlo import simulate
 from secrelay.policy import (
     RegimeWarning,
     Scheme,
-    _numeric_split_batch,
     c_params,
     feedback_overhead_bits,
     opa_ce,
@@ -54,6 +53,12 @@ def rich_setup(k=3, l=2, n_antennas=8, rho=10.0):
     gains = MeanGains.iid(k, l, mu_sr=0.5, mu_rd=1.0, mu_se=0.5, mu_ed=1.0)
     cfg = SystemConfig(n_antennas=n_antennas, n_relays=k, n_eves=l, snr_linear=rho)
     return gains, cfg
+
+
+def search(batch, relays, model, trials=None):
+    """Searched (split, rate) of relay relays[i] of trial trials[i] (every
+    trial in order when trials is None)."""
+    return policy._search(served(batch, relays, trials), model)
 
 
 def rate_at(batch, relay_idx, lam, model):
@@ -202,7 +207,7 @@ def test_opa_numeric_dominates_fixed_candidates():
         warnings.simplefilter("ignore", RegimeWarning)
         closed = opa_nce(batch.g_sr[:, 0], batch.g_rd[:, 0])
     for model in EveModel:
-        lam, rate = _numeric_split_batch(batch, served, model)
+        lam, rate = search(batch, served, model)
         assert np.all((0.0 < lam) & (lam < 1.0))
         assert np.all(rate >= rate_at(batch, served, 0.5, model) - 1e-9)
         assert np.all(rate >= rate_at(batch, served, closed, model) - 1e-9)
@@ -213,7 +218,7 @@ def test_opa_numeric_beats_dense_grid():
     batch = draw_batch(gains, cfg, 29, 0, 5)
     grid = np.linspace(1e-4, 1.0 - 1e-4, 1000)
     vals = np.stack([rate_at(batch, 0, x, EveModel.NCE) for x in grid], axis=1)
-    _, rate = _numeric_split_batch(batch, np.zeros(5, dtype=np.int64), EveModel.NCE)
+    _, rate = search(batch, np.zeros(5, dtype=np.int64), EveModel.NCE)
     assert np.all(rate >= vals.max(axis=1) - 1e-6)
 
 
@@ -278,7 +283,7 @@ def test_select_relay_exact_single_candidate():
     batch = draw_batch(gains, cfg, 41, 0, 8)
     res = run_scheme_batch(batch, Scheme.EXACT_JRP, cfg)
     np.testing.assert_array_equal(res.selected_relay, 0)
-    lam, rate = _numeric_split_batch(batch, np.zeros(8, dtype=np.int64), EveModel.NCE)
+    lam, rate = search(batch, np.zeros(8, dtype=np.int64), EveModel.NCE)
     np.testing.assert_array_equal(res.lam, lam)
     np.testing.assert_array_equal(res.rate, rate)
 
@@ -289,7 +294,7 @@ def test_select_relay_exact_dominates_maxgain():
         cfg = SystemConfig(n_antennas=8, n_relays=3, n_eves=2, snr_linear=10.0, eve_model=model)
         batch = draw_batch(gains, cfg, 43, 0, 20)
         exact = run_scheme_batch(batch, Scheme.EXACT_JRP, cfg).rate
-        _, greedy = _numeric_split_batch(batch, select_relay_maxgain(batch), model)
+        _, greedy = search(batch, select_relay_maxgain(batch), model)
         assert np.all(exact >= greedy)
 
 
@@ -429,6 +434,11 @@ def test_each_trial_relay_split_is_searched_once(monkeypatch, model):
     assert rows_per_trial([Scheme.EXACT_JRP]) == (k, 1)
     assert rows_per_trial([Scheme.EXACT_JRP, Scheme.JRP, Scheme.OPRR]) == (k, 3)
     assert rows_per_trial([Scheme.OPRR, Scheme.JRP, Scheme.EXACT_JRP]) == (k, 3)
+    # The equal split has a table of its own: EPRS rates every relay at it,
+    # EPRR reads its relay from there, and EXACT_JRP still searches them all.
+    assert rows_per_trial([Scheme.EPRS]) == (k, 1)
+    assert rows_per_trial([Scheme.EPRS, Scheme.EPRR]) == (k, 2)
+    assert rows_per_trial([Scheme.EPRS, Scheme.EXACT_JRP]) == (2 * k, 2)
 
 
 @pytest.mark.parametrize("chunk", [7, 2048])
@@ -448,16 +458,28 @@ def test_shared_splits_do_not_depend_on_scheme_order_or_subset(model, chunk):
 
 
 def test_split_tables_are_kept_per_eavesdropper_model():
-    # One batch run under both models must match a fresh copy per model.
+    # One batch run under both models, with the searched and the equal
+    # split's schemes in either order, must match a fresh copy per scheme.
     gains, nce = model_setup(EveModel.NCE)
-    batch = draw_batch(gains, nce, 73, 0, 12)
-    for model in EveModel:
-        _, cfg = model_setup(model)
-        fresh = BatchDraws(**{f: getattr(batch, f).copy() for f in BatchDraws.__dataclass_fields__})
-        for scheme in (Scheme.JRP, Scheme.EXACT_JRP, Scheme.OPRR):
-            shared, alone = run_scheme_batch(batch, scheme, cfg), run_scheme_batch(fresh, scheme, cfg)
-            np.testing.assert_array_equal(shared.lam, alone.lam)
-            np.testing.assert_array_equal(shared.rate, alone.rate)
+    for first, second in ((Scheme.EPRS, Scheme.EXACT_JRP), (Scheme.EXACT_JRP, Scheme.EPRS)):
+        batch = draw_batch(gains, nce, 73, 0, 12)
+        for model in EveModel:
+            _, cfg = model_setup(model)
+            for scheme in (Scheme.JRP, first, second, Scheme.OPRR, Scheme.EPRR):
+                fresh = BatchDraws(**{f: getattr(batch, f).copy()
+                                      for f in BatchDraws.__dataclass_fields__})
+                shared = run_scheme_batch(batch, scheme, cfg)
+                alone = run_scheme_batch(fresh, scheme, cfg)
+                np.testing.assert_array_equal(shared.selected_relay, alone.selected_relay)
+                np.testing.assert_array_equal(shared.lam, alone.lam)
+                np.testing.assert_array_equal(shared.rate, alone.rate)
+
+
+def test_an_unknown_scheme_is_refused():
+    gains, cfg = rich_setup()
+    batch = draw_batch(gains, cfg, 3, 0, 4)
+    with pytest.raises(ValueError, match="unknown scheme"):
+        run_scheme_batch(batch, "jrp", cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +555,7 @@ def test_nce_split_matches_brute_force_oracle():
     pairs = 0
     for point, (batch, trials, relays) in oracle_grid():
         lam = walk(batch, relays, trials)
-        _, rate = _numeric_split_batch(batch, relays, EveModel.NCE, trials)
+        _, rate = search(batch, relays, EveModel.NCE, trials)
         for i, (t, r) in enumerate(zip(trials, relays)):
             draw = ref.row(batch, t)
             best, _, _ = brute_force_nce(draw, r)
@@ -550,7 +572,7 @@ def test_nce_split_rates_at_least_every_fixed_candidate():
     # split or a closed-form split in reserve: on the oracle grid each rates
     # at most the searched rate, up to 4 ulp of it.
     for point, (batch, trials, relays) in oracle_grid():
-        _, rate = _numeric_split_batch(batch, relays, EveModel.NCE, trials)
+        _, rate = search(batch, relays, EveModel.NCE, trials)
         view = served(batch, relays, trials)
         cands = [0.5, policy._closed_split(view, EveModel.NCE)]
         if point[2]:
@@ -564,7 +586,7 @@ def test_nce_split_beats_dense_grid_at_low_snr_and_small_ns():
     grid = np.linspace(LAMBDA_EPS, 1.0 - LAMBDA_EPS, 4001)
     for db in (0.0, 3.0):
         batch, trials, relays = nce_setup(4, 3, 2, db, 37, 100)
-        _, rate = _numeric_split_batch(batch, relays, EveModel.NCE, trials)
+        _, rate = search(batch, relays, EveModel.NCE, trials)
         for i, (t, r) in enumerate(zip(trials, relays)):
             dense = nce_rates(ref.row(batch, t), r, grid).max()
             assert rate[i] >= dense - 1e-12, (db, i)
@@ -579,7 +601,7 @@ def test_nce_split_never_rates_below_golden_section(monkeypatch):
     for ns, k, l in ((4, 1, 1), (8, 3, 5), (16, 5, 5), (256, 10, 50)):
         for db in (0.0, 10.0, 20.0, 30.0, 40.0):
             batch, trials, relays = nce_setup(ns, k, l, db, 41 + k, 120)
-            _, rate = _numeric_split_batch(batch, relays, EveModel.NCE, trials)
+            _, rate = search(batch, relays, EveModel.NCE, trials)
             _, golden = policy._golden_split(served(batch, relays, trials))
             assert np.all(rate >= golden - 1e-12), (ns, k, l, db)
             pairs += rate.size
@@ -612,7 +634,7 @@ def test_nce_split_without_phase_two_line():
     assert math.isclose(lam, 1.0 / inside[0], rel_tol=1e-12)
     best, _, kind = brute_force_nce(ref.row(batch, 0), 0)
     assert kind == "root"
-    (rate,) = _numeric_split_batch(batch, np.array([0]), EveModel.NCE)[1]
+    (rate,) = search(batch, np.array([0]), EveModel.NCE)[1]
     assert abs(rate - best) <= 1e-12
 
 
@@ -628,7 +650,7 @@ def test_nce_split_lands_on_a_kink():
     assert kind == "kink"
     near = nce_rates(ref.row(batch, 0), 0, [lam * (1 - 1e-6), lam, lam * (1 + 1e-6)])
     assert near[1] > near[0] and near[1] > near[2]
-    assert abs(_numeric_split_batch(batch, np.array([0]), EveModel.NCE)[1][0] - best) <= 1e-12
+    assert abs(search(batch, np.array([0]), EveModel.NCE)[1][0] - best) <= 1e-12
 
 
 def test_nce_split_at_the_lambda_eps_clamp():
@@ -637,7 +659,7 @@ def test_nce_split_at_the_lambda_eps_clamp():
     # lam -> 0, so the walk stops at the clamp.
     batch = hand_draw(10.0, 1.0, [(50.0, 0.0)], [1.0])
     np.testing.assert_array_equal(walk(batch, np.array([0])), [LAMBDA_EPS])
-    lam, rate = _numeric_split_batch(batch, np.array([0]), EveModel.NCE)
+    lam, rate = search(batch, np.array([0]), EveModel.NCE)
     np.testing.assert_array_equal(lam, [LAMBDA_EPS])
     np.testing.assert_array_equal(rate, [0.0])
     grid = np.linspace(LAMBDA_EPS, 1.0 - LAMBDA_EPS, 1001)
@@ -656,7 +678,7 @@ def test_nce_split_ignores_tied_lines(dup_first):
     tied = hand_draw(900.0, 30.0, twin, [0.3, 0.3, 0.2] if dup_first else [0.3, 0.2, 0.2])
     np.testing.assert_array_equal(walk(tied, np.array([0])), walk(base, np.array([0])))
     best, _, _ = brute_force_nce(ref.row(tied, 0), 0)
-    assert abs(_numeric_split_batch(tied, np.array([0]), EveModel.NCE)[1][0] - best) <= 1e-12
+    assert abs(search(tied, np.array([0]), EveModel.NCE)[1][0] - best) <= 1e-12
 
 
 def test_nce_split_skips_a_node_that_hears_nothing():
@@ -674,8 +696,8 @@ def test_nce_split_skips_a_node_that_hears_nothing():
 def test_nce_split_of_a_row_does_not_depend_on_its_neighbours():
     batch, trials, relays = nce_setup(16, 5, 5, 20.0, 19, 410)
     trials, relays = trials[:2048], relays[:2048]
-    whole = _numeric_split_batch(batch, relays, EveModel.NCE, trials)
-    parts = [_numeric_split_batch(batch, relays[s : s + 37], EveModel.NCE, trials[s : s + 37])
+    whole = search(batch, relays, EveModel.NCE, trials)
+    parts = [search(batch, relays[s : s + 37], EveModel.NCE, trials[s : s + 37])
              for s in range(0, 2048, 37)]
     for got, want in zip(whole, zip(*parts)):
         assert got.tobytes() == np.concatenate(want).tobytes()
@@ -697,5 +719,5 @@ def test_leakage_rows_per_searched_pair(monkeypatch, model, l, rows):
 
     monkeypatch.setattr(ServedView, "leakage", counting)
     batch, trials, relays = nce_setup(8, 3, l, 10.0, 3, 50)
-    _numeric_split_batch(batch, relays, model, trials)
+    search(batch, relays, model, trials)
     assert sum(counted) == rows * relays.size
