@@ -74,7 +74,8 @@ class Scheme(Enum):
     pair table per batch, eavesdropper model and split rule, so each
     (trial, relay) pair is rated once per rule: whichever scheme runs first
     on a batch rates the pairs it needs and the others read the stored
-    (split, rate).  A rating gathers its pairs' served gains once into a
+    (split, rate).  EPRR needs no rating to pick its relay or split, so it
+    reads no table.  A rating gathers its pairs' served gains once into a
     node-major channel.ServedView and rates every candidate on it; only
     each scheme's final operating point is rated through leakage_batch.
     """
@@ -403,8 +404,8 @@ def run_scheme_batch(batch: BatchDraws, scheme: Scheme, config: SystemConfig) ->
         rate = secrecy_rate(batch.g_sd, g_e, half=False)
         return SchemeBatchResult(scheme, None, None, batch.g_sd.copy(), g_e, rate)
     rows = np.arange(n)
-    rule = _equal_split if scheme in (Scheme.EPRS, Scheme.EPRR) else _search
     if scheme in (Scheme.EPRS, Scheme.EXACT_JRP):
+        rule = _equal_split if scheme is Scheme.EPRS else _search
         lams, rates = _pair_table(batch, np.repeat(rows, k), np.tile(np.arange(k), n), model, rule)
         # The first maximum: ties go to the lowest relay index.
         relay = np.argmax(rates.reshape(n, k), axis=1)
@@ -414,7 +415,10 @@ def run_scheme_batch(batch: BatchDraws, scheme: Scheme, config: SystemConfig) ->
             relay = select_relay_maxgain(batch)
         else:
             relay = np.minimum((batch.u_rand * k).astype(np.int64), k - 1)
-        lam = _pair_table(batch, rows, relay, model, rule)[0]
+        if scheme is Scheme.EPRR:
+            lam = np.full(n, 0.5)
+        else:
+            lam = _pair_table(batch, rows, relay, model, _search)[0]
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     g_d = sinr_destination(batch, relay, lam)

@@ -1,14 +1,16 @@
 """Special functions and combinatorial sums used by the closed-form metrics.
 
 Everything here is deterministic scalar/array math: the exponential integral
-in the overflow-safe scaled form exp(s)*E1(s), the Gaussian tail Q, integer
+in the overflow-safe scaled form exp(s)*E1(s) (a power series up to s = 1,
+maxexp_log_expect of one unit mean above), the Gaussian tail Q, integer
 digamma, the CDF of the maximum of independent exponentials, and four
 kernels:
 
 - maxexp_log_expect: E[ln(1 + X/c)], X the maximum of independent
-  exponentials, by the trapezoid rule in ln x over the positive survival
-  function.  Every term is positive, so it costs O(K) and holds ~1e-16
-  relative at any K.  The ergodic secrecy rates use it.
+  exponentials, at one c or an array of them, by the trapezoid rule in ln x
+  over the positive survival function.  Every term is positive, so it costs
+  O(K) and holds ~1e-16 relative at any K and any mean-to-c ratio.  The
+  ergodic secrecy rates and scaled_e1 use it.
 - hypoexp_cdf: the CDF of a sum S of L independent exponentials, from the
   matrix exponential of the chain through its L stages, by a non-negative
   Taylor series and squaring: ties and close means need no special case.
@@ -35,12 +37,12 @@ import numpy as np
 
 EULER_GAMMA = float(np.euler_gamma)
 
-# Power series below this point, modified-Lentz continued fraction above.
-# The alternating series loses ~exp(2s) in relative accuracy, so the
-# crossover has to sit near 1 to hold 1e-12 everywhere.
+# Power series up to this point, maxexp_log_expect of one unit mean above.
+# The alternating series loses ~exp(2s) in relative accuracy, so it must stop
+# near 1.  Below 1 the trapezoid's fixed grid, which starts 40 e-folds below
+# the unit mean, is off by 2.5e-12 at s = 1e-10, and a grid that moved with s
+# would no longer give each element of an array call its scalar value.
 _SERIES_CUTOFF = 1.0
-_CF_MAX_ITER = 400
-_CF_TINY = 1e-300
 
 MAX_SUBSET_NODES = 25  # 2**25 - 1 subset terms is the hard ceiling
 # Trapezoid step in t = ln x for maxexp_log_expect.  The integrand is analytic
@@ -68,9 +70,10 @@ _TAYLOR_EXTRA = 20
 # the error falls like exp(-pi^2/h), about 7e-18 at 1/4; step 1/8 cost
 # twice as much for no gain.
 _TAIL_GRID_STEP = 1.0 / 4.0
-# hypoexp_tail_integral's (s, y) arrays hold 2^13 values (64 KB): in cache and
-# under glibc's 128 KB mmap threshold; 3 MB arrays ran 10% slower at K=16.
-_TAIL_BLOCK = 1 << 13
+# maxexp_log_expect's (c, x) and hypoexp_tail_integral's (s, y) arrays hold
+# about 2^13 values (64 KB): in cache and under glibc's 128 KB mmap
+# threshold; 3 MB arrays ran 10% slower at K=16.
+_GRID_BLOCK = 1 << 13
 
 
 def _scaled_e1_series(s: np.ndarray) -> np.ndarray:
@@ -93,38 +96,6 @@ def _scaled_e1_series(s: np.ndarray) -> np.ndarray:
     return np.exp(s) * acc
 
 
-def _scaled_e1_cf(s: np.ndarray) -> np.ndarray:
-    # Modified Lentz on the continued fraction
-    # exp(s) E1(s) = 1/(s+1- 1/(s+3- 4/(s+5- 9/(...)))).
-    # Each element leaves the iteration at its own first converged step, so
-    # an array call gives exactly what one call per element gives.
-    out = np.empty_like(s)
-    left = np.arange(s.size)
-    b = s + 1.0
-    c = np.full_like(s, 1.0 / _CF_TINY)
-    d = 1.0 / b
-    h = d.copy()
-    for i in range(1, _CF_MAX_ITER + 1):
-        a = -float(i * i)
-        b = b + 2.0
-        d = b + a * d
-        d = np.where(np.abs(d) < _CF_TINY, _CF_TINY, d)
-        d = 1.0 / d
-        c = b + a / c
-        c = np.where(np.abs(c) < _CF_TINY, _CF_TINY, c)
-        delta = c * d
-        h = h * delta
-        # A converged element's delta can keep oscillating by one ulp, so the
-        # stop threshold must sit a few ulp above 1.0.
-        done = np.abs(delta - 1.0) < 4e-16
-        if done.any():
-            out[left[done]] = h[done]
-            left, b, c, d, h = (x[~done] for x in (left, b, c, d, h))
-        if not left.size:
-            return out
-    raise ArithmeticError("continued fraction for exp(s)E1(s) did not converge")
-
-
 def scaled_e1(s):
     """exp(s) * E1(s) for s > 0, overflow-safe up to s ~ 1e300.
 
@@ -139,7 +110,8 @@ def scaled_e1(s):
     if small.any():
         out[small] = _scaled_e1_series(arr[small])
     if (~small).any():
-        out[~small] = _scaled_e1_cf(arr[~small])
+        # E[ln(1 + X/s)] = e^s E1(s) for X exponential with mean 1.
+        out[~small] = maxexp_log_expect([1.0], arr[~small])
     return float(out) if np.isscalar(s) or arr.ndim == 0 else out
 
 
@@ -174,7 +146,8 @@ def _check_rates(rates: Sequence[float]) -> np.ndarray:
 
 def _check_means(means: Sequence[float]) -> np.ndarray:
     arr = np.asarray(means, dtype=float)
-    if arr.ndim != 1 or arr.size < 1 or not ((arr > 0).all() and np.isfinite(arr).all()):
+    # A NaN makes min NaN, which fails the comparison.
+    if arr.ndim != 1 or arr.size < 1 or not (arr.min() > 0.0 and arr.max() < math.inf):
         raise ValueError("means must be a non-empty list of positive reals")
     return arr
 
@@ -329,30 +302,42 @@ def maxexp_cdf(means: Sequence[float], x) -> float | np.ndarray:
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
-def maxexp_log_expect(means: Sequence[float], c: float) -> float:
+def maxexp_log_expect(means: Sequence[float], c) -> float | np.ndarray:
     """E[ln(1 + X/c)] for X the maximum of independent exponentials with the
-    given means, c > 0.
+    given means, at each c > 0 (a scalar or an array).
 
     The expectation is the integral of S(x)/(c + x) over x > 0, where
     S = 1 - prod_i(1 - exp(-x/mean_i)) is the survival function, formed as
     -expm1(sum_i log(-expm1(-x/mean_i))): no factor cancels, and where S is
     small its few-ulp absolute error is far below the integral.  With x = e^t
     the integrand decays exponentially at both ends, and the trapezoid rule
-    in t converges geometrically.  The grid runs from 40 e-folds below the
-    smallest mean, where S = 1 to rounding and the integral ln(1 + x_lo/c) is
-    added in closed form, up to where S < K^-3 e^-40 above the largest mean.
+    in t converges geometrically.  The grid starts 40 e-folds below the
+    smallest mean, where S = 1 to rounding, or 27 below the smallest c if
+    that is lower, so that x/(c + x) has decayed there as well when the
+    means dwarf c; ln(1 + x_lo/c), the integral below x_lo, is added in
+    closed form.  It stops where S < K^-3 e^-40 above the largest mean.
+    S is formed once and the c are taken in row blocks.  Where
+    min(means) <= e^13 min(c) the grid does not depend on c, so each element
+    of an array call is the float its scalar call gives.
     """
     arr = _check_means(means)
-    if not (math.isfinite(c) and c > 0.0):
+    cv = np.asarray(c, dtype=float)
+    if not (cv.size and cv.min() > 0.0 and cv.max() < math.inf):
         raise ValueError(f"c must be positive and finite, got {c}")
-    t_lo = math.log(arr.min()) - 40.0
+    t_lo = min(math.log(arr.min()) - 40.0, math.log(cv.min()) - 27.0)
     t_hi = math.log(arr.max()) + math.log(40.0 + 4.0 * math.log(arr.size))
     x = np.exp(t_lo + _LOG_GRID_STEP * np.arange(math.ceil((t_hi - t_lo) / _LOG_GRID_STEP) + 1))
-    surv = -np.expm1(np.log(-np.expm1(-x[:, None] / arr)).sum(axis=1))
-    # dx = x dt.  Every term is positive, so the plain sum inside np.trapezoid
-    # loses nothing.  Its half weight at x_lo matters: when the means dwarf c,
-    # x_lo/c reaches 1e-12 and a full weight would add h*x_lo/(2c).
-    return math.log1p(x[0] / c) + float(np.trapezoid(surv * x / (c + x), dx=_LOG_GRID_STEP))
+    surv_x = -np.expm1(np.log(-np.expm1(-x[:, None] / arr)).sum(axis=1)) * x
+    flat, out, rows = cv.ravel(), np.empty(cv.size), max(1, _GRID_BLOCK // x.size)
+    for start in range(0, flat.size, rows):
+        cc = flat[start:start + rows]
+        # dx = x dt.  Every term is positive, so the plain sum inside
+        # np.trapezoid loses nothing.  Its half weight at x_lo matters: when
+        # the means dwarf c, x_lo/c reaches 1e-12 and a full weight would add
+        # h*x_lo/(2c).
+        out[start:start + rows] = np.log1p(x[0] / cc) + np.trapezoid(
+            surv_x / (cc[:, None] + x), dx=_LOG_GRID_STEP, axis=1)
+    return float(out[0]) if np.isscalar(c) or cv.ndim == 0 else out.reshape(cv.shape)
 
 
 def _hypoexp_row(means: Sequence[float], x) -> np.ndarray:
@@ -415,7 +400,7 @@ def hypoexp_tail_integral(means: Sequence[float], s) -> float | np.ndarray:
     # dy = y dt; both ends hold under 1e-16 of the sum, so take full weights.
     w = h * y * np.exp(-y)
     y, w = np.append(0.5 * y[0], y), np.append(y[0] * math.exp(-0.5 * y[0]), w)
-    flat, out, rows = sv.ravel(), np.empty(sv.size), max(1, _TAIL_BLOCK // y.size)
+    flat, out, rows = sv.ravel(), np.empty(sv.size), max(1, _GRID_BLOCK // y.size)
     for start in range(0, flat.size, rows):
         z = flat[start:start + rows, None] + y
         acc = np.zeros_like(z)

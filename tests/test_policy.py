@@ -435,7 +435,8 @@ def test_each_trial_relay_split_is_searched_once(monkeypatch, model):
     assert rows_per_trial([Scheme.EXACT_JRP, Scheme.JRP, Scheme.OPRR]) == (k, 3)
     assert rows_per_trial([Scheme.OPRR, Scheme.JRP, Scheme.EXACT_JRP]) == (k, 3)
     # The equal split has a table of its own: EPRS rates every relay at it,
-    # EPRR reads its relay from there, and EXACT_JRP still searches them all.
+    # and EXACT_JRP still searches them all.  EPRR rates only its final row.
+    assert rows_per_trial([Scheme.EPRR]) == (0, 1)
     assert rows_per_trial([Scheme.EPRS]) == (k, 1)
     assert rows_per_trial([Scheme.EPRS, Scheme.EPRR]) == (k, 2)
     assert rows_per_trial([Scheme.EPRS, Scheme.EXACT_JRP]) == (2 * k, 2)

@@ -25,15 +25,14 @@ from secrelay.specfun import (
 
 
 def test_scaled_e1_matches_scipy_across_regimes():
-    # Span both branches: series below 1, continued fraction above.
+    # Span both branches: series below 1, maxexp_log_expect's trapezoid above.
     s = np.logspace(-8, 2.5, 400)
     np.testing.assert_allclose(scaled_e1(s), np.exp(s) * special.exp1(s), rtol=1e-12)
 
 
 def test_scaled_e1_array_call_equals_scalar_calls():
-    # Each element stops at its own first converged continued-fraction step.
-    # A batch used to iterate until every element converged at once, which a
-    # large batch above 1 could miss until it raised ArithmeticError.
+    # The series stops only once no term left can change any element, and
+    # above 1 the trapezoid's grid is fixed by the one unit mean, whatever s.
     rng = np.random.default_rng(10)
     s = np.concatenate([
         rng.uniform(1.0, 6.0, 50_000),
@@ -47,6 +46,14 @@ def test_scaled_e1_array_call_equals_scalar_calls():
     want = np.array([scaled_e1(float(x)) for x in picked])
     assert got[::25].tobytes() == want.tobytes()
     np.testing.assert_allclose(got, np.exp(s) * special.exp1(s), rtol=1e-12)
+
+
+def test_scaled_e1_matches_mpmath_above_one():
+    # The trapezoid branch out to the top of its range, at 40 digits.
+    s = np.concatenate([[np.nextafter(1.0, 2.0)], np.logspace(0.0, 300.0, 901)[1:]])
+    with mpmath.workdps(40):
+        want = [float(mpmath.exp(mpmath.mpf(v)) * mpmath.e1(mpmath.mpf(v))) for v in s]
+    np.testing.assert_allclose(scaled_e1(s), want, rtol=1e-15, atol=0.0)
 
 
 def _ei(x):
@@ -445,9 +452,45 @@ def test_maxexp_log_expect_domain_errors():
     for means in ([], [1.0, 0.0], [1.0, np.inf], [[1.0]]):
         with pytest.raises(ValueError, match="means"):
             maxexp_log_expect(means, 1.0)
-    for c in (0.0, -1.0, np.nan, np.inf):
+    for c in (0.0, -1.0, np.nan, np.inf, [2.0, 0.0], np.array([1.0, -3.0]), [[1.0, np.inf]]):
         with pytest.raises(ValueError, match="c must be positive"):
             maxexp_log_expect([1.0], c)
+
+
+def test_maxexp_log_expect_array_c_equals_scalar_calls(monkeypatch):
+    # Blocks of a few c: every element is the float one scalar call gives,
+    # since with min(means) <= e^13 min(c) the grid does not depend on c.
+    monkeypatch.setattr(specfun, "_GRID_BLOCK", 1000)
+    means = 100.0 * mean_gains_from_topology(paper_topology(5, 0)).mu_rd
+    c = np.geomspace(1e-5 * means.min(), 1e6, 40)
+    got = maxexp_log_expect(means, c)
+    want = np.array([maxexp_log_expect(means, float(v)) for v in c])
+    assert got.tobytes() == want.tobytes()
+    assert maxexp_log_expect(means, c.reshape(5, 8)).shape == (5, 8)
+    assert isinstance(maxexp_log_expect(means, np.float64(1.0)), float)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_ergodic_terms_match_mpmath_up_to_200_db(monkeypatch, k):
+    # E[ln(1 + X/c)] as esr_dbcj (c = 1 + B) and the NCE esr_dt_lb (c = 1)
+    # form it.  Where the means dwarf c the grid must start below c as well:
+    # 40 e-folds below the smallest mean, x/(c + x) has not decayed, and the
+    # terms were off by up to 4e-6 relative at 190 dB.
+    calls = []
+
+    def spy(means, c):
+        calls.append((means, c, maxexp_log_expect(means, c)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(analytics, "maxexp_log_expect", spy)
+    gains = mean_gains_from_topology(paper_topology(k, 2))
+    for db in range(0, 201, 20):
+        cfg = SystemConfig(n_antennas=16, n_relays=k, n_eves=2, snr_linear=10.0 ** (db / 10.0))
+        analytics.esr_dbcj(gains, cfg.snr_linear)
+        analytics.esr_dt_lb(gains, cfg, EveModel.NCE)
+    assert len(calls) == 22
+    for means, c, got in calls:
+        assert got == pytest.approx(log_expect_mp(means, c, dps=40), rel=1e-15), (len(means), c)
 
 
 def test_hypoexp_cdf_two_distinct_means():
@@ -574,7 +617,7 @@ def test_hypoexp_tail_integral_of_one_mean():
 
 def test_hypoexp_tail_integral_array_equals_scalar_calls(monkeypatch):
     # Blocks of a few values: every element is the float one scalar call gives.
-    monkeypatch.setattr(specfun, "_TAIL_BLOCK", 1000)
+    monkeypatch.setattr(specfun, "_GRID_BLOCK", 1000)
     means = [0.4, 1.3, 1.3, 9.0]
     s = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 40)])
     got = hypoexp_tail_integral(means, s)
