@@ -40,6 +40,7 @@ from .model import EveModel, MeanGains, Modulation, SystemConfig
 from .specfun import (
     EULER_GAMMA,
     _exact_signed_sum,
+    _maxexp_cdf,
     hypoexp_cdf,
     hypoexp_tail_integral,
     maxexp_cdf,
@@ -71,29 +72,35 @@ def leakage_floor(c: float) -> float:
     return math.sqrt(2.0 * (1.0 + c))
 
 
+def _rate_factor(target_rate: float, phases: float) -> float:
+    """2^(phases*Rt), the SNR ratio that rate Rt over `phases` protocol phases
+    needs; inf past the float range, where no link clears it (outage 1)."""
+    if not (math.isfinite(target_rate) and target_rate >= 0.0):
+        raise ValueError(f"target_rate must be >= 0, got {target_rate}")
+    return 2.0 ** (phases * target_rate) if phases * target_rate < 1024.0 else math.inf
+
+
 def outage_threshold(c: float, target_rate: float) -> float:
     """Outage threshold r_tilde = (1+B)(2^(2*Rt)(1+B)-1) on the selected second
     hop: the secrecy rate misses the target iff the best relay->destination
-    SNR falls below it.  At Rt=0 it is B(1+B)."""
-    if not (math.isfinite(target_rate) and target_rate >= 0.0):
-        raise ValueError(f"target_rate must be >= 0, got {target_rate}")
+    SNR falls below it.  At Rt=0 it is B(1+B); past the float range, inf."""
+    factor = _rate_factor(target_rate, 2.0)
     b = leakage_floor(c)
-    return (1.0 + b) * (2.0 ** (2.0 * target_rate) * (1.0 + b) - 1.0)
+    return (1.0 + b) * (factor * (1.0 + b) - 1.0)
 
 
 def sop_dbcj(gains: MeanGains, rho: float, c: float = 0.0, target_rate: float = 1.0) -> float:
     """Secrecy outage probability of the relayed scheme: the best second hop
-    fails to clear the threshold, prod_i(1 - exp(-r_tilde/gbar_id))."""
-    r_tilde = outage_threshold(c, target_rate)
-    return float(np.prod(-np.expm1(-r_tilde / gains.gbar_rd(rho))))
+    fails to clear the threshold, specfun.maxexp_cdf of the gbar_id at r_tilde."""
+    return float(_maxexp_cdf(gains.gbar_rd(rho), outage_threshold(c, target_rate)))
 
 
 def sop_dbcj_asymptotic(
     gains: MeanGains, rho: float, c: float = 0.0, target_rate: float = 1.0
 ) -> float:
-    """High-SNR companion of sop_dbcj: r_tilde^K / prod(gbar_id), slope -K."""
-    r_tilde = outage_threshold(c, target_rate)
-    return float(r_tilde ** gains.n_relays * np.prod(1.0 / gains.gbar_rd(rho)))
+    """High-SNR companion of sop_dbcj: prod_i r_tilde/gbar_id, slope -K.  One
+    product of K ratios: r_tilde^K alone can overflow where the line is finite."""
+    return float(np.prod(outage_threshold(c, target_rate) / gains.gbar_rd(rho)))
 
 
 def ppos_dbcj(gains: MeanGains, rho: float, c: float = 0.0) -> float:
@@ -193,10 +200,9 @@ def sop_dt(
     """Secrecy outage probability under direct transmission (full-rate
     prefactor, no 1/2).  A threshold at or below zero means the hardened
     main link cannot carry the target at all: outage with certainty."""
-    if not (math.isfinite(target_rate) and target_rate >= 0.0):
-        raise ValueError(f"target_rate must be >= 0, got {target_rate}")
+    factor = _rate_factor(target_rate, 1.0)
     rho = config.snr_linear
-    x = (1.0 + config.n_antennas * gains.gbar_sd(rho)) / (2.0**target_rate) - 1.0
+    x = (1.0 + config.n_antennas * gains.gbar_sd(rho)) / factor - 1.0
     if x <= 0.0:
         return 1.0
     return 1.0 - _dt_leak_cdf(gains, rho, model, x)

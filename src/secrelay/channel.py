@@ -161,11 +161,6 @@ def _pair_list(k: int, l: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _n_pairs(k: int, l: int) -> int:
-    """len(_pair_list(k, l)), without building the list."""
-    return k * (k - 1) // 2 + k * l
-
-
 @lru_cache(maxsize=64)
 def _pair_index(k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     """_pair_list(k, l) as read-only index arrays (relay, malicious node),
@@ -183,7 +178,7 @@ def _segment_sizes(config: SystemConfig, gains: MeanGains) -> tuple[int, ...]:
     # Entries strictly above the diagonal of the d x (K+1) Bartlett factor;
     # columns j >= d lie wholly above it.
     n_upper = sum(min(j, d) for j in range(k + 1))
-    return 1, d, 2 * n_upper, 2 * d * l, k + l + _n_pairs(k, l)
+    return 1, d, 2 * n_upper, 2 * d * l, k + l + _pair_index(k, l)[0].size
 
 
 def flat_draw_size(config: SystemConfig, gains: MeanGains) -> int:

@@ -472,8 +472,9 @@ def _closed_columns(
 ) -> tuple[float | None, float | None]:
     """A row's closed-form and asymptotic cells, None where no formula
     applies; c is the point's _collusion_penalty, and jrp has no formula
-    where it is None.  A formula runs only for a column the spec emits: the
-    jrp ESR's power offset and the jrp SER are 2^K subset sums."""
+    where it is None.  A formula runs only for a column the spec emits, save
+    that one esr_dbcj call gives both ESR cells: its power offset, a 2^K
+    subset sum like the SER, is formed whenever either cell is emitted."""
     closed = asym = None
     rho = cfg.snr_linear
     if scheme is Scheme.JRP and c is not None and (spec.emit_closed_form or spec.emit_asymptotic):

@@ -227,18 +227,16 @@ class MeanGains:
         if not (math.isfinite(self.mu_sd) and self.mu_sd > 0):
             raise ValueError(f"mu_sd must be positive and finite, got {self.mu_sd}")
         k, l = self.n_relays, self.n_eves
+        self_link = np.eye(k, k + l, dtype=bool)
         if self.mu_rl is None:
-            mu_rl = np.ones((k, k + l))
-            np.fill_diagonal(mu_rl[:, :k], 0.0)
-            object.__setattr__(self, "mu_rl", mu_rl)
+            mu_rl = np.where(self_link, 0.0, 1.0)
         else:
             mu_rl = np.asarray(self.mu_rl, dtype=float)
-            object.__setattr__(self, "mu_rl", mu_rl)
-            if mu_rl.shape != (k, k + l):
-                raise ValueError(f"mu_rl must have shape ({k}, {k + l}), got {mu_rl.shape}")
-            off = ~np.eye(k, k + l, dtype=bool)
-            if not (np.isfinite(mu_rl).all() and (mu_rl[off] > 0).all()):
-                raise ValueError("off-diagonal mu_rl entries must be positive and finite")
+        object.__setattr__(self, "mu_rl", mu_rl)
+        if mu_rl.shape != (k, k + l):
+            raise ValueError(f"mu_rl must have shape ({k}, {k + l}), got {mu_rl.shape}")
+        if not (np.isfinite(mu_rl).all() and (mu_rl[~self_link] > 0).all()):
+            raise ValueError("off-diagonal mu_rl entries must be positive and finite")
 
     @property
     def n_relays(self) -> int:
@@ -262,15 +260,13 @@ class MeanGains:
     ) -> "MeanGains":
         """Gains with identical statistics per relay / per eavesdropper."""
         k, l = n_relays, n_eves
-        rl = np.full((k, k + l), mu_rl, dtype=float)
-        np.fill_diagonal(rl[:, :k], 0.0)
         return cls(
             mu_sr=np.full(k, mu_sr),
             mu_rd=np.full(k, mu_rd),
             mu_se=np.full(l, mu_se),
             mu_ed=np.full(l, mu_ed),
             mu_sd=mu_sd,
-            mu_rl=rl,
+            mu_rl=np.where(np.eye(k, k + l, dtype=bool), 0.0, mu_rl),
         )
 
     # Every closed form scales its means by rho through these three, so they

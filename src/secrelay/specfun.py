@@ -53,7 +53,6 @@ _LOG_GRID_STEP = 1.0 / 8.0
 _IID_COLLAPSE_FROM = 16  # from here n identical rates sum as n binomial terms
 # _exact_units counts units of 2^-1126, a whole number of them in any double.
 _UNIT_BITS = 1126
-_EXACT_CHUNK = 1 << MAX_SUBSET_NODES
 # Below this many terms math.fsum outruns the exact accumulator's fixed cost:
 # on the power offset's terms on one x86 core, 6 against 36 us at K=5 and
 # 26 against 42 us at K=9; at K=10 (1023 terms) the two tie, 47-50 against
@@ -131,16 +130,12 @@ def digamma_int(n: int) -> float:
 
 
 def _check_rates(rates: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(rates, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("need a one-dimensional, non-empty rate list")
+    arr = _check_means(rates)
     if arr.size > MAX_SUBSET_NODES:
         raise ValueError(
             f"{arr.size} rates would enumerate 2^{arr.size}-1 subsets; "
             f"the supported maximum is {MAX_SUBSET_NODES}"
         )
-    if not (np.isfinite(arr).all() and (arr > 0).all()):
-        raise ValueError("rates must be positive and finite")
     return arr
 
 
@@ -175,39 +170,37 @@ def _exact_units(vals: np.ndarray) -> int:
     2^-_UNIT_BITS.  Totals of separate arrays add exactly; _round_units
     rounds one to float.  vals is overwritten: it ends as all zeros.
 
-    Error-free extraction over chunks of n <= _EXACT_CHUNK terms: with
-    2^e > max|v| and 2^m >= n + 2, sigma = 2^(e+m), each pass forms
-    q = (v + sigma) - sigma, the part of v above sigma's last bit, and
-    leaves v - q, both exactly.  Every q is a multiple of 2^(e+m-53) and
-    at most 2^e, so every partial sum of the n of them stays below sigma
-    and q.sum() is exact in any order.  The residuals are at most
-    2^(e+m-53), so each pass drops at least 52 - m binades, and a chunk
-    needs about (exponent spread + 53) / (52 - m) passes: 2 for the closed
-    forms' blocks of 2^14 terms, about 60 for one spanning every double.
-    Terms of 2^(1021-m) or more, where sigma would overflow, are summed
-    apart, scaled by 2^-600.  A non-finite term raises ArithmeticError.
+    Error-free extraction, for any n < 2^50 terms: with 2^e > max|v| and
+    2^m >= n + 2, sigma = 2^(e+m), each pass forms q = (v + sigma) - sigma,
+    the part of v above sigma's last bit, and leaves v - q, both exactly.
+    Every q is a multiple of 2^(e+m-53) and at most 2^e, so every partial
+    sum of the n of them stays below sigma and q.sum() is exact in any
+    order.  The residuals are at most 2^(e+m-53), so each pass drops at
+    least 52 - m binades, and the sum needs about (exponent spread + 53) /
+    (52 - m) passes: 2 for the closed forms' blocks of 2^14 terms, about 60
+    for one spanning every double.  Terms of 2^(1021-m) or more, where sigma
+    would overflow, are summed apart, scaled by 2^-600.  A non-finite term
+    raises ArithmeticError.
     """
     total = 0
-    for start in range(0, vals.size, _EXACT_CHUNK):
-        v = vals[start:start + _EXACT_CHUNK]
-        m = (v.size + 1).bit_length()
-        top = max(v.max(), -v.min())
-        if not math.isfinite(top):
-            raise ArithmeticError("non-finite term in an exact sum")
-        if top >= 2.0 ** (1021 - m):
-            big = np.abs(v) >= 2.0 ** (1021 - m)
-            total += _exact_units(v[big] * 2.0**-600) << 600
-            v[big] = 0.0
-            top = max(v.max(), -v.min())
-        q = np.empty_like(v)
-        while top:
-            sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
-            np.add(v, sigma, out=q)
-            q -= sigma
-            v -= q
-            num, den = float(q.sum()).as_integer_ratio()
-            total += (num << _UNIT_BITS) // den
-            top = max(v.max(), -v.min())
+    m = (vals.size + 1).bit_length()
+    top = max(vals.max(), -vals.min())
+    if not math.isfinite(top):
+        raise ArithmeticError("non-finite term in an exact sum")
+    if top >= 2.0 ** (1021 - m):
+        big = np.abs(vals) >= 2.0 ** (1021 - m)
+        total += _exact_units(vals[big] * 2.0**-600) << 600
+        vals[big] = 0.0
+        top = max(vals.max(), -vals.min())
+    q = np.empty_like(vals)
+    while top:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
+        np.add(vals, sigma, out=q)
+        q -= sigma
+        vals -= q
+        num, den = float(q.sum()).as_integer_ratio()
+        total += (num << _UNIT_BITS) // den
+        top = max(vals.max(), -vals.min())
     return total
 
 
@@ -291,14 +284,19 @@ def signed_subset_eval(
     return _round_units(total)
 
 
+def _maxexp_cdf(means: np.ndarray, x) -> np.ndarray:
+    """prod_i (1 - exp(-x / mean_i)) over the last axis; x broadcasts, unchecked."""
+    return np.prod(-np.expm1(-x / means), axis=-1)
+
+
 def maxexp_cdf(means: Sequence[float], x) -> float | np.ndarray:
     """CDF of max of independent exponentials with the given means:
-    prod_i (1 - exp(-x / mean_i)).  Negative x is a domain error."""
+    prod_i (1 - exp(-x / mean_i)).  x must be >= 0 (+inf gives 1)."""
     arr = _check_means(means)
     xv = np.asarray(x, dtype=float)
-    if (xv < 0).any():
+    if not (xv >= 0).all():  # a NaN fails the comparison
         raise ValueError("maxexp_cdf needs x >= 0")
-    out = np.prod(-np.expm1(-xv[..., None] / arr), axis=-1)
+    out = _maxexp_cdf(arr, xv[..., None])
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 

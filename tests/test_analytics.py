@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -39,7 +40,7 @@ from secrelay.model import (
 )
 from secrelay.montecarlo import Metric, estimate
 from secrelay.policy import Scheme, c_params
-from secrelay.specfun import EULER_GAMMA, scaled_e1
+from secrelay.specfun import EULER_GAMMA, maxexp_cdf, scaled_e1
 
 SQRT2 = math.sqrt(2.0)
 
@@ -107,6 +108,48 @@ def test_outage_threshold_values():
         outage_threshold(0.0, -1.0)
     with pytest.raises(ValueError):
         outage_threshold(-0.5, 1.0)
+
+
+def test_relayed_outage_past_the_float_range_is_one():
+    # 2^(2 Rt) overflows from Rt = 512: the forms raised OverflowError on a
+    # target rate that validate accepts.
+    g = three_relays()
+    assert outage_threshold(0.0, 600.0) == math.inf
+    assert sop_dbcj(g, 100.0, 0.5, 600.0) == 1.0
+    assert sop_dbcj_asymptotic(g, 100.0, 0.5, 600.0) == math.inf
+
+
+def test_direct_outage_past_the_float_range_is_one():
+    # 2^Rt overflows from Rt = 1024.
+    gains = MeanGains.iid(2, 3, mu_se=2.0)
+    for model in EveModel:
+        cfg = dt_config(16, 2, 3, 100.0, model)
+        assert sop_dt(gains, cfg, model, 1100.0) == 1.0
+
+
+def test_sop_asymptote_is_finite_where_its_value_is():
+    # At K=25, Rt=20 and 20 dB the line is 1.47e270, but r_tilde^25 alone
+    # overflowed.
+    gains = mean_gains_from_topology(paper_topology(25, 0))
+    with mpmath.workdps(40):
+        b = mpmath.sqrt(2)
+        r_tilde = (1 + b) * (mpmath.mpf(2) ** 40 * (1 + b) - 1)
+        want = mpmath.fprod(r_tilde / (100 * mpmath.mpf(float(m))) for m in gains.mu_rd)
+    got = sop_dbcj_asymptotic(gains, 100.0, 0.0, 20.0)
+    assert 1e270 < got < 2e270
+    assert got == pytest.approx(float(want), rel=1e-14)
+
+
+@pytest.mark.parametrize("target_rate", [0.0, 1.0, 5.0])
+def test_sop_is_the_product_cdf_at_the_outage_threshold(target_rate):
+    # sop_dbcj forms no product of its own: it is maxexp_cdf, bit for bit.
+    rng = np.random.default_rng(int(target_rate) + 31)
+    for _ in range(50):
+        k = int(rng.integers(1, 19))
+        gains = MeanGains(np.ones(k), rng.uniform(0.01, 10.0, k), np.zeros(0), np.zeros(0), 1.0)
+        rho, c = 10.0 ** rng.uniform(-1.0, 6.0), float(rng.choice([0.0, rng.uniform(0.0, 5.0)]))
+        want = maxexp_cdf(gains.gbar_rd(rho), outage_threshold(c, target_rate))
+        assert sop_dbcj(gains, rho, c, target_rate) == want
 
 
 def test_threshold_types_frozen():

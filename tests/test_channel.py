@@ -9,7 +9,6 @@ from secrelay.channel import (
     LAMBDA_EPS,
     BatchDraws,
     RngStream,
-    _n_pairs,
     _pair_index,
     _pair_list,
     draw_batch,
@@ -272,7 +271,6 @@ def test_relay_pairs_share_one_draw_at_the_upper_mean():
 @pytest.mark.parametrize("l", [0, 1, 50])
 def test_pair_count_and_index_follow_the_pair_list(k, l):
     pairs = _pair_list(k, l)
-    assert _n_pairs(k, l) == len(pairs)
     pi, pj = _pair_index(k, l)
     assert list(zip(pi.tolist(), pj.tolist())) == pairs
     assert not (pi.flags.writeable or pj.flags.writeable)

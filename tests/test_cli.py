@@ -890,6 +890,29 @@ def test_a_large_relay_set_runs_where_its_closed_form_once_failed(tmp_path, monk
     assert row.n_relays == 14 and 0.0 < row.closed_form < 3.0
 
 
+def test_a_target_rate_past_the_float_range_gives_outage_one(tmp_path, monkeypatch, capsys):
+    # 2^(2*600) overflows: validate accepted the spec and run exited 3 with
+    # "(34, 'Numerical result out of range')".  No relay clears the target.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rt.spec").write_text(
+        "config.n_antennas = 16\n"
+        "config.n_relays = 3\n"
+        "config.n_eves = 2\n"
+        "config.target_rate = 600.0\n"
+        'experiment.schemes = ["jrp"]\n'
+        'experiment.metrics = ["sop"]\n'
+        "experiment.rho_grid_db = [20]\n"
+        "experiment.trials = 20\n"
+        'experiment.out = "rt.csv"\n'
+    )
+    assert main(["validate", "rt.spec"]) == 0
+    assert main(["run", "rt.spec"]) == 0
+    assert "error" not in capsys.readouterr().err
+    (row,) = read_table("rt.csv")
+    assert (row.scheme, row.metric) == ("jrp", "sop")
+    assert row.closed_form == 1.0 and row.sim_value == 1.0
+
+
 def test_preset_refuses_an_output_that_is_its_own_json_mirror(tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr("secrelay.cli.simulate", lambda *a, **k: calls.append(a))

@@ -331,14 +331,6 @@ def test_exact_units_is_the_exact_total(case):
     assert specfun._exact_units(signed) == want
 
 
-def test_exact_signed_sum_carries_across_chunks(monkeypatch):
-    # Past 2^25 terms (the collusion DT bound at large K and L) the sum runs
-    # in chunks whose totals meet as Python ints; small chunks show the seam.
-    vals, odd = _exact_sum_cases()["exponents-700-to-700"]
-    monkeypatch.setattr(specfun, "_EXACT_CHUNK", 7)
-    assert specfun._exact_signed_sum(vals, odd) == _signed_fsum(vals, odd)
-
-
 def test_exact_signed_sum_refuses_non_finite_terms(monkeypatch):
     cases = [([1.0, bad, 2.0], [0, 1, 2]) for bad in (math.nan, math.inf, -math.inf)]
     cases.append(([math.inf, -math.inf, 0.0], [0, 0, 0]))  # fsum raises ValueError here
@@ -395,6 +387,15 @@ def test_maxexp_cdf_values():
         maxexp_cdf([1.0], -0.5)
     with pytest.raises(ValueError):
         maxexp_cdf([], 1.0)
+
+
+def test_maxexp_cdf_refuses_nan_and_keeps_infinity():
+    # A NaN x came back as a NaN CDF, where hypoexp_cdf refuses it.
+    for x in (math.nan, np.array([1.0, math.nan]), np.array([[0.5], [-math.inf]])):
+        with pytest.raises(ValueError, match="x >= 0"):
+            maxexp_cdf([1.0, 2.0], x)
+    assert maxexp_cdf([1.0, 2.0], math.inf) == 1.0
+    assert maxexp_cdf([1.0, 2.0], np.array([0.0, math.inf])).tolist() == [0.0, 1.0]
 
 
 def test_maxexp_cdf_against_sampling():
