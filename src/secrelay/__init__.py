@@ -34,7 +34,6 @@ from .model import (
 )
 from .channel import (
     BatchDraws,
-    RngStream,
     draw_batch,
 )
 from .policy import (
@@ -89,7 +88,6 @@ __all__ = [
     "MetricEstimate",
     "Modulation",
     "RegimeWarning",
-    "RngStream",
     "Scheme",
     "SchemeTrace",
     "SystemConfig",

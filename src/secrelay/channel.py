@@ -4,14 +4,16 @@ Transmission is two-phase: the source beamforms toward a selected relay with
 power fraction lam while the destination jams with 1 - lam; the relay then
 amplifies and forwards with power lam.  All SINR expressions below are exact
 in the drawn vectors (true norms and inner products); the large-antenna
-simplifications live in policy.py and analytics.py, never here.  The SINR
-and leakage functions take a BatchDraws with one served relay and one split
-per trial; a single realization is a one-row batch.  Both evaluate on one
-path, the served-relay view (`served`): the served relay's gains and its
-rows of the per-node arrays, gathered once and stored node-major, as
-contiguous (K+L, n) arrays.  A split search rates all its probes on one view,
-and the per-node maxima reduce across contiguous node rows instead of along
-the short trailing axis of trial-major (n, K+L) arrays: 6 against 86 us for
+simplifications live in policy.py and analytics.py, never here.  Every step
+has one form, the batch form: the SINR and leakage functions take a
+BatchDraws with one served relay and one split per trial, dt_leakage takes
+its (n, K+L) direct-transmission rows, and a single realization is a
+one-row batch.  The relayed SINR and leakage evaluate on one path, the
+served-relay view (`served`): the served relay's gains and its rows of the
+per-node arrays, gathered once and stored node-major, as contiguous (K+L, n)
+arrays.  A split search rates all its probes on one view, and the per-node
+maxima reduce across contiguous node rows instead of along the short
+trailing axis of trial-major (n, K+L) arrays: 6 against 86 us for
 1500 trials and 10 nodes on one x86 core.
 
 The protocol sees each realization only through Gram statistics, so those
@@ -36,14 +38,16 @@ uniforms per complex normal, Box-Muller), then one uniform per exponential
 link gain (relay-destination, eavesdropper-destination, malicious pairs).
 
 Nothing drawn depends on the transmit SNR rho until the last step, which
-multiplies each statistic by rho.  A drawn batch keeps the statistics from
-before that step, each in the layout of the gain it becomes (the pair links
-already laid out as g_rl, beside their means), so BatchDraws.at_snr rebuilds
-it at another SNR without drawing again, with one product per gain,
-tobytes()-identical to draw_batch at that SNR.  Given several
-SNRs, at_snr stacks the draws once per SNR, SNR-major, so a row is then a
-(rho, trial) pair; every function here works row by row, so each block
-evaluates exactly as the batch at its SNR alone.
+multiplies each statistic by rho; draw_batch and at_snr refuse, with a
+ValueError, any rho outside validate's box (0, MAX_SNR_LINEAR], NaN
+included.  A drawn batch keeps the statistics from before that step, each
+in the layout of the gain it becomes (the pair links already laid out as
+g_rl, beside their means), so BatchDraws.at_snr rebuilds it at another SNR
+without drawing again, with one product per gain, tobytes()-identical to
+draw_batch at that SNR.  Given several SNRs, at_snr stacks the draws once
+per SNR, SNR-major, so a row is then a (rho, trial) pair; every function
+here works row by row, so each block evaluates exactly as the batch at its
+SNR alone.
 """
 
 from __future__ import annotations
@@ -53,38 +57,12 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
-from .model import EveModel, MeanGains, SystemConfig
-
-# Open-interval guard for the power split.
-LAMBDA_EPS = 1e-9
+from .model import MAX_SNR_LINEAR, EveModel, MeanGains, SystemConfig
 
 # 64-bit outputs per Philox counter increment; each trial reads whole blocks.
 _BLOCK_WORDS = 4
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """Addressable random stream: trial stream_id of the run seeded master_seed."""
-
-    master_seed: int
-    stream_id: int
-
-    def __post_init__(self):
-        for name in ("master_seed", "stream_id"):
-            v = getattr(self, name)
-            if not (0 <= v < 2**64):
-                raise ValueError(f"{name} must fit in an unsigned 64-bit value, got {v}")
-
-    def generator(self, blocks_per_trial: int = 1) -> Generator:
-        """Philox generator keyed from master_seed (through numpy's
-        SeedSequence, so small or adjacent seeds still get well-mixed keys),
-        advanced to the start of trial stream_id when every trial reads
-        blocks_per_trial counter blocks."""
-        bits = Philox(seed=self.master_seed)
-        bits.advance(self.stream_id * blocks_per_trial)
-        return Generator(bits)
 
 
 @dataclass(eq=False)
@@ -149,23 +127,15 @@ class BatchDraws:
     def n_relays(self) -> int:
         return self.g_sr.shape[1]
 
-    @property
-    def n_nodes(self) -> int:
-        return self.g_ld.shape[1]
-
-
-def _pair_list(k: int, l: int) -> list[tuple[int, int]]:
-    # Inter-malicious links that matter: relay-relay (unordered), relay-eve.
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    pairs += [(i, k + j) for i in range(k) for j in range(l)]
-    return pairs
-
 
 @lru_cache(maxsize=64)
 def _pair_index(k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """_pair_list(k, l) as read-only index arrays (relay, malicious node),
-    built once per (K, L)."""
-    pi, pj = np.array(_pair_list(k, l), dtype=np.intp).reshape(-1, 2).T.copy()
+    """The drawn inter-malicious links as read-only index arrays (relay,
+    malicious node), built once per (K, L): the relay-relay pairs i < j,
+    then relay i to eavesdropper j, each in row-major order."""
+    pi, pj = np.triu_indices(k, 1)
+    pi = np.concatenate([pi, np.repeat(np.arange(k), l)])
+    pj = np.concatenate([pj, np.tile(np.arange(k, k + l), k)])
     pi.flags.writeable = pj.flags.writeable = False
     return pi, pj
 
@@ -258,22 +228,19 @@ def _build_unscaled(u: np.ndarray, gains: MeanGains, config: SystemConfig) -> _U
     return _Unscaled(norms, leak, links[:, : k + l].copy(), rl, mu_rl, u_rand[:, 0].copy(), gains)
 
 
-def _build_batch(u: np.ndarray, gains: MeanGains, config: SystemConfig) -> BatchDraws:
-    """The batch of a chunk's uniforms (one row per trial) at config's SNR."""
-    return _scaled(_build_unscaled(u, gains, config), config.snr_linear)
-
-
 def _scaled(free: _Unscaled, rho: float | Sequence[float]) -> BatchDraws:
     """The batch at transmit SNR rho, or stacked SNR-major over a sequence
     of SNRs: every gain, g_rl included, is one product of rho (times the
     mean, for a link gain) and its drawn statistic, multiplied in the same
     order for every rho, so a stacked block is tobytes()-identical to the
-    batch at its SNR alone."""
+    batch at its SNR alone.  Each rho must lie in (0, MAX_SNR_LINEAR]."""
     gains, norms, leak, links = free.gains, free.norms, free.leak, free.links
     k = gains.n_relays
     rhos = np.asarray(rho, dtype=float).reshape(-1)
     if rhos.size == 0:
         raise ValueError("need at least one SNR")
+    if not ((rhos > 0.0) & (rhos <= MAX_SNR_LINEAR)).all():  # NaN fails too
+        raise ValueError(f"transmit SNR rho must be in (0, {MAX_SNR_LINEAR:g}], got {rho}")
     n = len(norms)
     rows = rhos.size * n
 
@@ -307,17 +274,25 @@ def draw_batch(
     first_trial: int,
     n_trials: int,
 ) -> BatchDraws:
-    """Draw trials [first_trial, first_trial + n_trials) as stacked arrays.
+    """Draw trials [first_trial, first_trial + n_trials) at config's SNR,
+    which must lie in (0, MAX_SNR_LINEAR].
 
-    Row t is bit-identical to the one-row draw_batch at first_trial + t,
-    independent of how the range is split across calls.
+    Philox keyed from master_seed (numpy's SeedSequence mixes small or
+    adjacent seeds) is advanced straight to trial first_trial's counter
+    block, so row t is bit-identical to the one-row draw_batch at
+    first_trial + t however the range is split.  Both seed and trial index
+    must fit in an unsigned 64-bit value.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    for name, v in (("master_seed", master_seed), ("first_trial", first_trial)):
+        if not (0 <= v < 2**64):
+            raise ValueError(f"{name} must fit in an unsigned 64-bit value, got {v}")
     size = flat_draw_size(config, gains)
-    g = RngStream(master_seed, first_trial).generator(size // _BLOCK_WORDS)
-    raw = g.bit_generator.random_raw(n_trials * size)
-    return _build_batch(_open_uniforms(raw).reshape(n_trials, size), gains, config)
+    bits = Philox(seed=master_seed)
+    bits.advance(first_trial * size // _BLOCK_WORDS)
+    u = _open_uniforms(bits.random_raw(n_trials * size)).reshape(n_trials, size)
+    return _scaled(_build_unscaled(u, gains, config), config.snr_linear)
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,19 +388,12 @@ def leakage_batch(
     return served(batch, relay_idx).leakage(lam, model)
 
 
-def dt_leakage(g_null_d: np.ndarray, n_relays: int, model: EveModel) -> np.ndarray | float:
-    """Leakage under direct transmission: strongest node (NCE) or the worse
-    of strongest relay and pooled eavesdroppers (CE).  Works on one vector
-    of per-node SNRs or on a batch with a leading trial axis."""
-    arr = np.asarray(g_null_d, dtype=float)
-    if arr.shape[-1] == 0:
-        return np.zeros(arr.shape[:-1]) if arr.ndim > 1 else 0.0
+def dt_leakage(g_null_d: np.ndarray, n_relays: int, model: EveModel) -> np.ndarray:
+    """Leakage under direct transmission, per row of the (n, K+L) per-node
+    SNRs g_null_d: the strongest node (NCE), or the worse of the strongest
+    relay and the pooled eavesdroppers (CE)."""
     if model is EveModel.NCE:
-        return np.max(arr, axis=-1)
-    relay_part = (
-        np.max(arr[..., :n_relays], axis=-1)
-        if n_relays
-        else np.zeros(arr.shape[:-1])
-    )
-    eve_part = np.sum(arr[..., n_relays:], axis=-1)
+        return np.max(g_null_d, axis=-1)
+    relay_part = np.max(g_null_d[..., :n_relays], axis=-1)
+    eve_part = np.sum(g_null_d[..., n_relays:], axis=-1)
     return np.maximum(relay_part, eve_part)

@@ -171,6 +171,8 @@ def paper_topology(
     """
     if n_relays < 1:
         raise TopologyError(f"need at least one relay, got {n_relays}")
+    if n_eves < 0:
+        raise TopologyError(f"need n_eves >= 0, got {n_eves}")
     for name, ring in (("relay_ring", relay_ring), ("eve_ring", eve_ring)):
         if not math.isfinite(ring):
             raise TopologyError(f"{name} must be finite, got {ring}")

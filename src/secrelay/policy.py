@@ -24,7 +24,6 @@ from enum import Enum
 import numpy as np
 
 from .channel import (
-    LAMBDA_EPS,
     BatchDraws,
     ServedView,
     dt_leakage,
@@ -36,6 +35,8 @@ from .model import EveModel, MeanGains, SystemConfig
 from .specfun import EULER_GAMMA, digamma_int, scaled_e1
 
 _LN2 = math.log(2.0)
+# Open-interval guard for the power split.
+LAMBDA_EPS = 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Bracket width at which the golden-section (CE) split search stops.
 _SPLIT_TOL = 1e-6
@@ -400,7 +401,7 @@ def run_scheme_batch(batch: BatchDraws, scheme: Scheme, config: SystemConfig) ->
     model = config.eve_model
     n, k = batch.n_trials, batch.n_relays
     if scheme is Scheme.DT:
-        g_e = np.asarray(dt_leakage(batch.g_null_d, k, model), dtype=float)
+        g_e = dt_leakage(batch.g_null_d, k, model)
         rate = secrecy_rate(batch.g_sd, g_e, half=False)
         return SchemeBatchResult(scheme, None, None, batch.g_sd.copy(), g_e, rate)
     rows = np.arange(n)

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from secrelay.analytics import leakage_floor
-from secrelay.channel import LAMBDA_EPS, BatchDraws, dt_leakage
+from secrelay.channel import BatchDraws
 from secrelay.model import EveModel, MeanGains, Modulation, SystemConfig
-from secrelay.policy import Scheme, secrecy_rate
+from secrelay.policy import LAMBDA_EPS, Scheme, secrecy_rate
 from secrelay.specfun import (
     EULER_GAMMA,
     hypoexp_tail_integral,
@@ -133,6 +133,16 @@ def leakage(draw: ChannelDraw, relay: int, lam: float, model: EveModel) -> float
         return float(np.max(per_node))
     k = draw.n_relays
     return float(max(np.max(per_node[:k]), np.sum(p1[k:] + p2[k:])))
+
+
+def dt_leakage(draw: ChannelDraw, model: EveModel) -> float:
+    """Leakage of one draw under direct transmission: the strongest of the
+    K+L nodes (NCE), or the worse of the strongest relay and the pooled
+    eavesdroppers (CE)."""
+    if model is EveModel.NCE:
+        return float(np.max(draw.g_null_d))
+    k = draw.n_relays
+    return float(max(np.max(draw.g_null_d[:k]), np.sum(draw.g_null_d[k:])))
 
 
 def rate_at(draw: ChannelDraw, relay: int, lam: float, model: EveModel) -> float:
@@ -265,7 +275,7 @@ def run_scheme(draw: ChannelDraw, scheme: Scheme, config: SystemConfig) -> Polic
     k = draw.n_relays
     if scheme is Scheme.DT:
         g_d = draw.g_sd
-        g_e = float(dt_leakage(draw.g_null_d, k, model))
+        g_e = dt_leakage(draw, model)
         return PolicyOutcome(scheme, None, None, g_d, g_e, secrecy_rate(g_d, g_e, half=False))
     if scheme in (Scheme.EPRR, Scheme.OPRR):
         relay = min(int(draw.u_rand * k), k - 1)

@@ -1,16 +1,14 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import scalar_reference as ref
 from secrelay.channel import (
-    LAMBDA_EPS,
     BatchDraws,
-    RngStream,
     _pair_index,
-    _pair_list,
     draw_batch,
     dt_leakage,
     flat_draw_size,
@@ -19,13 +17,14 @@ from secrelay.channel import (
     sinr_destination,
 )
 from secrelay.model import (
+    MAX_SNR_LINEAR,
     EveModel,
     MeanGains,
     SystemConfig,
     mean_gains_from_topology,
     paper_topology,
 )
-from secrelay.policy import RegimeWarning, Scheme, opa_ce, run_scheme_batch
+from secrelay.policy import LAMBDA_EPS, RegimeWarning, Scheme, opa_ce, run_scheme_batch
 
 
 def small_draw() -> BatchDraws:
@@ -172,7 +171,7 @@ def test_no_jamming_limit_kills_secrecy():
 def test_draw_layout_and_reciprocity():
     gains, cfg = default_setup()
     d = draw_batch(gains, cfg, 3, 9, 1)
-    assert d.n_trials == 1 and d.n_relays == 2 and d.n_nodes == 3
+    assert d.n_trials == 1 and d.n_relays == 2 and d.g_ld.shape[1] == 3
     # Self leakage column carries the full beamforming gain.
     assert d.g_null_r[0, 0, 0] == d.g_sr[0, 0]
     assert d.g_null_r[0, 1, 1] == d.g_sr[0, 1]
@@ -270,7 +269,9 @@ def test_relay_pairs_share_one_draw_at_the_upper_mean():
 @pytest.mark.parametrize("k", [0, 1, 2, 5, 10])
 @pytest.mark.parametrize("l", [0, 1, 50])
 def test_pair_count_and_index_follow_the_pair_list(k, l):
-    pairs = _pair_list(k, l)
+    # Relay-relay pairs i < j, then relay i to eavesdropper j, row by row.
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    pairs += [(i, k + j) for i in range(k) for j in range(l)]
     pi, pj = _pair_index(k, l)
     assert list(zip(pi.tolist(), pj.tolist())) == pairs
     assert not (pi.flags.writeable or pj.flags.writeable)
@@ -371,20 +372,29 @@ def test_dt_snrs_and_leakage():
     out.gamma_d[0] = -1.0  # the result must not alias the draw
     assert d.g_sd[0] == 5.0
 
-    v = np.array([3.0, 1.0, 4.0, 2.0])
-    assert dt_leakage(v, 2, EveModel.NCE) == 4.0
-    assert dt_leakage(v, 2, EveModel.CE) == 6.0
-    assert dt_leakage(np.zeros(0), 0, EveModel.NCE) == 0.0
     batch = np.array([[3.0, 1.0, 4.0, 2.0], [1.0, 9.0, 0.5, 0.5]])
     np.testing.assert_allclose(dt_leakage(batch, 2, EveModel.CE), [6.0, 9.0])
     np.testing.assert_allclose(dt_leakage(batch, 2, EveModel.NCE), [4.0, 9.0])
 
 
-def test_rng_stream_validation():
-    with pytest.raises(ValueError):
-        RngStream(-1, 0)
-    with pytest.raises(ValueError):
-        RngStream(0, 2**64)
-    g = RngStream(3, 4).generator()
-    h = RngStream(3, 4).generator()
-    assert g.random() == h.random()
+def test_draw_batch_refuses_a_seed_or_trial_past_64_bits():
+    gains, cfg = default_setup()
+    for name in ("master_seed", "first_trial"):
+        for value in (-1, 2**64):
+            args = {"master_seed": 3, "first_trial": 4, name: value}
+            with pytest.raises(ValueError, match=f"^{name} must fit in an unsigned 64-bit value"):
+                draw_batch(gains, cfg, n_trials=1, **args)
+
+
+@pytest.mark.parametrize("rho", [-1.0, 0.0, math.nan, math.inf, 1e300])
+def test_snr_outside_the_validated_box_is_refused(rho):
+    # Below zero the gains go negative; NaN, inf and 1e300 give NaN rates.
+    gains, cfg = default_setup()
+    with pytest.raises(ValueError, match="transmit SNR rho must be in"):
+        draw_batch(gains, replace(cfg, snr_linear=rho), 3, 0, 4)
+    drawn = draw_batch(gains, cfg, 3, 0, 4)
+    for snrs in (rho, [2.0, rho], [rho, 2.0]):
+        with pytest.raises(ValueError, match="transmit SNR rho must be in"):
+            drawn.at_snr(snrs)
+    # The box's upper edge is in it.
+    assert np.isfinite(drawn.at_snr([1e-6, MAX_SNR_LINEAR]).g_sd).all()

@@ -119,6 +119,9 @@ def test_paper_topology_rings():
     assert abs(topo.eve_pos[0][1]) > 1e-3
     with pytest.raises(TopologyError):
         paper_topology(0, 2)
+    # A negative count must not slice the eavesdropper ring to nothing.
+    with pytest.raises(TopologyError, match="^need n_eves >= 0, got -3"):
+        paper_topology(2, -3)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ import pytest
 import scalar_reference as ref
 from secrelay import policy
 from secrelay.channel import (
-    LAMBDA_EPS,
     BatchDraws,
     ServedView,
     draw_batch,
@@ -18,6 +17,7 @@ from secrelay.channel import (
 from secrelay.model import EveModel, MeanGains, SystemConfig
 from secrelay.montecarlo import simulate
 from secrelay.policy import (
+    LAMBDA_EPS,
     RegimeWarning,
     Scheme,
     c_params,

@@ -15,9 +15,9 @@ from scipy.stats import ks_2samp
 
 from secrelay.channel import (
     BatchDraws,
-    _build_batch,
+    _build_unscaled,
     _open_uniforms,
-    _pair_list,
+    _scaled,
     draw_batch,
     flat_draw_size,
 )
@@ -26,6 +26,13 @@ from secrelay.policy import Scheme, run_scheme_batch
 
 # Smallest p-value any KS comparison below may show.
 KS_ALPHA = 1e-3
+
+
+def pair_list(k: int, l: int) -> list[tuple[int, int]]:
+    """The inter-malicious links that are drawn: relay-relay pairs i < j,
+    then relay i to eavesdropper k + j, row by row."""
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    return pairs + [(i, k + j) for i in range(k) for j in range(l)]
 
 
 def antenna_batch(
@@ -55,7 +62,7 @@ def antenna_batch(
     pos += 2 * k
     g_ed = cplx_gain(z[:, pos : pos + 2 * l].reshape(n, l, 2), gains.mu_ed)
     pos += 2 * l
-    pairs = _pair_list(k, l)
+    pairs = pair_list(k, l)
     g_rl = np.zeros((n, k, k + l))
     if pairs:
         mu_pairs = np.array([gains.mu_rl[i, j] for i, j in pairs])
@@ -78,7 +85,7 @@ def antenna_batch(
 
 def antenna_draws(gains, config, seed: int, n_trials: int, chunk: int = 100) -> BatchDraws:
     k, l, ns = gains.n_relays, gains.n_eves, config.n_antennas
-    size = 2 * ns * (k + l + 1) + 2 * k + 2 * l + 2 * len(_pair_list(k, l))
+    size = 2 * ns * (k + l + 1) + 2 * k + 2 * l + 2 * len(pair_list(k, l))
     rng = np.random.default_rng(seed)
     parts = []
     for start in range(0, n_trials, chunk):
@@ -170,7 +177,7 @@ def test_extreme_uniforms_give_finite_positive_gains(ns, k, l):
     lo, hi = _open_uniforms(np.array([0, 2**64 - 1], dtype=np.uint64))
     assert 0.0 < lo and hi < 1.0
     u = np.repeat([[lo], [hi]], size, axis=1)
-    b = _build_batch(u, gains, cfg)
+    b = _scaled(_build_unscaled(u, gains, cfg), cfg.snr_linear)
     off_self = ~np.eye(k, k + l, dtype=bool)
     for name in ("g_sr", "g_rd", "g_null_r", "g_ld", "g_sd", "g_null_d"):
         arr = getattr(b, name)
