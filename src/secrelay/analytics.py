@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EveModel, MeanGains, Modulation, SystemConfig
+from .model import EveModel, MeanGains, Modulation, SystemConfig, _check_count
 from .specfun import (
     EULER_GAMMA,
     _exact_signed_sum,
@@ -199,10 +199,12 @@ def sop_dt(
 ) -> float:
     """Secrecy outage probability under direct transmission (full-rate
     prefactor, no 1/2).  A threshold at or below zero means the hardened
-    main link cannot carry the target at all: outage with certainty."""
+    main link cannot carry the target at all: outage with certainty.  At
+    Rt = 0 the threshold is ppos_dt's, unrounded, so the two add up to 1."""
     factor = _rate_factor(target_rate, 1.0)
     rho = config.snr_linear
-    x = (1.0 + config.n_antennas * gains.gbar_sd(rho)) / factor - 1.0
+    main = config.n_antennas * gains.gbar_sd(rho)
+    x = (1.0 + main) / factor - 1.0 if factor > 1.0 else main
     if x <= 0.0:
         return 1.0
     return 1.0 - _dt_leak_cdf(gains, rho, model, x)
@@ -246,8 +248,7 @@ def dmt_reliability(n_relays: int, multiplexing_gain: float) -> float:
 
 
 def _dmt_line(n_relays: int, r: float, slope: float) -> float:
-    if n_relays < 1:
-        raise ValueError(f"need n_relays >= 1, got {n_relays}")
+    _check_count("n_relays", n_relays, 1)
     if not (math.isfinite(r) and 0.0 <= r <= 1.0 / slope):
         raise ValueError(f"multiplexing gain must be in [0, {1.0 / slope:g}], got {r}")
     return n_relays * (1.0 - slope * r)

@@ -59,7 +59,7 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Philox
 
-from .model import MAX_SNR_LINEAR, EveModel, MeanGains, SystemConfig
+from .model import _U64_MAX, MAX_SNR_LINEAR, EveModel, MeanGains, SystemConfig, _check_count
 
 # 64-bit outputs per Philox counter increment; each trial reads whole blocks.
 _BLOCK_WORDS = 4
@@ -280,17 +280,16 @@ def draw_batch(
     Philox keyed from master_seed (numpy's SeedSequence mixes small or
     adjacent seeds) is advanced straight to trial first_trial's counter
     block, so row t is bit-identical to the one-row draw_batch at
-    first_trial + t however the range is split.  Both seed and trial index
-    must fit in an unsigned 64-bit value.
+    first_trial + t however the range is split.  Seed, trial index and
+    n_trials are integers (model._check_count); the first two fit in an
+    unsigned 64-bit value.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    for name, v in (("master_seed", master_seed), ("first_trial", first_trial)):
-        if not (0 <= v < 2**64):
-            raise ValueError(f"{name} must fit in an unsigned 64-bit value, got {v}")
+    _check_count("n_trials", n_trials, 1)
+    _check_count("master_seed", master_seed, 0, _U64_MAX)
+    _check_count("first_trial", first_trial, 0, _U64_MAX)
     size = flat_draw_size(config, gains)
     bits = Philox(seed=master_seed)
-    bits.advance(first_trial * size // _BLOCK_WORDS)
+    bits.advance(int(first_trial) * size // _BLOCK_WORDS)
     u = _open_uniforms(bits.random_raw(n_trials * size)).reshape(n_trials, size)
     return _scaled(_build_unscaled(u, gains, config), config.snr_linear)
 

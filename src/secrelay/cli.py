@@ -4,7 +4,9 @@ Experiments are described by a flat key=value file with dotted keys and
 Python-literal values.  Lines starting with ``#`` and blank lines are
 skipped; a trailing ``# comment`` is stripped.  Counts (node counts,
 master_seed, trials, k_grid/l_grid entries) take integers or integral floats
-such as 1e6; flags (topology.paper, experiment.emit_*) take True or False.
+such as 1e6, which become ints, and model's count rule bounds them; flags
+(topology.paper, experiment.emit_*) take True or False; other numbers take
+finite ints or floats, never bools or strings.
 A key left out takes the default of the SystemConfig, Topology/paper_topology
 or ExperimentSpec field it sets.  Recognized keys, with example values:
 
@@ -154,8 +156,10 @@ def _grid(spec: ExperimentSpec) -> tuple[list[tuple], list[str]]:
     for field in ("schemes", "metrics", "rho_grid_db"):
         if not getattr(spec, field):
             problems.append(f"experiment.{field} must not be empty")
-    if spec.trials < 1:
-        problems.append(f"experiment.trials must be positive, got {spec.trials}")
+    try:
+        model._check_count("experiment.trials", spec.trials, 1)
+    except ValueError as err:
+        problems.append(str(err))
     if not spec.output_path:
         problems.append("experiment.out must not be empty")
     elif _json_path(spec.output_path) == spec.output_path:
@@ -165,14 +169,9 @@ def _grid(spec: ExperimentSpec) -> tuple[list[tuple], list[str]]:
         for path in (spec.output_path, _json_path(spec.output_path)):
             if os.path.isdir(path):
                 problems.append(f"experiment.out: {path!r} is a directory")
-    for label, grid in (("k_grid", spec.k_grid), ("l_grid", spec.l_grid)):
-        if grid is not None:
-            if not grid:
-                problems.append(f"experiment.{label} must not be empty when given")
-            elif min(grid) < (1 if label == "k_grid" else 0):
-                problems.append(f"experiment.{label} entries out of range: {grid}")
-    if spec.eve_models is not None and not spec.eve_models:
-        problems.append("experiment.eve_models must not be empty when given")
+    for field in ("k_grid", "l_grid", "eve_models"):
+        if getattr(spec, field) is not None and not getattr(spec, field):
+            problems.append(f"experiment.{field} must not be empty when given")
     # A repeated entry would run its rows twice, or write two rows under one key.
     for field in ("schemes", "metrics", "rho_grid_db", "k_grid", "l_grid", "eve_models"):
         values = getattr(spec, field) or []
@@ -180,18 +179,35 @@ def _grid(spec: ExperimentSpec) -> tuple[list[tuple], list[str]]:
             if value in values[:i]:
                 problems.append(f"experiment.{field}: {getattr(value, 'value', value)!r} "
                                 f"is listed more than once")
-    for field, nodes, grid in (("n_relays", "relays", spec.k_grid),
-                               ("n_eves", "eavesdroppers", spec.l_grid)):
-        have, want = getattr(spec.topology, field), getattr(spec.config, field)
-        if grid is None and have != want:
-            problems.append(f"topology has {have} {nodes}, config says {want}")
+    # A ConfigError message leads with the field at fault; prefix it with
+    # the spec key that set the field.
+    keys = {"snr_linear": "experiment.rho_grid_db",
+            "n_relays": "config.n_relays" if spec.k_grid is None else "experiment.k_grid",
+            "n_eves": "config.n_eves" if spec.l_grid is None else "experiment.l_grid"}
     positions = []
     for k, l in product(spec.k_grid or [spec.config.n_relays],
                         spec.l_grid or [spec.config.n_eves]):
-        # Counts that model.validate refuses get no layout, and so no
-        # second message.
+        at = replace(spec.config, n_relays=k, n_eves=l)
+        points = [(em, db, replace(at, eve_model=em).with_snr_db(db))
+                  for em in spec.eve_models or [spec.config.eve_model] for db in spec.rho_grid_db]
+        # Every point's config, or the position's own on an empty SNR grid;
+        # counts that validate refuses get no layout, and so no second message.
+        refused = set()
+        for cfg in [cfg for _, _, cfg in points] or [at]:
+            try:
+                model.validate(cfg)
+            except ConfigError as err:
+                for message in str(err).split("; "):
+                    field = re.match(r"\w+", message).group()
+                    refused.add(field)
+                    problems.append(f"{keys.get(field, 'config.' + field)}: {message}")
         gains = None
-        if 1 <= k <= model.MAX_RELAYS and l >= 0:
+        if not refused & {"n_relays", "n_eves"}:
+            for field, nodes, grid in (("n_relays", "relays", spec.k_grid),
+                                       ("n_eves", "eavesdroppers", spec.l_grid)):
+                have, want = getattr(spec.topology, field), getattr(spec.config, field)
+                if grid is None and have != want:
+                    problems.append(f"topology has {have} {nodes}, config says {want}")
             topo = spec.topology
             try:
                 if (k, l) != (topo.n_relays, topo.n_eves):
@@ -200,23 +216,7 @@ def _grid(spec: ExperimentSpec) -> tuple[list[tuple], list[str]]:
                 gains = model.mean_gains_from_topology(topo)
             except ValueError as err:  # a TopologyError, or gains that are not finite
                 problems.append(f"topology at K={k} L={l}: {err}")
-        points = []
-        for em in spec.eve_models or [spec.config.eve_model]:
-            cfg = replace(spec.config, n_relays=k, n_eves=l, eve_model=em)
-            points += [(em, rho_db, cfg.with_snr_db(rho_db)) for rho_db in spec.rho_grid_db]
         positions.append((k, l, gains, points))
-    # A ConfigError message leads with the field at fault; prefix it with
-    # the spec key that set the field.
-    keys = {"snr_linear": "experiment.rho_grid_db",
-            "n_relays": "config.n_relays" if spec.k_grid is None else "experiment.k_grid",
-            "n_eves": "config.n_eves" if spec.l_grid is None else "experiment.l_grid"}
-    for cfg in [cfg for *_, points in positions for _, _, cfg in points] or [spec.config]:
-        try:
-            model.validate(cfg)
-        except ConfigError as err:
-            for message in str(err).split("; "):
-                field = re.match(r"\w+", message).group()
-                problems.append(f"{keys.get(field, 'config.' + field)}: {message}")
     return positions, list(dict.fromkeys(problems))
 
 
@@ -264,10 +264,10 @@ def _count(value) -> int:
 
 
 def _finite(value) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return number
+    """A finite int or float, as a float; never a bool or a string."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise ValueError(f"expected a finite number, got {value!r}")
 
 
 def _flag(value) -> bool:
@@ -277,11 +277,9 @@ def _flag(value) -> bool:
 
 
 def _point(value) -> tuple[float, float]:
-    try:
-        x, y = value
-        return (float(x), float(y))
-    except (TypeError, ValueError):
-        raise ValueError(f"expected an (x, y) pair, got {value!r}") from None
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ValueError(f"expected an (x, y) pair, got {value!r}")
+    return (_finite(value[0]), _finite(value[1]))
 
 
 class _Key(NamedTuple):
@@ -299,7 +297,7 @@ _SPEC_KEYS = {
     "config.n_antennas": _Key("n_antennas", _count, placeholder=1),
     "config.n_relays": _Key("n_relays", _count, placeholder=1),
     "config.n_eves": _Key("n_eves", _count, placeholder=0),
-    "config.target_rate": _Key("target_rate", float),
+    "config.target_rate": _Key("target_rate", _finite),
     "config.eve_model": _Key("eve_model", _named(EveModel, "eve model")),
     "config.modulation": _Key("modulation", _parse_modulation),
     "config.master_seed": _Key("master_seed", _count),
@@ -310,10 +308,10 @@ _SPEC_KEYS = {
     "topology.eves": _Key("eve_pos", _each(_point, tuple)),
     "topology.relay_ring": _Key("relay_ring", _finite),
     "topology.eve_ring": _Key("eve_ring", _finite),
-    "topology.path_loss_exp": _Key("path_loss_exp", float),
+    "topology.path_loss_exp": _Key("path_loss_exp", _finite),
     "experiment.schemes": _Key("schemes", _each(_named(Scheme, "scheme")), placeholder=()),
     "experiment.metrics": _Key("metrics", _each(_named(Metric, "metric")), placeholder=()),
-    "experiment.rho_grid_db": _Key("rho_grid_db", _each(float), placeholder=()),
+    "experiment.rho_grid_db": _Key("rho_grid_db", _each(_finite), placeholder=()),
     "experiment.trials": _Key("trials", _count, placeholder=0),
     "experiment.out": _Key("output_path", str),
     "experiment.emit_closed_form": _Key("emit_closed_form", _flag),
@@ -368,7 +366,7 @@ def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
         field, parse, placeholder = _SPEC_KEYS[key]
         try:
             value = parse(value)
-        except (ValueError, TypeError) as err:
+        except (ValueError, TypeError, OverflowError) as err:
             complain(key, f"{key}: {err}")
             if placeholder is None:
                 continue
@@ -392,8 +390,10 @@ def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
         if layout:
             complain("topology", "explicit positions need topology.source, "
                                  "topology.dest and topology.relays")
-        topology = model.paper_topology(
-            max(config.n_relays, 1), max(config.n_eves, 0), **rings, **loss)
+        try:
+            topology = model.paper_topology(config.n_relays, config.n_eves, **rings, **loss)
+        except TopologyError:  # a count that validate_spec names below
+            topology = model.paper_topology(1, 0, **rings, **loss)
     spec = ExperimentSpec(config=config, topology=topology, **rings, **given["experiment"])
     for message in validate_spec(spec):
         complain(re.match(r"[\w.]+", message).group(), message)
@@ -651,9 +651,6 @@ def main(argv=None) -> int:
     except SpecError as err:
         for line in err.problems:
             print(f"error: {line}", file=sys.stderr)
-        return 2
-    except (ConfigError, TopologyError) as err:
-        print(f"error: {err}", file=sys.stderr)
         return 2
     except (ArithmeticError, OSError, ValueError) as err:
         print(f"runtime error: {err}", file=sys.stderr)

@@ -27,6 +27,9 @@ from .specfun import MAX_SUBSET_NODES as MAX_RELAYS
 MAX_SNR_DB = 200.0
 MAX_SNR_LINEAR = 10.0 ** (MAX_SNR_DB / 10.0)
 
+# Seeds and trial indices key a Philox stream, so each fits in 64 bits.
+_U64_MAX = 2**64 - 1
+
 
 class ConfigError(ValueError):
     """Invalid system configuration."""
@@ -34,6 +37,15 @@ class ConfigError(ValueError):
 
 class TopologyError(ValueError):
     """Degenerate node layout (zero-length modeled link, bad exponent)."""
+
+
+def _check_count(name: str, value, lo: int, hi: float = math.inf, error=ValueError) -> None:
+    """The one rule for every count, seed and index: an int or numpy integer,
+    never a bool, in [lo, hi].  Raises error with a message led by name."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and lo <= value <= hi:
+        return
+    span = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+    raise error(f"{name} must be an integer {span}, got {value!r}")
 
 
 class EveModel(Enum):
@@ -60,16 +72,16 @@ class Modulation:
     @classmethod
     def qam(cls, order: int) -> "Modulation":
         """Square M-QAM: alpha = 4(1 - 1/sqrt(M)), beta = 3/(M - 1)."""
-        if order < 4 or int(math.isqrt(order)) ** 2 != order:
-            raise ConfigError(f"qam order must be a square >= 4, got {order}")
+        _check_count("order", order, 4, error=ConfigError)
+        if math.isqrt(order) ** 2 != order:
+            raise ConfigError(f"qam order must be a square, got {order}")
         root = math.sqrt(order)
         return cls(4.0 * (1.0 - 1.0 / root), 3.0 / (order - 1), f"qam{order}")
 
     @classmethod
     def psk(cls, order: int) -> "Modulation":
         """M-PSK for M >= 4: alpha = 2, beta = 2 sin^2(pi/M)."""
-        if order < 4:
-            raise ConfigError(f"psk approximation needs order >= 4, got {order}")
+        _check_count("order", order, 4, error=ConfigError)
         name = "qpsk" if order == 4 else f"psk{order}"
         return cls(2.0, 2.0 * math.sin(math.pi / order) ** 2, name)
 
@@ -104,19 +116,18 @@ class SystemConfig:
 
 
 def validate(config: SystemConfig) -> None:
-    """Check every config invariant, raising ConfigError with all violations."""
+    """Check every config invariant, raising ConfigError with all violations.
+    Counts and master_seed must be Python or numpy integers, never bools."""
     problems = []
-    if config.n_antennas < 1:
-        problems.append(f"n_antennas must be >= 1, got {config.n_antennas}")
-    if config.n_relays < 1:
-        problems.append(f"n_relays must be >= 1, got {config.n_relays}")
-    elif config.n_relays > MAX_RELAYS:
-        problems.append(
-            f"n_relays={config.n_relays} exceeds {MAX_RELAYS}: closed forms "
-            f"enumerate 2^K - 1 relay subsets and would explode"
-        )
-    if config.n_eves < 0:
-        problems.append(f"n_eves must be >= 0, got {config.n_eves}")
+    for name, lo, hi in (("n_antennas", 1, math.inf), ("n_relays", 1, math.inf),
+                         ("n_eves", 0, math.inf), ("master_seed", 0, _U64_MAX)):
+        try:
+            _check_count(name, getattr(config, name), lo, hi, ConfigError)
+            if name == "n_relays" and config.n_relays > MAX_RELAYS:
+                raise ConfigError(f"n_relays={config.n_relays} exceeds {MAX_RELAYS}: closed forms "
+                                  f"enumerate 2^K - 1 relay subsets and would explode")
+        except ConfigError as err:
+            problems.append(str(err))
     if not (math.isfinite(config.snr_linear) and config.snr_linear > 0):
         problems.append(f"snr_linear must be positive and finite, got {config.snr_linear}")
     elif config.snr_linear > MAX_SNR_LINEAR:
@@ -129,8 +140,6 @@ def validate(config: SystemConfig) -> None:
     mod = config.modulation
     if not (mod.alpha_m > 0 and mod.beta_m > 0):
         problems.append(f"modulation needs alpha_m, beta_m > 0, got {mod}")
-    if not (0 <= config.master_seed < 2**64):
-        problems.append(f"master_seed must fit in 64 bits, got {config.master_seed}")
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -169,10 +178,8 @@ def paper_topology(
     worst-case placement.  The rings keep every modeled pairwise link at a
     strictly positive distance.
     """
-    if n_relays < 1:
-        raise TopologyError(f"need at least one relay, got {n_relays}")
-    if n_eves < 0:
-        raise TopologyError(f"need n_eves >= 0, got {n_eves}")
+    _check_count("n_relays", n_relays, 1, error=TopologyError)
+    _check_count("n_eves", n_eves, 0, error=TopologyError)
     for name, ring in (("relay_ring", relay_ring), ("eve_ring", eve_ring)):
         if not math.isfinite(ring):
             raise TopologyError(f"{name} must be finite, got {ring}")

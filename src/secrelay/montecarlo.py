@@ -31,7 +31,7 @@ import numpy as np
 
 from . import policy
 from .channel import draw_batch
-from .model import EveModel, MeanGains, SystemConfig, validate
+from .model import _U64_MAX, EveModel, MeanGains, SystemConfig, _check_count, validate
 from .policy import Scheme
 from .specfun import q_function
 
@@ -77,9 +77,9 @@ class SchemeTrace:
 def derive_seed(master_seed: int, index: int) -> int:
     """Child seed of a grid position: master XOR a bit-mixed index, so
     positions are decorrelated but reproducible from the master seed alone."""
-    if not (0 <= master_seed < 2**64 and index >= 0):
-        raise ValueError("need a 64-bit master seed and index >= 0")
-    return master_seed ^ _splitmix64(index)
+    _check_count("master_seed", master_seed, 0, _U64_MAX)
+    _check_count("index", index, 0)
+    return int(master_seed) ^ _splitmix64(int(index))
 
 
 def _splitmix64(x: int) -> int:
@@ -127,12 +127,10 @@ def simulate(
         raise ValueError("need at least one operating point")
     for m, rho in keys:
         validate(replace(config, eve_model=m, snr_linear=rho))
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
+    _check_count("trials", trials, 1)
+    _check_count("chunk_size", chunk_size, 1)
     if not schemes:
         raise ValueError("need at least one scheme")
-    if chunk_size < 1:
-        raise ValueError(f"need chunk_size >= 1, got {chunk_size}")
     if gains.n_relays != config.n_relays or gains.n_eves != config.n_eves:
         raise ValueError(
             f"gains are for K={gains.n_relays}, L={gains.n_eves} but config says "
@@ -256,11 +254,7 @@ def sweep(
     """
     single = isinstance(scheme, Scheme)
     schemes = [scheme] if single else list(scheme)
-    if not schemes:
-        raise ValueError("need at least one scheme")
     grid = list(rho_grid_db)
-    if not grid:
-        raise ValueError("need a non-empty rho grid")
     master = config.master_seed if seed is None else seed
     cfgs = [config.with_snr_db(rho_db) for rho_db in grid]
     keys = [(cfg.eve_model, cfg.snr_linear) for cfg in cfgs]

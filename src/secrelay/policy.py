@@ -31,7 +31,7 @@ from .channel import (
     served,
     sinr_destination,
 )
-from .model import EveModel, MeanGains, SystemConfig
+from .model import EveModel, MeanGains, SystemConfig, _check_count
 from .specfun import EULER_GAMMA, digamma_int, scaled_e1
 
 _LN2 = math.log(2.0)
@@ -152,8 +152,9 @@ def opa_nce_statistical(h_id_gain: float, n_antennas: int, mu_si: float) -> floa
     Replaces the instantaneous first hop with its mean, so the source needs
     no first-hop estimate; halves when the antenna count doubles.
     """
-    if not (0 <= h_id_gain < math.inf and n_antennas >= 1 and 0 < mu_si < math.inf):
-        raise ValueError("need finite |h_id|^2 >= 0, n_antennas >= 1, finite mu_si > 0")
+    _check_count("n_antennas", n_antennas, 1)
+    if not (0 <= h_id_gain < math.inf and 0 < mu_si < math.inf):
+        raise ValueError("need finite |h_id|^2 >= 0 and finite mu_si > 0")
     return _clamp_split(_nce_split(n_antennas * mu_si, h_id_gain), warn=True)
 
 
@@ -176,8 +177,7 @@ def c_params(gains: MeanGains, config: SystemConfig) -> CParams:
     C multiplies them under CE and is zero under NCE.  The eta display
     averages per-relay gains, exact when relays share statistics.
     """
-    if config.n_antennas < 2:
-        raise ValueError("collusion parameters need n_antennas >= 2")
+    _check_count("n_antennas", config.n_antennas, 2)
     rho = config.snr_linear
     k = gains.n_relays
     if gains.n_eves:
@@ -214,8 +214,8 @@ def feedback_overhead_bits(n_relays: int, csi_bits: int) -> int:
     """Feedback cost of max-gain selection: one quantized gain report plus
     the winning relay index.  Reported as a statistic only; the signaling
     itself is not simulated."""
-    if n_relays < 1 or csi_bits < 0:
-        raise ValueError("need n_relays >= 1 and csi_bits >= 0")
+    _check_count("n_relays", n_relays, 1)
+    _check_count("csi_bits", csi_bits, 0)
     return csi_bits + math.ceil(math.log2(n_relays))
 
 

@@ -626,6 +626,18 @@ def test_sop_dt_edge_cases():
     assert total == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("k, l", [(1, 0), (3, 5)])
+def test_sop_dt_at_zero_target_is_the_exact_complement_of_ppos_dt(k, l):
+    # The threshold used to be (1 + y) - 1 for main link y, which rounds:
+    # below 0 dB the two summed to 1 +- 1e-12.
+    g = MeanGains.iid(k, l)
+    for ns in (2, 16, 256):
+        for db in range(-60, 61, 10):
+            for model in EveModel:
+                cfg = dt_config(ns, k, l, 10.0 ** (db / 10.0), model)
+                assert sop_dt(g, cfg, model, 0.0) + ppos_dt(g, cfg, model) == 1.0, (ns, db)
+
+
 # ---------------------------------------------------------------------------
 # symbol error rate
 

@@ -1,32 +1,43 @@
-"""A pinned-seed sweep of the validated box: scheme invariants that must hold
-per trial at every configuration `validate` accepts, not only on the
-paper's figure grid.
+"""A pinned-seed sweep of the validated box: invariants that must hold at
+every configuration `validate` accepts, not only on the paper's figure grid.
 
 Each configuration draws K, L, Ns, two SNRs, the path-loss exponent and the
-ring radii at random, and runs all six schemes under both eavesdropper
-models on 64 trials at both SNRs.  The closed forms are left out while
-the SER's subset sum still cancels to noise at high SNR (ROADMAP item 3).
+ring radii at random.  The simulation sweep runs all six schemes under both
+eavesdropper models on 64 trials at both SNRs.  The closed-form sweep
+evaluates every relayed and direct-transmission form under both models.
+Until the SER's subset sum stops cancelling to noise at high SNR (ROADMAP
+item 3), its negative values are counted against an exact pinned number.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 import scalar_reference as ref
+from secrelay import analytics as an
 from secrelay.channel import draw_batch
-from secrelay.model import EveModel, SystemConfig, mean_gains_from_topology, paper_topology
+from secrelay.model import (
+    EveModel,
+    Modulation,
+    SystemConfig,
+    mean_gains_from_topology,
+    paper_topology,
+    validate,
+)
 from secrelay.montecarlo import simulate
-from secrelay.policy import Scheme
+from secrelay.policy import Scheme, c_params
 
 TRIALS = 64
 ANTENNAS = (1, 2, 3, 8, 16, 64, 256)
 
 
-def _configs(n: int, seed: int) -> list[tuple]:
+def _configs(n: int, seed: int, max_relays: int = 8, antennas=ANTENNAS) -> list[tuple]:
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
-        k, l = int(rng.integers(1, 9)), int(rng.integers(0, 60))
-        ns = int(rng.choice(ANTENNAS))
+        k, l = int(rng.integers(1, max_relays + 1)), int(rng.integers(0, 60))
+        ns = int(rng.choice(antennas))
         dbs = tuple(float(x) for x in np.round(rng.uniform(-60.0, 200.0, 2), 2))
         relay_ring = float(rng.uniform(0.005, 0.5))
         # A wider eavesdropper ring keeps every eavesdropper off the relays.
@@ -74,3 +85,62 @@ def test_schemes_keep_their_invariants_across_the_box(
             one = ref.run_scheme(ref.row(batch, t), Scheme.DT, cfg)
             assert traces[Scheme.DT].rates[t] == one.secrecy_rate, (key, t)
             assert traces[Scheme.DT].gamma_d[t] == one.gamma_d, (key, t)
+
+
+CLOSED_ANTENNAS = (2, 3, 8, 16, 64, 256)  # c_params needs Ns >= 2
+MODULATIONS = (Modulation.psk(4), Modulation.psk(8), Modulation.qam(16), Modulation.qam(64))
+CE_DT_MAX_RELAYS = 8  # the CE direct-transmission bound sums over all 2^K relay subsets
+# ser_dbcj values below zero in the pinned sweep, 29 of its 160: the subset sum cancels to
+# noise at high SNR (ROADMAP item 3).  Item 3 should bring this to zero.
+NEGATIVE_SER = 29
+
+
+def _closed_form_faults(configs) -> tuple[list, int]:
+    """Every broken invariant as (where, what), and the negative-SER count."""
+    bad, negative_ser = [], 0
+    for ns, k, l, dbs, relay_ring, eve_ring, exponent, draw in configs:
+        mod = MODULATIONS[draw % len(MODULATIONS)]
+        gains = mean_gains_from_topology(paper_topology(k, l, relay_ring, eve_ring, exponent))
+        for db in dbs:
+            for m in EveModel:
+                cfg = SystemConfig(ns, k, l, 1.0, eve_model=m, modulation=mod).with_snr_db(db)
+                validate(cfg)
+                rho, c, where = cfg.snr_linear, c_params(gains, cfg).c, (ns, k, l, db, m.value)
+                esr = an.esr_dbcj(gains, rho, c)
+                sop0, ppos = an.sop_dbcj(gains, rho, c, 0.0), an.ppos_dbcj(gains, rho, c)
+                ser = an.ser_dbcj(gains, rho, c, mod)
+                values = {
+                    "esr": esr.esr, "esr asymptote": esr.asymptotic_esr,
+                    "power offset": esr.power_offset, "ser": ser,
+                    "ser asymptote": an.ser_dbcj_asymptotic(gains, rho, c, mod),
+                    "sop": an.sop_dbcj(gains, rho, c, 1.0), "sop at 0": sop0, "ppos": ppos,
+                    "sop asymptote": an.sop_dbcj_asymptotic(gains, rho, c, 1.0),
+                    "ppos asymptote": an.ppos_dbcj_asymptotic(gains, rho, c),
+                }
+                complements = [(sop0, ppos)]
+                if m is EveModel.NCE or k <= CE_DT_MAX_RELAYS:
+                    dt_sop0, dt_ppos = an.sop_dt(gains, cfg, m, 0.0), an.ppos_dt(gains, cfg, m)
+                    values |= {"dt esr": an.esr_dt_lb(gains, cfg, m),
+                               "dt sop": an.sop_dt(gains, cfg, m, 1.0),
+                               "dt sop at 0": dt_sop0, "dt ppos": dt_ppos}
+                    complements.append((dt_sop0, dt_ppos))
+                bad += [(where, f"{name} = {v!r}") for name, v in values.items()
+                        if not math.isfinite(v)]
+                bad += [(where, f"{name} = {v!r} outside [0, 1]") for name, v in values.items()
+                        if ("sop" in name or "ppos" in name) and "asymptote" not in name
+                        and not 0.0 <= v <= 1.0]
+                bad += [(where, f"sop at 0 + ppos = {s0 + p!r}") for s0, p in complements
+                        if s0 + p != 1.0]
+                bad += [(where, f"{name} = {values[name]!r} < 0") for name in ("esr", "dt esr")
+                        if values.get(name, 0.0) < 0.0]
+                if ser > 0.5 * mod.alpha_m:
+                    bad.append((where, f"ser = {ser!r} above alpha_m/2 = {0.5 * mod.alpha_m}"))
+                negative_ser += ser < 0.0
+    return bad, negative_ser
+
+
+def test_closed_forms_keep_their_invariants_across_the_box():
+    configs = _configs(40, 20261021, max_relays=20, antennas=CLOSED_ANTENNAS)
+    bad, negative_ser = _closed_form_faults(configs)
+    assert bad == []
+    assert negative_ser == NEGATIVE_SER

@@ -382,7 +382,8 @@ def test_draw_batch_refuses_a_seed_or_trial_past_64_bits():
     for name in ("master_seed", "first_trial"):
         for value in (-1, 2**64):
             args = {"master_seed": 3, "first_trial": 4, name: value}
-            with pytest.raises(ValueError, match=f"^{name} must fit in an unsigned 64-bit value"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer in "
+                                                 rf"\[0, {2**64 - 1}\], got {value}"):
                 draw_batch(gains, cfg, n_trials=1, **args)
 
 

@@ -652,6 +652,49 @@ def test_counts_and_flags_are_strict(tmp_path, line, want):
     assert f"exp.spec:{len(text.splitlines())}: {want}" in exc.value.problems
 
 
+@pytest.mark.parametrize(
+    "line,want",
+    [
+        ("config.target_rate = True", "config.target_rate: expected a finite number, got True"),
+        ("experiment.rho_grid_db = [True, 10]",
+         "experiment.rho_grid_db: expected a finite number, got True"),
+        ("topology.path_loss_exp = True",
+         "topology.path_loss_exp: expected a finite number, got True"),
+        ('topology.relay_ring = "0.02"',
+         "topology.relay_ring: expected a finite number, got '0.02'"),
+        ('topology.relays = [(1, "0")]', "topology.relays: expected a finite number, got '0'"),
+        ("config.target_rate = 1" + "0" * 400,
+         "config.target_rate: int too large to convert to float"),
+    ],
+    ids=["bool-rate", "bool-snr", "bool-exponent", "string-ring", "string-position",
+         "rate-past-the-float-range"],
+)
+def test_numbers_are_strict(tmp_path, line, want):
+    # These used to parse as 1.0, [1.0, 10.0], 1.0, 0.02 and (1.0, 0.0); the
+    # 401-digit rate escaped the parser and exited 3 as a runtime error.
+    positions = "topology.source = (-1, 0)\ntopology.dest = (0, 0)\n"
+    extra = positions if line.startswith("topology.relays") else ""
+    text = _replace_line(tiny_spec_text(tmp_path / "r.csv", extra), line)
+    with pytest.raises(SpecError) as exc:
+        parse_spec_text(text, source="exp.spec")
+    assert f"exp.spec:{len(text.splitlines())}: {want}" in exc.value.problems
+
+
+def test_out_of_range_grid_counts_give_one_line_each(tmp_path, capsys):
+    # k_grid [0, 30] with l_grid [-1] has three faults: K=0, K=30 and L=-1.
+    # Each is one validate line; no grid-level restatement, and no layout.
+    text = tiny_spec_text(tmp_path / "r.csv", "experiment.k_grid = [0, 30]\n"
+                                              "experiment.l_grid = [-1]\n")
+    (tmp_path / "exp.spec").write_text(text)
+    assert main(["validate", str(tmp_path / "exp.spec")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: exp.spec:9: experiment.k_grid: n_relays must be an integer >= 1, got 0",
+        "error: exp.spec:10: experiment.l_grid: n_eves must be an integer >= 0, got -1",
+        "error: exp.spec:9: experiment.k_grid: n_relays=30 exceeds 25: closed forms "
+        "enumerate 2^K - 1 relay subsets and would explode",
+    ]
+
+
 def test_integral_floats_count_as_integers(tmp_path):
     text = _replace_line(tiny_spec_text(tmp_path / "r.csv"), "experiment.trials = 1e6")
     spec = parse_spec_text(_replace_line(text, "experiment.k_grid = [1.0, 2]"))

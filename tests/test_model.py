@@ -120,7 +120,7 @@ def test_paper_topology_rings():
     with pytest.raises(TopologyError):
         paper_topology(0, 2)
     # A negative count must not slice the eavesdropper ring to nothing.
-    with pytest.raises(TopologyError, match="^need n_eves >= 0, got -3"):
+    with pytest.raises(TopologyError, match="^n_eves must be an integer >= 0, got -3"):
         paper_topology(2, -3)
 
 
