@@ -26,6 +26,7 @@ import numpy as np
 from .channel import (
     BatchDraws,
     ServedView,
+    _sinr_destination,
     dt_leakage,
     leakage_batch,
     served,
@@ -43,6 +44,10 @@ _SPLIT_TOL = 1e-6
 # The split interval [LAMBDA_EPS, 1 - LAMBDA_EPS] in t = 1/lam.
 _T_LO = 1.0 / (1.0 - LAMBDA_EPS)
 _T_HI = 1.0 / LAMBDA_EPS
+# What the searched rate bound adds, in bit/s/Hz, for rounding: the bound and
+# the search reach their best splits on different float paths, and without it
+# a searched rate exceeded its bound by up to 7.1e-15 on draws at 160 dB.
+_BOUND_SLACK = 1e-12
 # Most (trial, relay) pairs one served view takes: simulate's default chunk,
 # so stacking several relays' pairs never needs more memory than searching
 # one relay over a default chunk.
@@ -73,12 +78,15 @@ class Scheme(Enum):
     takes: the closed forms are asymptotic in the antenna count and sit in
     analytics, where the simulated schemes validate them.  There is one
     pair table per batch, eavesdropper model and split rule, so each
-    (trial, relay) pair is rated once per rule: whichever scheme runs first
-    on a batch rates the pairs it needs and the others read the stored
-    (split, rate).  EPRR needs no rating to pick its relay or split, so it
-    reads no table.  A rating gathers its pairs' served gains once into a
-    node-major channel.ServedView and rates every candidate on it; only
-    each scheme's final operating point is rated through leakage_batch.
+    (trial, relay) pair is rated at most once per rule: whichever scheme
+    needs it first rates it and the others read the stored (split, rate).
+    EXACT_JRP and EPRS rate a pair only when its bound (_rate_bound) can
+    reach the trial's best: JRP's pair first, then the pairs whose bound
+    reaches its rate, so every pair they skip rates below the best.  EPRR
+    needs no rating to pick its relay or split, so it reads no table.  A
+    rating gathers its pairs' served gains once into a node-major
+    channel.ServedView and rates every candidate on it; only each scheme's
+    final operating point is rated through leakage_batch.
     """
 
     JRP = "jrp"
@@ -248,6 +256,17 @@ def _envelope_score(alpha, beta, gam, dlt, t):
     return (x + 1.0) / x * (m / (m + 1.0))
 
 
+def _stationary_points(alpha, beta, dest, gam, dlt):
+    # Where the rate is stationary on the piece 1/gamma_e = gam + dlt*t: the
+    # roots of (beta-dlt)t^2 + 2(alpha-gam)t + dest - gam(gam+1)/dlt, with
+    # dest = alpha(alpha+1)/beta, in the cancellation-free form; NaN where
+    # there are none.
+    a_q, b_q = beta - dlt, alpha - gam
+    c_q = dest - gam * (gam + 1.0) / dlt
+    q = -(b_q + np.copysign(np.sqrt(b_q * b_q - a_q * c_q), b_q))
+    return q / a_q, c_q / q
+
+
 # Zero gains divide by zero, and pieces with no stationary point take a
 # square root of a negative number: both give values the walk discards.
 @np.errstate(divide="ignore", invalid="ignore")
@@ -291,11 +310,7 @@ def _nce_envelope_split(view: ServedView) -> np.ndarray:
         cross[sl >= dlt] = np.inf
         nxt = np.argmin(cross, axis=0)
         end = np.minimum(np.maximum(cross[nxt, cols], t), _T_HI)
-        # Roots in the cancellation-free form; NaN where there are none.
-        a_q, b_q = be - dlt, al - gam
-        c_q = dest[live] - gam * (gam + 1.0) / dlt
-        q = -(b_q + np.copysign(np.sqrt(b_q * b_q - a_q * c_q), b_q))
-        for cand in (q / a_q, c_q / q, end):
+        for cand in (*_stationary_points(al, be, dest[live], gam, dlt), end):
             tc = np.minimum(np.maximum(cand, t), end)
             score = _envelope_score(al, be, gam, dlt, tc)
             up = score > best[live]
@@ -390,6 +405,44 @@ def _pair_table(
     return lam[trials, relays], rate[trials, relays]
 
 
+# Gains that divide by zero, and a piece with no stationary point, give
+# values that the bound skips or that keep their pair.
+@np.errstate(divide="ignore", invalid="ignore")
+def _rate_bound(batch: BatchDraws, rule) -> np.ndarray:
+    """An upper bound on each (trial, relay) pair's rate under the split
+    rule, as an (n, K) array.
+
+    Every model's leakage is at least the served relay's own phase-1 SINR
+    p_self(lam) = lam*g_self/((1-lam)*g_jam + 1), from its g_null_r and
+    g_ld entries (the self row of ServedView.leakage), so a pair rates at
+    most its rate against p_self alone.  Equal split: that rate at lam =
+    1/2, in the float expressions of ServedView.leakage, so it is at least
+    the rating exactly.  Search: the envelope walk with the self line
+    1/p_self = ((g_jam+1)/g_self)*t - g_jam/g_self alone, one piece scored
+    at its clipped stationary points and both ends of [_T_LO, _T_HI], plus
+    _BOUND_SLACK for rounding.  It reads two hops and two diagonal entries
+    a pair, with no served view.  Gains that give no bound give NaN."""
+    k = batch.n_relays
+    diag = np.arange(k)
+    g_si, g_id = batch.g_sr, batch.g_rd
+    g_self, g_jam = batch.g_null_r[:, diag, diag], batch.g_ld[:, :k]
+    if rule is _equal_split:
+        lam = 0.5
+        return secrecy_rate(
+            _sinr_destination(g_si, g_id, lam), lam * g_self / ((1.0 - lam) * g_jam + 1.0)
+        )
+    alpha = 1.0 / g_id - 1.0 / g_si
+    beta = (2.0 * g_id + 1.0) / (g_si * g_id)
+    gam, dlt = -g_jam / g_self, (g_jam + 1.0) / g_self
+    roots = _stationary_points(alpha, beta, alpha * (alpha + 1.0) / beta, gam, dlt)
+    # The best candidate's score; a NaN root (no stationary point) is skipped.
+    score = np.fmax.reduce([
+        _envelope_score(alpha, beta, gam, dlt, np.minimum(np.maximum(t, _T_LO), _T_HI))
+        for t in (*roots, _T_LO, _T_HI)
+    ])
+    return np.maximum(np.log(score) / (2.0 * _LN2), 0.0) + _BOUND_SLACK
+
+
 def run_scheme_batch(batch: BatchDraws, scheme: Scheme, config: SystemConfig) -> SchemeBatchResult:
     """Apply a scheme to every row of the batch and report its exact
     operating points.
@@ -407,10 +460,20 @@ def run_scheme_batch(batch: BatchDraws, scheme: Scheme, config: SystemConfig) ->
     rows = np.arange(n)
     if scheme in (Scheme.EPRS, Scheme.EXACT_JRP):
         rule = _equal_split if scheme is Scheme.EPRS else _search
-        lams, rates = _pair_table(batch, np.repeat(rows, k), np.tile(np.arange(k), n), model, rule)
+        bound = _rate_bound(batch, rule)
+        # JRP's pair first, then only the pairs whose bound reaches its rate
+        # (a NaN bound keeps its pair, a NaN rate every pair): every pruned
+        # pair rates below the trial's best.
+        first = select_relay_maxgain(batch)
+        best = _pair_table(batch, rows, first, model, rule)[1]
+        keep = ~(bound < best[:, None])
+        keep[rows, first] = True
+        trials, relays = np.nonzero(keep)
+        rates = np.full((n, k), -np.inf)
+        rates[trials, relays] = _pair_table(batch, trials, relays, model, rule)[1]
         # The first maximum: ties go to the lowest relay index.
-        relay = np.argmax(rates.reshape(n, k), axis=1)
-        lam = lams.reshape(n, k)[rows, relay]
+        relay = np.argmax(rates, axis=1)
+        lam = _pair_table(batch, rows, relay, model, rule)[0]
     elif scheme in (Scheme.JRP, Scheme.EPRR, Scheme.OPRR):
         if scheme is Scheme.JRP:
             relay = select_relay_maxgain(batch)

@@ -3,7 +3,9 @@ every configuration `validate` accepts, not only on the paper's figure grid.
 
 Each configuration draws K, L, Ns, two SNRs, the path-loss exponent and the
 ring radii at random.  The simulation sweep runs all six schemes under both
-eavesdropper models on 64 trials at both SNRs.  The closed-form sweep
+eavesdropper models on 64 trials at both SNRs, and checks the exhaustive
+schemes, which skip the pairs their bound rules out, against rating every
+pair.  The closed-form sweep
 evaluates every relayed and direct-transmission form under both models.
 Until the SER's subset sum stops cancelling to noise at high SNR (ROADMAP
 item 3), its negative values are counted against an exact pinned number.
@@ -16,7 +18,8 @@ import pytest
 
 import scalar_reference as ref
 from secrelay import analytics as an
-from secrelay.channel import draw_batch
+from secrelay import policy
+from secrelay.channel import draw_batch, leakage_batch, served, sinr_destination
 from secrelay.model import (
     EveModel,
     Modulation,
@@ -26,7 +29,7 @@ from secrelay.model import (
     validate,
 )
 from secrelay.montecarlo import simulate
-from secrelay.policy import Scheme, c_params
+from secrelay.policy import Scheme, c_params, run_scheme_batch, secrecy_rate
 
 TRIALS = 64
 ANTENNAS = (1, 2, 3, 8, 16, 64, 256)
@@ -85,6 +88,47 @@ def test_schemes_keep_their_invariants_across_the_box(
             one = ref.run_scheme(ref.row(batch, t), Scheme.DT, cfg)
             assert traces[Scheme.DT].rates[t] == one.secrecy_rate, (key, t)
             assert traces[Scheme.DT].gamma_d[t] == one.gamma_d, (key, t)
+
+
+def _rate_every_pair(batch, model, rule) -> tuple:
+    """EXACT_JRP (rule _search) or EPRS (rule _equal_split) with no bound:
+    every (trial, relay) pair rated, then the first maximum, as (relay,
+    split, gamma_d, gamma_e, rate)."""
+    n, k = batch.n_trials, batch.n_relays
+    view = served(batch, np.tile(np.arange(k), n), np.repeat(np.arange(n), k))
+    lam, rate = rule(view, model)
+    relay = np.argmax(rate.reshape(n, k), axis=1)
+    lam = np.broadcast_to(lam, rate.shape).reshape(n, k)[np.arange(n), relay]
+    g_d = sinr_destination(batch, relay, lam)
+    g_e = leakage_batch(batch, relay, lam, model)
+    return relay, lam, g_d, g_e, secrecy_rate(g_d, g_e)
+
+
+@pytest.mark.parametrize(
+    "ns, k, l, dbs, relay_ring, eve_ring, exponent, seed", CONFIGS,
+    ids=[f"ns{c[0]}-k{c[1]}-l{c[2]}-{c[3][0]:g}dB" for c in CONFIGS],
+)
+def test_exhaustive_schemes_equal_rating_every_pair(
+    ns, k, l, dbs, relay_ring, eve_ring, exponent, seed
+):
+    gains = mean_gains_from_topology(paper_topology(k, l, relay_ring, eve_ring, exponent))
+    base = SystemConfig(n_antennas=ns, n_relays=k, n_eves=l, snr_linear=1.0)
+    rhos = [base.with_snr_db(db).snr_linear for db in dbs]
+    drawn = draw_batch(gains, base.with_snr_db(dbs[0]), seed, 0, TRIALS)
+    rules = {Scheme.EXACT_JRP: policy._search, Scheme.EPRS: policy._equal_split}
+    names = ("relay", "lam", "gamma_d", "gamma_e", "rate")
+    for m in EveModel:
+        cfg = SystemConfig(ns, k, l, 1.0, eve_model=m)
+        want = {s: _rate_every_pair(drawn.at_snr(rhos), m, rule) for s, rule in rules.items()}
+        # Whichever schemes ran first on the batch, in either order.
+        for order in (list(Scheme), list(Scheme)[::-1]):
+            batch = drawn.at_snr(rhos)
+            got = {s: run_scheme_batch(batch, s, cfg) for s in order}
+            for s, ref_values in want.items():
+                r = got[s]
+                values = (r.selected_relay, r.lam, r.gamma_d, r.gamma_e, r.rate)
+                for name, v, w in zip(names, values, ref_values):
+                    assert v.tobytes() == w.tobytes(), (m.value, s.value, name)
 
 
 CLOSED_ANTENNAS = (2, 3, 8, 16, 64, 256)  # c_params needs Ns >= 2

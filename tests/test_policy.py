@@ -400,12 +400,35 @@ def model_setup(model):
     return gains, SystemConfig(n_antennas=8, n_relays=3, n_eves=2, snr_linear=10.0, eve_model=model)
 
 
+def pruned_pairs(batch, model, rule):
+    """The (trial, relay) pairs EXACT_JRP (rule _search) or EPRS (rule
+    _equal_split) rates, as an (n, K) mask: JRP's pair and every pair whose
+    bound reaches its rate."""
+    rows, jrp = np.arange(batch.n_trials), select_relay_maxgain(batch)
+    best = rule(served(batch, jrp), model)[1]
+    keep = policy._rate_bound(batch, rule) >= best[:, None]
+    assert keep[rows, jrp].all()
+    return keep
+
+
 @pytest.mark.parametrize("model", list(EveModel), ids=lambda m: m.value)
 def test_each_trial_relay_split_is_searched_once(monkeypatch, model):
     # The searches build their served views through policy.served; each
     # scheme's final rating goes through leakage_batch, whose view channel
     # builds.  Count the (trial, relay) rows entering each.
     gains, cfg = model_setup(model)
+    # simulate draws these 100 trials in chunks of 37; every step works row
+    # by row, so the pairs rated per chunk are the whole batch's.
+    batch = draw_batch(gains, cfg, 5, 0, 100)
+    k = cfg.n_relays
+    searched_pairs = pruned_pairs(batch, model, policy._search)
+    equal_pairs = pruned_pairs(batch, model, policy._equal_split)
+    oprr = np.zeros_like(searched_pairs)
+    oprr[np.arange(100), np.minimum((batch.u_rand * k).astype(np.int64), k - 1)] = True
+    exact, eprs = searched_pairs.sum() / 100, equal_pairs.sum() / 100
+    with_oprr = (searched_pairs | oprr).sum() / 100
+    # The bound prunes, and OPRR's random relay is not always among the pairs left.
+    assert 1 < exact < k and 1 < eprs < k and exact < with_oprr
     searched, rated = [], []
     build, leakage = policy.served, policy.leakage_batch
 
@@ -426,20 +449,64 @@ def test_each_trial_relay_split_is_searched_once(monkeypatch, model):
         simulate(cfg, gains, schemes, 100, seed=5, chunk_size=37)
         return sum(searched) / 100, sum(rated) / 100
 
-    k = cfg.n_relays
     assert rows_per_trial([Scheme.JRP]) == (1, 1)
-    # EXACT_JRP searches every relay of a trial; JRP and OPRR read their
-    # splits from it, and searched first they leave it the other relays.
+    # EXACT_JRP searches JRP's relay and the relays whose bound reaches its
+    # rate; JRP reads its split from it, and OPRR searches its relay where
+    # EXACT_JRP left it out.  In either order no pair is searched twice.
     # Each scheme rates its own (relay, split): one leakage row each.
-    assert rows_per_trial([Scheme.EXACT_JRP]) == (k, 1)
-    assert rows_per_trial([Scheme.EXACT_JRP, Scheme.JRP, Scheme.OPRR]) == (k, 3)
-    assert rows_per_trial([Scheme.OPRR, Scheme.JRP, Scheme.EXACT_JRP]) == (k, 3)
-    # The equal split has a table of its own: EPRS rates every relay at it,
-    # and EXACT_JRP still searches them all.  EPRR rates only its final row.
+    assert rows_per_trial([Scheme.EXACT_JRP]) == (exact, 1)
+    assert rows_per_trial([Scheme.EXACT_JRP, Scheme.JRP]) == (exact, 2)
+    assert rows_per_trial([Scheme.EXACT_JRP, Scheme.OPRR]) == (with_oprr, 2)
+    assert rows_per_trial([Scheme.EXACT_JRP, Scheme.JRP, Scheme.OPRR]) == (with_oprr, 3)
+    assert rows_per_trial([Scheme.OPRR, Scheme.JRP, Scheme.EXACT_JRP]) == (with_oprr, 3)
+    # The equal split has a table of its own: EPRS rates the relays its
+    # bound leaves, and EXACT_JRP still searches its own.  EPRR rates only
+    # its final row.
     assert rows_per_trial([Scheme.EPRR]) == (0, 1)
-    assert rows_per_trial([Scheme.EPRS]) == (k, 1)
-    assert rows_per_trial([Scheme.EPRS, Scheme.EPRR]) == (k, 2)
-    assert rows_per_trial([Scheme.EPRS, Scheme.EXACT_JRP]) == (2 * k, 2)
+    assert rows_per_trial([Scheme.EPRS]) == (eprs, 1)
+    assert rows_per_trial([Scheme.EPRS, Scheme.EPRR]) == (eprs, 2)
+    assert rows_per_trial([Scheme.EPRS, Scheme.EXACT_JRP]) == (eprs + exact, 2)
+
+
+@pytest.mark.parametrize("model", list(EveModel), ids=lambda m: m.value)
+def test_rate_bound_covers_every_rating(model):
+    # Every pair's searched and equal-split rates are at most its bound,
+    # over the antenna counts and from -60 to 200 dB, with no RuntimeWarning.
+    # The single antenna and the low SNRs give draws where every pair rates
+    # zero.
+    zero_rate_draws = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for ns in (1, 4, 16, 256):
+            for db in (-60.0, 0.0, 20.0, 200.0):
+                batch, trials, relays = nce_setup(ns, 4, 3, db, 40 + ns, 50)
+                for rule in (policy._search, policy._equal_split):
+                    bound = policy._rate_bound(batch, rule)
+                    rate = rule(served(batch, relays, trials), model)[1].reshape(50, 4)
+                    assert (bound >= rate).all(), (ns, db, rule.__name__)
+                    zero_rate_draws += np.count_nonzero(rate.max(axis=1) == 0.0)
+    assert zero_rate_draws > 0
+
+
+def test_a_nan_bound_keeps_its_pair(monkeypatch):
+    # A zero bound leaves EXACT_JRP only JRP's relay wherever JRP's pair
+    # rates above zero; a NaN bound on the best relay keeps that relay.
+    gains, cfg = model_setup(EveModel.NCE)
+    n, k = 200, cfg.n_relays
+    batch = draw_batch(gains, cfg, 13, 0, n)
+    rows, jrp = np.arange(n), select_relay_maxgain(batch)
+    rate = search(batch, np.tile(np.arange(k), n), EveModel.NCE, np.repeat(rows, k))[1]
+    rate = rate.reshape(n, k)
+    best = np.argmax(rate, axis=1)
+    beaten = (best != jrp) & (rate[rows, jrp] > 0.0)
+    assert beaten.any()
+    bound = np.zeros((n, k))
+    monkeypatch.setattr(policy, "_rate_bound", lambda batch, rule: bound)
+    assert (run_scheme_batch(batch, Scheme.EXACT_JRP, cfg).selected_relay[beaten] == jrp[beaten]).all()
+    bound[rows, best] = np.nan
+    # A fresh draw of the same trials, so no pair is in a table yet.
+    fresh = draw_batch(gains, cfg, 13, 0, n)
+    assert run_scheme_batch(fresh, Scheme.EXACT_JRP, cfg).selected_relay.tobytes() == best.tobytes()
 
 
 @pytest.mark.parametrize("chunk", [7, 2048])
