@@ -555,21 +555,14 @@ def _json_path(csv_path: str) -> str:
     return stem + ".json"
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _blank_or_float(value) -> float | None:
     return None if value is None or value == "" else float(value)
 
 
 # A row's values in field order (= CSV_COLUMNS order), and the type of each:
-# read_table parses the cells with these types and write_csv formats each
-# value through its type, so the two are exact inverses.
+# read_table parses the cells with these types and write_csv casts each value
+# to its type before csv formats it (a float by repr, None as an empty cell),
+# so the two are exact inverses.
 _row_values = attrgetter(*(f.name for f in fields(ResultRow)))
 _CELL_TYPES = (str, int, int, str, str, float, float, float,
                _blank_or_float, _blank_or_float, int, int)
@@ -581,15 +574,15 @@ def write_csv(path: str, rows: list[ResultRow]) -> None:
         fh.write(f"# generated {stamp}\n")
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in rows:
-            writer.writerow(_cell(cast(v)) for cast, v in zip(_CELL_TYPES, _row_values(r)))
+        writer.writerows([cast(v) for cast, v in zip(_CELL_TYPES, _row_values(r))] for r in rows)
 
 
 def write_json(path: str, rows: list[ResultRow]) -> None:
-    payload = {"columns": list(CSV_COLUMNS), "rows": [list(_row_values(r)) for r in rows]}
+    """The rows as {"columns": [...], "rows": [[...], ...]}, one row per
+    line, each encoded by json's C encoder."""
+    body = ",\n  ".join(map(json.dumps, map(_row_values, rows)))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(f'{{"columns": {json.dumps(CSV_COLUMNS)},\n "rows": [\n  {body}\n ]}}\n')
 
 
 def read_table(path: str) -> list[ResultRow]:

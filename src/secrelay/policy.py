@@ -172,9 +172,17 @@ def opa_ce(batch: BatchDraws, relay_idx) -> np.ndarray:
     Uses the per-draw aggregate delta = gamma_si/(gamma_id+1)
     + sum_l gamma_null_l/(gamma_ld+1) over the L eavesdroppers and returns
     sqrt(2*gamma_id/(gamma_si*delta)), clamped into (0, 1) with a
-    RegimeWarning.  relay_idx is one relay for every trial or one per trial.
+    RegimeWarning.  relay_idx is one relay for every trial or one per trial,
+    indexed as numpy does: -K to K - 1, a negative index counting back from
+    relay K; any other raises IndexError.
     """
-    return _closed_split(served(batch, relay_idx), EveModel.CE, warn=True)
+    k = batch.n_relays
+    relay_idx = np.asarray(relay_idx)
+    # served reads flat (trial, relay) offsets, where an index past the relays
+    # would read another trial's relay.
+    if relay_idx.size and not (-k <= relay_idx.min() and relay_idx.max() < k):
+        raise IndexError(f"relay index out of range for {k} relays")
+    return _closed_split(served(batch, relay_idx % k), EveModel.CE, warn=True)
 
 
 def c_params(gains: MeanGains, config: SystemConfig) -> CParams:

@@ -334,6 +334,55 @@ def test_sinr_destination_equals_the_served_view(k, l):
     assert sinr_destination(batch, relay_idx, lam).tobytes() == want.tobytes()
 
 
+def fancy_view(batch: BatchDraws, relay_idx, trials=None) -> dict:
+    # The served view as two-index fancy gathers, each node-major array
+    # copied contiguous from the transposed gather.
+    rows = np.arange(batch.n_trials) if trials is None else trials
+    g_rl = np.ascontiguousarray(batch.g_rl[rows, relay_idx].T)
+    return dict(
+        g_si=batch.g_sr[rows, relay_idx],
+        g_id=batch.g_rd[rows, relay_idx],
+        g_null=np.ascontiguousarray(batch.g_null_r[rows, relay_idx].T),
+        g_rl=g_rl,
+        rl1=1.0 + g_rl,
+        g_ld=np.ascontiguousarray(batch.g_ld[rows].T),
+    )
+
+
+@pytest.mark.parametrize("k, l", [(5, 5), (10, 50), (1, 0), (1, 3), (4, 0)])
+def test_served_gathers_every_field_as_the_fancy_index(k, l):
+    gains = MeanGains.iid(k, l, mu_sr=0.5, mu_rd=1.0, mu_se=0.5, mu_ed=1.0)
+    cfg = SystemConfig(n_antennas=4, n_relays=k, n_eves=l, snr_linear=10.0)
+    batch = draw_batch(gains, cfg, 29, 0, 40)
+    stack = batch.at_snr([0.5, 10.0, 1e6])
+    rng = np.random.default_rng(6)
+    trials = rng.integers(0, 40, 70)  # unsorted, with repeats
+    assert len(np.unique(trials)) < trials.size and np.any(np.diff(trials) < 0)
+    # Hand-built: rows chosen by index, and strided views of the fields.
+    picked = BatchDraws(**{f: getattr(batch, f)[trials] for f in vars(batch)})
+    strided = BatchDraws(**{f: getattr(batch, f)[::3] for f in vars(batch)})
+    cases = [
+        (batch, rng.integers(0, k, 40), None),
+        (batch, k - 1, None),
+        (batch, np.int64(0), trials),
+        (batch, rng.integers(0, k, 70), trials),
+        (stack, rng.integers(0, k, 120), None),
+        (stack, rng.integers(0, k, 200), rng.integers(0, 120, 200)),
+        (picked, rng.integers(0, k, 70), None),
+        (strided, rng.integers(0, k, 14), None),
+        (strided, k - 1, rng.integers(0, 14, 9)),
+        (small_draw(), 1, None) if k == 5 else (batch, 0, np.array([], dtype=np.int64)),
+    ]
+    for b, relay_idx, rows in cases:
+        view = served(b, relay_idx, rows)
+        assert view.n_relays == b.n_relays
+        for name, want in fancy_view(b, relay_idx, rows).items():
+            got = getattr(view, name)
+            assert got.shape == want.shape and got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+            assert got.flags.c_contiguous, name
+
+
 @pytest.mark.parametrize("k, l", [(10, 50), (5, 5)])
 @pytest.mark.parametrize("model", list(EveModel), ids=lambda m: m.value)
 def test_served_view_is_bit_identical_to_trial_major(k, l, model):

@@ -227,13 +227,17 @@ def test_run_writes_round_trippable_outputs(tmp_path):
     assert len(rows) == 8
     assert read_table(str(out)) == rows
 
-    payload = json.loads((tmp_path / "r.json").read_text())
+    text = (tmp_path / "r.json").read_text()
+    payload = json.loads(text)
     assert payload["columns"] == list(CSV_COLUMNS)
-    assert len(payload["rows"]) == 8
-    by_key = {(r.scheme, r.metric, r.rho_db): r for r in rows}
-    for rec in payload["rows"]:
-        row = by_key[(rec[3], rec[4], rec[5])]
-        assert rec[6] == row.sim_value and rec[11] == row.seed
+    # Every row carries all 12 values of its ResultRow, null cells included.
+    values = [[getattr(r, f.name) for f in fields(ResultRow)] for r in rows]
+    assert any(None in v for v in values)
+    assert payload["rows"] == values
+    # One row per line, between the column line and the closing line.
+    lines = text.splitlines()
+    assert len(lines) == 2 + len(rows) + 1
+    assert [json.loads(ln.strip().rstrip(",")) for ln in lines[2:-1]] == values
 
 
 def test_run_seed_derivation_and_sharing(tmp_path):
@@ -439,6 +443,29 @@ def test_run_rejects_invalid_spec():
     )
     with pytest.raises(SpecError):
         run(spec, log=None)
+
+
+def test_write_csv_format_is_pinned(tmp_path):
+    # Floats by repr (subnormal, huge and negative zero too), an int rho_dB
+    # cast to float, None as an empty cell; the seed past the int64 range.
+    rows = [
+        ResultRow("nce", 5, 5, "jrp", "esr", 10, 1.25, 5e-324,
+                  None, None, 300, 16294208416658607535),
+        ResultRow("ce", 1, 0, "dt", "ser", -2.5, 1e300, -0.0, 0.1, 2.0 / 3.0, 1, 0),
+    ]
+    out = tmp_path / "r.csv"
+    cli.write_csv(str(out), rows)
+    stamp, body = out.read_bytes().decode("utf-8").split("\n", 1)
+    assert re.fullmatch(r"# generated \d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", stamp)
+    assert body == (
+        "eve_model,n_relays,n_eves,scheme,metric,rho_dB,sim_value,sim_stderr,"
+        "closed_form,asymptotic,trials,seed\r\n"
+        "nce,5,5,jrp,esr,10.0,1.25,5e-324,,,300,16294208416658607535\r\n"
+        "ce,1,0,dt,ser,-2.5,1e+300,-0.0,0.1,0.6666666666666666,1,0\r\n"
+    )
+    back = read_table(str(out))
+    assert back == [replace(rows[0], rho_db=10.0), rows[1]]
+    assert str(back[1].sim_stderr) == "-0.0"
 
 
 def test_read_table_rejects_foreign_header(tmp_path):

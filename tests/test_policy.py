@@ -133,6 +133,23 @@ def test_opa_ce_shrinks_with_added_eves():
     assert two < one < base
 
 
+def test_opa_ce_indexes_relays_as_numpy_does():
+    # A relay index past K would read another trial's relay from the
+    # served view's flat gather, so it raises as numpy indexing would.
+    gains = MeanGains.iid(3, 2)
+    cfg = SystemConfig(n_antennas=8, n_relays=3, n_eves=2, snr_linear=10.0)
+    batch = draw_batch(gains, cfg, 41, 0, 12)
+    relay_idx = np.tile([0, 1, 2], 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        want = opa_ce(batch, relay_idx)
+        assert opa_ce(batch, relay_idx - 3).tobytes() == want.tobytes()
+        assert opa_ce(batch, -1).tobytes() == opa_ce(batch, 2).tobytes()
+        for bad in (3, -4, relay_idx + 1, relay_idx - 4):
+            with pytest.raises(IndexError):
+                opa_ce(batch, bad)
+
+
 def test_closed_splits_warn_from_public_functions_only():
     # A first hop weaker than the second puts both closed forms above 1.
     weak = ref.one_row_batch(
