@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EveModel, MeanGains, Modulation, SystemConfig, _check_count
+from .model import EveModel, MeanGains, Modulation, SystemConfig, _check_count, _check_eve_model
 from .specfun import (
     EULER_GAMMA,
     _exact_signed_sum,
@@ -190,6 +190,7 @@ def ppos_dt(gains: MeanGains, config: SystemConfig, model: EveModel) -> float:
     P[leakage < N_s*gbar_sd] with the hardened main link; independent of the
     transmit SNR because both sides scale with rho.
     """
+    _check_eve_model("model", model)
     rho = config.snr_linear
     return _dt_leak_cdf(gains, rho, model, config.n_antennas * gains.gbar_sd(rho))
 
@@ -201,6 +202,7 @@ def sop_dt(
     prefactor, no 1/2).  A threshold at or below zero means the hardened
     main link cannot carry the target at all: outage with certainty.  At
     Rt = 0 the threshold is ppos_dt's, unrounded, so the two add up to 1."""
+    _check_eve_model("model", model)
     factor = _rate_factor(target_rate, 1.0)
     rho = config.snr_linear
     main = config.n_antennas * gains.gbar_sd(rho)
@@ -221,6 +223,7 @@ def esr_dt_lb(gains: MeanGains, config: SystemConfig, model: EveModel) -> float:
     all relay subsets u, the empty one too, J the tail integral of S
     (specfun.hypoexp_tail_integral) at u's rate sum.  Clamped at zero.
     """
+    _check_eve_model("model", model)
     rho = config.snr_linear
     leak = gains.leak_means_dt(rho)
     cap = math.log2(1.0 + config.n_antennas * gains.gbar_sd(rho))

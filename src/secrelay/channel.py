@@ -60,7 +60,8 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Philox
 
-from .model import _U64_MAX, MAX_SNR_LINEAR, EveModel, MeanGains, SystemConfig, _check_count
+from .model import (_U64_MAX, MAX_SNR_LINEAR, EveModel, MeanGains, SystemConfig, _check_count,
+                    _check_eve_model)
 
 # 64-bit outputs per Philox counter increment; each trial reads whole blocks.
 _BLOCK_WORDS = 4
@@ -398,6 +399,7 @@ def leakage_batch(
     Repeated evaluations of one (trial, relay) set, as in a split search,
     should build the view once with `served` and call its methods.
     """
+    _check_eve_model("model", model)
     return served(batch, relay_idx).leakage(lam, model)
 
 
@@ -405,6 +407,7 @@ def dt_leakage(g_null_d: np.ndarray, n_relays: int, model: EveModel) -> np.ndarr
     """Leakage under direct transmission, per row of the (n, K+L) per-node
     SNRs g_null_d: the strongest node (NCE), or the worse of the strongest
     relay and the pooled eavesdroppers (CE)."""
+    _check_eve_model("model", model)
     if model is EveModel.NCE:
         return np.max(g_null_d, axis=-1)
     relay_part = np.max(g_null_d[..., :n_relays], axis=-1)

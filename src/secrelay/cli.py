@@ -70,7 +70,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from . import analytics, model
-from .model import ConfigError, EveModel, Modulation, SystemConfig, Topology, TopologyError
+from .model import EveModel, Modulation, SystemConfig, Topology, TopologyError
 from .montecarlo import Metric, derive_seed, estimate_from_trace, simulate
 from .policy import Scheme, c_params
 
@@ -179,8 +179,7 @@ def _grid(spec: ExperimentSpec) -> tuple[list[tuple], list[str]]:
             if value in values[:i]:
                 problems.append(f"experiment.{field}: {getattr(value, 'value', value)!r} "
                                 f"is listed more than once")
-    # A ConfigError message leads with the field at fault; prefix it with
-    # the spec key that set the field.
+    # The spec key that set each config field, where it is not config.<field>.
     keys = {"snr_linear": "experiment.rho_grid_db",
             "n_relays": "config.n_relays" if spec.k_grid is None else "experiment.k_grid",
             "n_eves": "config.n_eves" if spec.l_grid is None else "experiment.l_grid"}
@@ -194,13 +193,9 @@ def _grid(spec: ExperimentSpec) -> tuple[list[tuple], list[str]]:
         # counts that validate refuses get no layout, and so no second message.
         refused = set()
         for cfg in [cfg for _, _, cfg in points] or [at]:
-            try:
-                model.validate(cfg)
-            except ConfigError as err:
-                for message in str(err).split("; "):
-                    field = re.match(r"\w+", message).group()
-                    refused.add(field)
-                    problems.append(f"{keys.get(field, 'config.' + field)}: {message}")
+            for field, message in model._config_problems(cfg).items():
+                refused.add(field)
+                problems.append(f"{keys.get(field, 'config.' + field)}: {message}")
         gains = None
         if not refused & {"n_relays", "n_eves"}:
             for field, nodes, grid in (("n_relays", "relays", spec.k_grid),

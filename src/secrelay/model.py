@@ -61,6 +61,13 @@ class EveModel(Enum):
     CE = "ce"
 
 
+def _check_eve_model(name: str, value, error=ValueError) -> None:
+    """The one rule for an eavesdropper model: an EveModel member, never its
+    name or None.  Raises error with a message led by name."""
+    if not isinstance(value, EveModel):
+        raise error(f"{name} must be an EveModel, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Modulation:
     """Coherent modulation with SER(snr) ~= alpha_m * Q(sqrt(beta_m * snr))."""
@@ -115,10 +122,10 @@ class SystemConfig:
         return replace(self, snr_linear=snr)
 
 
-def validate(config: SystemConfig) -> None:
-    """Check every config invariant, raising ConfigError with all violations.
-    Counts and master_seed must be Python or numpy integers, never bools."""
-    problems = []
+def _config_problems(config: SystemConfig) -> dict[str, str]:
+    """Every failed config invariant as {field: message}, in field order, each
+    message led by its field; counts must be integers, never bools."""
+    problems = {}
     for name, lo, hi in (("n_antennas", 1, math.inf), ("n_relays", 1, math.inf),
                          ("n_eves", 0, math.inf), ("master_seed", 0, _U64_MAX)):
         try:
@@ -127,21 +134,30 @@ def validate(config: SystemConfig) -> None:
                 raise ConfigError(f"n_relays={config.n_relays} exceeds {MAX_RELAYS}: closed forms "
                                   f"enumerate 2^K - 1 relay subsets and would explode")
         except ConfigError as err:
-            problems.append(str(err))
+            problems[name] = str(err)
     if not (math.isfinite(config.snr_linear) and config.snr_linear > 0):
-        problems.append(f"snr_linear must be positive and finite, got {config.snr_linear}")
+        problems["snr_linear"] = f"snr_linear must be positive and finite, got {config.snr_linear}"
     elif config.snr_linear > MAX_SNR_LINEAR:
-        problems.append(f"snr_linear must be <= {MAX_SNR_LINEAR:g} ({MAX_SNR_DB:g} dB), "
-                        f"got {config.snr_linear:g}")
+        problems["snr_linear"] = (f"snr_linear must be <= {MAX_SNR_LINEAR:g} ({MAX_SNR_DB:g} dB), "
+                                  f"got {config.snr_linear:g}")
     if not (math.isfinite(config.target_rate) and config.target_rate >= 0):
-        problems.append(f"target_rate must be >= 0, got {config.target_rate}")
-    if not isinstance(config.eve_model, EveModel):
-        problems.append(f"eve_model must be an EveModel, got {config.eve_model!r}")
+        problems["target_rate"] = f"target_rate must be >= 0, got {config.target_rate}"
+    try:
+        _check_eve_model("eve_model", config.eve_model, ConfigError)
+    except ConfigError as err:
+        problems["eve_model"] = str(err)
     mod = config.modulation
     if not (mod.alpha_m > 0 and mod.beta_m > 0):
-        problems.append(f"modulation needs alpha_m, beta_m > 0, got {mod}")
+        problems["modulation"] = f"modulation needs alpha_m, beta_m > 0, got {mod}"
+    return problems
+
+
+def validate(config: SystemConfig) -> None:
+    """Raise one ConfigError whose message joins every problem that
+    _config_problems finds by "; "; return None when the config is valid."""
+    problems = _config_problems(config)
     if problems:
-        raise ConfigError("; ".join(problems))
+        raise ConfigError("; ".join(problems.values()))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .channel import (
     served,
     sinr_destination,
 )
-from .model import EveModel, MeanGains, SystemConfig, _check_count
+from .model import EveModel, MeanGains, SystemConfig, _check_count, _check_eve_model
 from .specfun import EULER_GAMMA, digamma_int, scaled_e1
 
 _LN2 = math.log(2.0)
@@ -194,6 +194,7 @@ def c_params(gains: MeanGains, config: SystemConfig) -> CParams:
     averages per-relay gains, exact when relays share statistics.
     """
     _check_count("n_antennas", config.n_antennas, 2)
+    _check_eve_model("eve_model", config.eve_model)
     rho = config.snr_linear
     k = gains.n_relays
     if gains.n_eves:
@@ -204,7 +205,7 @@ def c_params(gains: MeanGains, config: SystemConfig) -> CParams:
         theta = 0.0
     h_k = digamma_int(k + 1) + EULER_GAMMA
     eta = float(np.mean(gains.mu_rd)) * h_k / ((config.n_antennas - 1) * float(np.mean(gains.mu_sr)))
-    c = eta * theta if config.eve_model is EveModel.CE else 0.0
+    c = 0.0 if config.eve_model is EveModel.NCE else eta * theta
     return CParams(theta_hat=theta, eta=eta, c=c)
 
 
@@ -459,6 +460,7 @@ def run_scheme_batch(batch: BatchDraws, scheme: Scheme, config: SystemConfig) ->
     so one call serves a batch that BatchDraws.at_snr stacked over several
     SNRs.  Every step works row by row, so a row's result does not depend
     on the rows it runs with."""
+    _check_eve_model("eve_model", config.eve_model)
     model = config.eve_model
     n, k = batch.n_trials, batch.n_relays
     if scheme is Scheme.DT:

@@ -722,6 +722,48 @@ def test_out_of_range_grid_counts_give_one_line_each(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("field, value, want", [
+    ("modulation", Modulation(-1.0, 1.0, "a; b"),
+     "config.modulation: modulation needs alpha_m, beta_m > 0, "
+     "got Modulation(alpha_m=-1.0, beta_m=1.0, name='a; b')"),
+    ("eve_model", "x; !y", "config.eve_model: eve_model must be an EveModel, got 'x; !y'"),
+])
+def test_a_config_problem_is_one_line_under_its_key(field, value, want):
+    # validate_spec once split validate's message at "; " and keyed each
+    # piece by its first word: the modulation gave a second line under
+    # config.b, and the eve model raised AttributeError.
+    spec = preset("fig2")
+    spec.eve_models = None
+    spec.config = replace(spec.config, **{field: value})
+    assert validate_spec(spec) == [want]
+
+
+def test_a_refused_relay_count_gives_one_line_and_no_layout_line(tmp_path, capsys):
+    # paper_topology refuses K = 0, so the parser builds a placeholder
+    # layout; only validate's line for the count is reported.
+    text = tiny_spec_text(tmp_path / "r.csv").replace("config.n_relays = 2", "config.n_relays = 0")
+    (tmp_path / "exp.spec").write_text(text)
+    assert main(["validate", str(tmp_path / "exp.spec")]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: exp.spec:2: config.n_relays: n_relays must be an integer >= 1, got 0"]
+    assert "topology" not in err
+
+
+def test_preset_seed_option_sets_the_master_seed(tmp_path, capsys):
+    out = tmp_path / "fig7.csv"
+    assert main(["preset", "fig7", "--trials", "5", "--seed", "9", "--out", str(out)]) == 0
+    rows = read_table(str(out))
+    assert rows and {(r.seed, r.trials) for r in rows} == {(derive_seed(9, 0), 5)}
+    assert derive_seed(9, 0) == 16294208416658607526
+
+
+def test_qpsk_modulation_key_parses_to_four_psk(tmp_path):
+    text = tiny_spec_text(tmp_path / "r.csv", 'config.modulation = "qpsk"\n')
+    modulation = parse_spec_text(text).config.modulation
+    assert modulation == Modulation.psk(4) and modulation.name == "qpsk"
+
+
 def test_integral_floats_count_as_integers(tmp_path):
     text = _replace_line(tiny_spec_text(tmp_path / "r.csv"), "experiment.trials = 1e6")
     spec = parse_spec_text(_replace_line(text, "experiment.k_grid = [1.0, 2]"))

@@ -1,17 +1,19 @@
 """The one count rule: every count, seed and index the package takes is an
 int or numpy integer, never a bool, within its site's bounds.  Each site
-raises its own exception type, with a message led by the argument's name."""
+raises its own exception type, with a message led by the argument's name.
+The eavesdropper model has one rule too: an EveModel member, never its name."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from secrelay.analytics import dmt_reliability, dmt_secrecy
-from secrelay.channel import draw_batch
+from secrelay.analytics import dmt_reliability, dmt_secrecy, esr_dt_lb, ppos_dt, sop_dt
+from secrelay.channel import draw_batch, dt_leakage, leakage_batch
 from secrelay.cli import ExperimentSpec, SpecError, validate_spec
 from secrelay.model import (
     ConfigError,
+    EveModel,
     MeanGains,
     Modulation,
     SystemConfig,
@@ -20,7 +22,13 @@ from secrelay.model import (
     validate,
 )
 from secrelay.montecarlo import Metric, derive_seed, simulate
-from secrelay.policy import Scheme, c_params, feedback_overhead_bits, opa_nce_statistical
+from secrelay.policy import (
+    Scheme,
+    c_params,
+    feedback_overhead_bits,
+    opa_nce_statistical,
+    run_scheme_batch,
+)
 
 GAINS = MeanGains.iid(2, 1)
 CFG = SystemConfig(n_antennas=4, n_relays=2, n_eves=1, snr_linear=10.0)
@@ -97,3 +105,35 @@ def test_numpy_seeds_and_indices_match_python_ints():
         a = draw_batch(GAINS, CFG, seed, first, 2)
         b = draw_batch(GAINS, CFG, int(seed), int(first), 2)
         assert a.g_sr.tobytes() == b.g_sr.tobytes() and a.g_rl.tobytes() == b.g_rl.tobytes()
+
+
+BATCH = draw_batch(GAINS, CFG, 1, 0, 4)
+
+# site: (call taking the eavesdropper model, exception type, argument name)
+MODEL_SITES = {
+    "validate": (lambda m: validate(replace(CFG, eve_model=m)), ConfigError, "eve_model"),
+    "c_params": (lambda m: c_params(GAINS, replace(CFG, eve_model=m)), ValueError,
+                 "eve_model"),
+    "run_scheme_batch": (lambda m: run_scheme_batch(BATCH, Scheme.JRP, replace(CFG, eve_model=m)),
+                         ValueError, "eve_model"),
+    "esr_dt_lb": (lambda m: esr_dt_lb(GAINS, CFG, m), ValueError, "model"),
+    "sop_dt": (lambda m: sop_dt(GAINS, CFG, m), ValueError, "model"),
+    "ppos_dt": (lambda m: ppos_dt(GAINS, CFG, m), ValueError, "model"),
+    "leakage_batch": (lambda m: leakage_batch(BATCH, np.arange(4) % 2, np.full(4, 0.5), m),
+                      ValueError, "model"),
+    "dt_leakage": (lambda m: dt_leakage(BATCH.g_null_d, 2, m), ValueError, "model"),
+}
+
+
+@pytest.mark.parametrize("bad", ["nce", "ce", None])
+@pytest.mark.parametrize("site", list(MODEL_SITES))
+def test_every_eve_model_site_takes_only_members(site, bad):
+    # Each of these once ran a model's name, or None, as the other model:
+    # all but c_params as CE, and c_params ("ce" included) as NCE.
+    call, error, name = MODEL_SITES[site]
+    with pytest.raises(error) as exc:
+        call(bad)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{name} must be an EveModel, got {bad!r}"
+    for member in EveModel:
+        call(member)

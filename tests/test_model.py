@@ -87,6 +87,22 @@ def test_validate_collects_all_problems():
         assert frag in msg
 
 
+def test_validate_message_for_every_field_is_pinned():
+    cfg = SystemConfig(True, 0, -1, math.nan, -1.0, "x", Modulation(0.0, 0.0, "z"), 2**64)
+    with pytest.raises(ConfigError) as err:
+        validate(cfg)
+    assert str(err.value) == (
+        "n_antennas must be an integer >= 1, got True; "
+        "n_relays must be an integer >= 1, got 0; "
+        "n_eves must be an integer >= 0, got -1; "
+        "master_seed must be an integer in [0, 18446744073709551615], got 18446744073709551616; "
+        "snr_linear must be positive and finite, got nan; "
+        "target_rate must be >= 0, got -1.0; "
+        "eve_model must be an EveModel, got 'x'; "
+        "modulation needs alpha_m, beta_m > 0, got Modulation(alpha_m=0.0, beta_m=0.0, name='z')"
+    )
+
+
 def test_validate_subset_explosion_guard():
     cfg = SystemConfig(n_antennas=4, n_relays=MAX_RELAYS + 5, n_eves=0, snr_linear=1.0)
     with pytest.raises(ConfigError, match="2\\^K"):
